@@ -4,8 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ldpc import (CodeSpec, decode, encode, load_alist, make_code,
-                   save_alist, spec_from_parity, syndrome_ok)
+from .ldpc import PRESET_RATES, CodeSpec, decode, encode, make_code, syndrome_ok
 from .modem import (demap_llr_exact, hard_decisions, qpsk_demap_llr, qpsk_map,
                     remodulate, soft_symbols, LLR_CAP, QPSK_SYMBOLS)
 from .framing import CodewordFrame, deframe_codeword, frame_codeword
@@ -24,9 +23,8 @@ class SoftDataState:
 
 
 __all__ = [
-    "CodeSpec", "CodewordFrame", "SoftDataState", "LLR_CAP", "QPSK_SYMBOLS",
-    "decode", "deframe_codeword", "demap_llr_exact", "encode",
-    "frame_codeword", "hard_decisions", "load_alist", "make_code",
-    "qpsk_demap_llr", "qpsk_map", "remodulate", "save_alist",
-    "soft_symbols", "spec_from_parity", "syndrome_ok",
+    "CodeSpec", "CodewordFrame", "SoftDataState", "LLR_CAP", "PRESET_RATES",
+    "QPSK_SYMBOLS", "decode", "deframe_codeword", "demap_llr_exact", "encode",
+    "frame_codeword", "hard_decisions", "make_code", "qpsk_demap_llr",
+    "qpsk_map", "remodulate", "soft_symbols", "syndrome_ok",
 ]

@@ -6,18 +6,17 @@ bidiagonal (shift-0 identity pairs), which guarantees full row rank and a
 forward-substitution encoder, and whose systematic columns carry weight-3
 pseudorandom circulant shifts screened against length-4 cycles.
 
-External parity-check matrices can be loaded from adjacency-list text files
-(first line ``n m``; per-column then per-row 1-indexed neighbor lists, zero
-entries ignored); those codes are encoded through a dense GF(2) elimination.
+A base-graph entry (r, c, s) is a Z x Z circulant: check r*Z + i involves
+bit c*Z + (i + s) mod Z. Encoding, the parity check and decoding all work
+on these Z-blocks; the parity-check matrix is never expanded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 MINSUM_ALPHA = 0.8125         # normalization factor, a power-of-two friendly 13/16
 MAX_BP_ITERS = 25
@@ -26,6 +25,8 @@ _PRESETS = {
     "1/2": dict(m_b=12, n_b=24, Z=160, seed=20240501),
     "3/4": dict(m_b=6, n_b=24, Z=162, seed=20240502),
 }
+PRESET_RATES = tuple(_PRESETS)
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 @dataclass
@@ -34,19 +35,15 @@ class CodeSpec:
 
     name: str
     n: int                    # codeword length
-    k: int                    # information bits
-    H: sparse.csr_matrix      # parity-check matrix (uint8)
-    info_positions: np.ndarray
+    k: int                    # information bits, the first k of a codeword
     alpha: float = MINSUM_ALPHA
     max_iters: int = MAX_BP_ITERS
-    # QC structure (presets only): list of (row, col, shift) plus lift size.
+    # QC structure: list of (row, col, shift), lift size, base rows and
+    # systematic base columns. encode, syndrome_ok and decode need it.
     qc_entries: list | None = None
     qc_Z: int = 0
     qc_mb: int = 0
     qc_kb: int = 0
-    _ge_parity: np.ndarray | None = None      # generic-encoder parity map
-    _ge_pivots: np.ndarray | None = None
-    _decoder: dict = field(default_factory=dict, repr=False)
 
     @property
     def rate(self) -> float:
@@ -112,155 +109,122 @@ def _make_base(m_b: int, n_b: int, Z: int, seed: int) -> list[tuple[int, int, in
     return entries
 
 
-def _expand_qc(entries, m_b: int, n_b: int, Z: int) -> sparse.csr_matrix:
-    rows = []
-    cols = []
-    base = np.arange(Z)
-    for (r, c, s) in entries:
-        rows.append(r * Z + base)
-        cols.append(c * Z + (base + s) % Z)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.ones(rows.size, dtype=np.uint8)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(m_b * Z, n_b * Z))
-
-
 def make_code(rate: str) -> CodeSpec:
     """Built-in QC-LDPC preset: '1/2' (n=3840) or '3/4' (n=3888)."""
     if rate not in _PRESETS:
         raise ValueError(f"no preset for rate {rate!r} (have {sorted(_PRESETS)})")
     p = _PRESETS[rate]
     m_b, n_b, Z = p["m_b"], p["n_b"], p["Z"]
-    entries = _make_base(m_b, n_b, Z, p["seed"])
-    H = _expand_qc(entries, m_b, n_b, Z)
-    k = (n_b - m_b) * Z
     return CodeSpec(name=f"qc-ldpc-{rate.replace('/', '')}-n{n_b * Z}",
-                    n=n_b * Z, k=k, H=H,
-                    info_positions=np.arange(k),
-                    qc_entries=entries, qc_Z=Z, qc_mb=m_b, qc_kb=n_b - m_b)
+                    n=n_b * Z, k=(n_b - m_b) * Z,
+                    qc_entries=_make_base(m_b, n_b, Z, p["seed"]),
+                    qc_Z=Z, qc_mb=m_b, qc_kb=n_b - m_b)
+
+
+def _circulants(spec: CodeSpec) -> list[tuple[int, int, int]]:
+    """The base-graph entries (row, col, shift), sorted by row, then column."""
+    if spec.qc_entries is None:
+        raise ValueError(f"code {spec.name!r} has no circulant structure (qc_entries)")
+    return sorted(spec.qc_entries)
 
 
 # ---------------------------------------------------------------------------
-# Encoding
+# Encoding and the parity check
 
 
-def _encode_qc(spec: CodeSpec, info: np.ndarray) -> np.ndarray:
-    """Forward-substitution encoder for the bidiagonal-parity presets."""
+def encode(info: np.ndarray, spec: CodeSpec) -> np.ndarray:
+    """Systematic encoding. info: (..., k) bits -> codewords (..., n).
+
+    The parity bits follow by forward substitution through the lower
+    bidiagonal parity part of the base graph.
+    """
+    entries = _circulants(spec)
+    info = np.asarray(info, dtype=np.uint8)
+    if info.shape[-1] != spec.k:
+        raise ValueError(f"expected {spec.k} info bits, got {info.shape[-1]}")
     Z, m_b, k_b = spec.qc_Z, spec.qc_mb, spec.qc_kb
-    B = info.shape[0]
-    blocks = info.reshape(B, k_b, Z)
+    flat = info.reshape(-1, spec.k)
+    B = flat.shape[0]
+    blocks = flat.reshape(B, k_b, Z)
     syn = np.zeros((B, m_b, Z), dtype=np.uint8)
-    for (r, c, s) in spec.qc_entries:
+    for (r, c, s) in entries:
         if c < k_b:
             syn[:, r] ^= np.roll(blocks[:, c], -s, axis=-1)
     parity = np.zeros((B, m_b, Z), dtype=np.uint8)
     parity[:, 0] = syn[:, 0]
     for r in range(1, m_b):
         parity[:, r] = syn[:, r] ^ parity[:, r - 1]
-    return np.concatenate([info, parity.reshape(B, m_b * Z)], axis=1)
-
-
-def _gf2_row_reduce(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2); returns (rref, pivot columns)."""
-    A = H.copy().astype(np.uint8)
-    m, n = A.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        hit = np.nonzero(A[r:, c])[0]
-        if hit.size == 0:
-            continue
-        piv = r + hit[0]
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        others = np.nonzero(A[:, c])[0]
-        others = others[others != r]
-        A[others] ^= A[r]
-        pivots.append(c)
-        r += 1
-    return A, pivots
-
-
-def _prepare_generic_encoder(spec: CodeSpec) -> None:
-    H = np.asarray(spec.H.todense(), dtype=np.uint8)
-    rref, pivots = _gf2_row_reduce(H)
-    if len(pivots) < H.shape[0]:
-        raise ValueError("parity-check matrix is rank deficient")
-    free = np.setdiff1d(np.arange(spec.n), pivots)
-    if free.size != spec.k:
-        raise ValueError(f"parity matrix implies k={free.size}, spec says {spec.k}")
-    spec._ge_pivots = np.asarray(pivots)
-    spec._ge_parity = rref[:len(pivots)][:, free]     # (m, k) map info -> parity
-    spec.info_positions = free
-
-
-def _encode_generic(spec: CodeSpec, info: np.ndarray) -> np.ndarray:
-    if spec._ge_parity is None:
-        _prepare_generic_encoder(spec)
-    parity = (info @ spec._ge_parity.T) % 2
-    out = np.zeros((info.shape[0], spec.n), dtype=np.uint8)
-    out[:, spec.info_positions] = info
-    out[:, spec._ge_pivots] = parity.astype(np.uint8)
-    return out
-
-
-def encode(info: np.ndarray, spec: CodeSpec) -> np.ndarray:
-    """Systematic encoding. info: (..., k) bits -> codewords (..., n)."""
-    info = np.asarray(info, dtype=np.uint8)
-    if info.shape[-1] != spec.k:
-        raise ValueError(f"expected {spec.k} info bits, got {info.shape[-1]}")
-    flat = info.reshape(-1, spec.k)
-    cw = _encode_qc(spec, flat) if spec.qc_entries is not None else _encode_generic(spec, flat)
+    cw = np.concatenate([flat, parity.reshape(B, m_b * Z)], axis=1)
     return cw.reshape(info.shape[:-1] + (spec.n,))
 
 
+def _doubled_blocks(x: np.ndarray, Z: int) -> np.ndarray:
+    """(B, n) -> (n/Z, 2Z, B), each Z-block twice, so rotating one is a slice.
+
+    Block c rotated by s, bit i -> x[c*Z + (i + s) mod Z], is [c, s:s + Z].
+    """
+    blocks = x.T.reshape(-1, Z, x.shape[0])
+    return np.concatenate([blocks, blocks], axis=1)
+
+
+def _checks_ok(bits2: np.ndarray, entries, m_b: int) -> np.ndarray:
+    """Per codeword, whether every parity check holds. bits2: doubled bool blocks."""
+    Z = bits2.shape[1] // 2
+    synd = np.zeros((m_b, Z, bits2.shape[2]), dtype=bool)
+    for r, c, s in entries:
+        synd[r] ^= bits2[c, s:s + Z]
+    return ~synd.any(axis=(0, 1))
+
+
 def syndrome_ok(bits: np.ndarray, spec: CodeSpec) -> np.ndarray:
-    """True per codeword iff H bits^T = 0. bits: (..., n)."""
-    flat = np.asarray(bits, dtype=np.uint8).reshape(-1, spec.n)
-    synd = spec.H.dot(flat.T) % 2
-    return (synd == 0).all(axis=0).reshape(bits.shape[:-1])
+    """True per codeword iff every parity check holds. bits: (..., n)."""
+    entries = _circulants(spec)
+    bits = np.asarray(bits)
+    bits2 = _doubled_blocks(bits.reshape(-1, spec.n).astype(bool), spec.qc_Z)
+    return _checks_ok(bits2, entries, spec.qc_mb).reshape(bits.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
 # Decoding
 
 
-def _decoder_struct(spec: CodeSpec) -> dict:
-    if spec._decoder:
-        return spec._decoder
-    H = spec.H.tocsr()
-    indptr, edge_col = H.indptr, H.indices.astype(np.int64)
-    n_rows, E = H.shape[0], edge_col.size
-    rdeg = np.diff(indptr)
-    dmax = int(rdeg.max())
-    row_edges = np.zeros((n_rows, dmax), dtype=np.int64)
-    row_pad = np.zeros((n_rows, dmax), dtype=bool)
-    for r in range(n_rows):
-        d = rdeg[r]
-        row_edges[r, :d] = np.arange(indptr[r], indptr[r + 1])
-        row_pad[r, d:] = True
+def _row_groups(entries) -> list[tuple[int, int, int]]:
+    """(first entry, rows, degree) per run of consecutive equal-degree base rows."""
+    groups = []
+    first = 0
+    for d, run in itertools.groupby(np.bincount([r for r, _, _ in entries]).tolist()):
+        rows = len(list(run))
+        groups.append((first, rows, d))
+        first += rows * d
+    return groups
 
-    Hc = H.tocsc()
-    cdeg = np.diff(Hc.indptr)
-    cmax = int(cdeg.max())
-    # Edge ids in CSR order, grouped per column.
-    order = np.argsort(edge_col, kind="stable")
-    col_edges = np.zeros((spec.n, cmax), dtype=np.int64)
-    col_pad = np.zeros((spec.n, cmax), dtype=bool)
-    pos = 0
-    for c in range(spec.n):
-        d = cdeg[c]
-        col_edges[c, :d] = order[pos:pos + d]
-        col_pad[c, d:] = True
-        pos += d
 
-    flat_order = row_edges[~row_pad]          # permutation of arange(E)
-    spec._decoder = dict(edge_col=edge_col, row_edges=row_edges, row_pad=row_pad,
-                         col_edges=col_edges, col_pad=col_pad,
-                         flat_order=flat_order, E=E)
-    return spec._decoder
+def _check_update(v2c: np.ndarray, c2v: np.ndarray, groups, alpha: float) -> None:
+    """Normalized min-sum check-to-variable messages, written into c2v.
+
+    Each edge gets alpha times the smallest |v2c| of the other edges of its
+    check, signed by their sign parity. Only the first minimum's edge sees
+    the second minimum; on a tie both minima are equal. v2c holds no -0.0,
+    so a set sign bit means a negative message. v2c is overwritten.
+    """
+    sign = c2v.view(np.uint64)
+    np.bitwise_and(v2c.view(np.uint64), _SIGN_BIT, out=sign)
+    mag = np.abs(v2c, out=v2c)
+    for e0, rows, d in groups:
+        shape = (rows, d) + v2c.shape[1:]
+        edges = slice(e0, e0 + rows * d)
+        x, s = mag[edges].reshape(shape), sign[edges].reshape(shape)
+        m1 = x[:, 0].copy()
+        m2 = np.full_like(m1, np.inf)
+        for j in range(1, d):
+            np.minimum(m2, np.maximum(m1, x[:, j]), out=m2)
+            np.minimum(m1, x[:, j], out=m1)
+        s ^= np.bitwise_xor.reduce(s, axis=1, keepdims=True)
+        # alpha*m2 on the edge whose |v2c| is m1, alpha*m1 elsewhere
+        # (m2 >= m1 >= 0, and m2 * 0.0 = +0.0); then the sign bit.
+        np.multiply(alpha * m2[:, None], x == m1[:, None], out=x)
+        np.maximum(x, alpha * m1[:, None], out=x)
+        s |= x.view(np.uint64)
 
 
 def decode(llr: np.ndarray, spec: CodeSpec, max_iters: int | None = None
@@ -272,13 +236,18 @@ def decode(llr: np.ndarray, spec: CodeSpec, max_iters: int | None = None
     LLRs include the channel term plus all check-to-variable messages.
     Codewords whose input hard decisions already satisfy every parity check
     are returned unchanged; converged codewords stop iterating early.
+
+    Messages live in one (Z, batch) block per base-graph entry, indexed by
+    the check within the entry's block row. A bit's total sums its
+    check-to-variable messages in ascending base-row order, then adds the
+    channel LLR.
     """
     max_iters = spec.max_iters if max_iters is None else max_iters
     llr = np.asarray(llr, dtype=float)
     lead = llr.shape[:-1]
     ch = llr.reshape(-1, spec.n)
-    B = ch.shape[0]
-    st = _decoder_struct(spec)
+    entries = _circulants(spec)
+    Z, n = spec.qc_Z, spec.n
 
     llr_post = ch.copy()
     hard = (ch < 0).astype(np.uint8)
@@ -286,105 +255,56 @@ def decode(llr: np.ndarray, spec: CodeSpec, max_iters: int | None = None
 
     active = np.nonzero(~ok)[0]
     if active.size and max_iters > 0:
-        ch_a = ch[active]
-        c2v = np.zeros((active.size, st["E"]))
-        total = ch_a.copy()
+        groups = _row_groups(entries)
+        by_col = [[(e, s) for e, (_, c, s) in enumerate(entries) if c == col]
+                  for col in range(n // Z)]
+        # + 0.0 turns a -0.0 LLR into +0.0. Then no bit total, and so no
+        # variable-to-check message, is -0.0: _check_update reads sign bits.
+        tot2 = _doubled_blocks(ch[active] + 0.0, Z)   # bit totals, each block twice
+        tot = tot2[:, :Z]
+        ch_blk = tot.copy()
+        c2v = np.zeros((len(entries), Z, active.size))
+        v2c = np.empty_like(c2v)
         for _ in range(max_iters):
-            v2c = total[:, st["edge_col"]] - c2v
-            vals = v2c[:, st["row_edges"]]                       # (B, n_rows, dmax)
-            sgn = np.where(vals < 0, -1.0, 1.0)
-            sgn[:, st["row_pad"]] = 1.0
-            mag = np.abs(vals)
-            mag[:, st["row_pad"]] = np.inf
-            row_sign = sgn.prod(axis=-1)
-            first = np.argmin(mag, axis=-1)
-            m1 = np.take_along_axis(mag, first[..., None], axis=-1)[..., 0]
-            tmp = mag.copy()
-            np.put_along_axis(tmp, first[..., None], np.inf, axis=-1)
-            m2 = tmp.min(axis=-1)
-            out_mag = np.where(np.arange(mag.shape[-1]) == first[..., None],
-                               m2[..., None], m1[..., None])
-            out = spec.alpha * row_sign[..., None] * sgn * out_mag
-            c2v[:, st["flat_order"]] = out[:, ~st["row_pad"]]
+            # Variable-to-check: the bit total, rotated into check order,
+            # less the entry's last check-to-variable message.
+            for e, (_, c, s) in enumerate(entries):
+                np.subtract(tot2[c, s:s + Z], c2v[e], out=v2c[e])
+            _check_update(v2c, c2v, groups, spec.alpha)
 
-            gathered = c2v[:, st["col_edges"]]
-            gathered[:, st["col_pad"]] = 0.0
-            total = ch_a + gathered.sum(axis=-1)
+            # Bit totals: each message rotated back into bit order, in
+            # ascending base-row order, then the channel LLR.
+            for c, col in enumerate(by_col):
+                acc = tot[c]
+                for j, (e, s) in enumerate(col):
+                    head, tail = c2v[e, :Z - s], c2v[e, Z - s:]
+                    if j == 0:
+                        acc[s:], acc[:s] = head, tail
+                    else:
+                        acc[s:] += head
+                        acc[:s] += tail
+                acc += ch_blk[c]
+            tot2[:, Z:] = tot
 
-            bits_a = (total < 0).astype(np.uint8)
-            ok_a = syndrome_ok(bits_a, spec)
+            bits2 = tot2 < 0
+            ok_a = _checks_ok(bits2, entries, spec.qc_mb)
             if ok_a.any():
                 idx = active[ok_a]
-                llr_post[idx] = total[ok_a]
-                hard[idx] = bits_a[ok_a]
+                llr_post[idx] = tot[..., ok_a].reshape(n, -1).T
+                hard[idx] = bits2[:, :Z, ok_a].reshape(n, -1).T
                 ok[idx] = True
                 keep = ~ok_a
                 active = active[keep]
                 if active.size == 0:
                     break
-                ch_a, c2v, total = ch_a[keep], c2v[keep], total[keep]
+                tot2, ch_blk, c2v = (np.compress(keep, a, axis=-1)
+                                     for a in (tot2, ch_blk, c2v))
+                tot = tot2[:, :Z]
+                v2c = np.empty_like(c2v)
         if active.size:
-            llr_post[active] = total
-            hard[active] = (total < 0).astype(np.uint8)
+            llr_post[active] = tot.reshape(n, -1).T
+            hard[active] = (tot < 0).reshape(n, -1).T
 
-    return (llr_post.reshape(lead + (spec.n,)),
-            hard.reshape(lead + (spec.n,)),
+    return (llr_post.reshape(lead + (n,)),
+            hard.reshape(lead + (n,)),
             ok.reshape(lead))
-
-
-# ---------------------------------------------------------------------------
-# Adjacency-list IO
-
-
-def save_alist(spec_or_H, path: str | Path) -> None:
-    """Write a parity-check matrix in adjacency-list text format."""
-    H = spec_or_H.H if isinstance(spec_or_H, CodeSpec) else spec_or_H
-    H = sparse.csr_matrix(H)
-    m, n = H.shape
-    Hc = H.tocsc()
-    cdeg = np.diff(Hc.indptr)
-    rdeg = np.diff(H.indptr)
-    lines = [f"{n} {m}", f"{cdeg.max()} {rdeg.max()}",
-             " ".join(map(str, cdeg)), " ".join(map(str, rdeg))]
-    for c in range(n):
-        rows = Hc.indices[Hc.indptr[c]:Hc.indptr[c + 1]] + 1
-        pad = [0] * (int(cdeg.max()) - rows.size)
-        lines.append(" ".join(map(str, list(rows) + pad)))
-    for r in range(m):
-        cols = H.indices[H.indptr[r]:H.indptr[r + 1]] + 1
-        pad = [0] * (int(rdeg.max()) - cols.size)
-        lines.append(" ".join(map(str, list(cols) + pad)))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_alist(path: str | Path) -> sparse.csr_matrix:
-    """Read a parity-check matrix from adjacency-list text format.
-
-    First line: ``n m``. The per-column neighbor lists (1-indexed, zero
-    entries ignored) define the matrix; per-row lists, if present, are
-    redundant and skipped.
-    """
-    tokens_per_line = [[int(t) for t in line.split()]
-                       for line in Path(path).read_text().splitlines() if line.strip()]
-    n, m = tokens_per_line[0][:2]
-    cmax, _ = tokens_per_line[1][:2] if len(tokens_per_line) > 1 else (0, 0)
-    cdeg = tokens_per_line[2]
-    if len(cdeg) != n:
-        raise ValueError("malformed adjacency list: column-degree line")
-    rows, cols = [], []
-    for c in range(n):
-        for r in tokens_per_line[4 + c]:
-            if r != 0:
-                rows.append(r - 1)
-                cols.append(c)
-    data = np.ones(len(rows), dtype=np.uint8)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(m, n))
-
-
-def spec_from_parity(H: sparse.csr_matrix, name: str = "external") -> CodeSpec:
-    """Build a CodeSpec (with a dense GF(2) encoder) from a parity matrix."""
-    H = sparse.csr_matrix(H).astype(np.uint8)
-    m, n = H.shape
-    spec = CodeSpec(name=name, n=n, k=n - m, H=H, info_positions=np.arange(n - m))
-    _prepare_generic_encoder(spec)       # validates rank, fixes info positions
-    return spec

@@ -19,7 +19,7 @@ from .airlink import correlation_sqrt, simulate_blocks
 from .chest import (EstimationError, ProjectionError, data_aided_observation,
                     lmmse_filter, pilot_observation, psi_data_aided_bound,
                     psi_pilot)
-from .codec import encode, frame_codeword, make_code, qpsk_map
+from .codec import PRESET_RATES, encode, frame_codeword, make_code, qpsk_map
 from .codec.framing import make_frame
 from .codec.ldpc import CodeSpec
 from .combine import build_combiner, combine_initial, combine_iterative
@@ -63,6 +63,19 @@ class Campaign:
             raise ConfigError("trials must be >= 1")
         if self.pipeline not in ("coded", "gaussian"):
             raise ConfigError(f"unknown pipeline {self.pipeline!r}")
+        if self.mode not in ("rp", "sp"):
+            raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.combiner not in ("mr", "smmse"):
+            raise ConfigError(f"unknown combiner {self.combiner!r}")
+        if self.psi_source not in ("bound", "empirical"):
+            raise ConfigError(f"unknown psi_source {self.psi_source!r}")
+        if self.code_rate not in PRESET_RATES:
+            raise ConfigError(f"no code preset for rate {self.code_rate!r} "
+                              f"(have {', '.join(PRESET_RATES)})")
+        if self.i_max < 0:
+            raise ConfigError("i_max must be >= 0")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
         for v in self.grid_values:
             apply_grid_point(self.config, self.grid_param, v)  # validates
 

@@ -70,6 +70,15 @@ def test_campaign_validation():
         Campaign(config=config, grid_param="sigma_est", grid_values=(0.5, 2.0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mode", "xx"), ("combiner", "zf"), ("psi_source", "oracle"),
+    ("code_rate", "2/3"), ("i_max", -1), ("workers", 0),
+])
+def test_campaign_rejects_bad_field_at_construction(field, value):
+    with pytest.raises(ConfigError):
+        Campaign(config=small_config(), **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # Aggregation
 
