@@ -10,17 +10,15 @@ Monte Carlo campaign harness.
 from .airlink import BlockSignals, correlation_sqrt, crandn, draw_channels, simulate_blocks
 from .chest import (ChannelEstimateSet, EstimationError, FeasibilityResult,
                     ProjectionError, data_aided_feasibility,
-                    data_aided_observation, lmmse, lmmse_filter,
+                    data_aided_observation, lmmse_filter,
                     pilot_observation, psi_data_aided_bound,
                     psi_data_aided_empirical, psi_pilot,
                     simulate_data_aided_observations)
-from .codec import (CodeSpec, CodewordFrame, SoftDataState, decode,
-                    deframe_codeword, encode, frame_codeword, hard_decisions,
-                    make_code, qpsk_demap_llr, qpsk_map, remodulate,
-                    soft_symbols)
+from .codec import (CodeSpec, CodewordFrame, SoftDataState, decode, encode,
+                    frame_codeword, hard_decisions, make_code, qpsk_demap_llr,
+                    qpsk_map, remodulate, soft_symbols)
 from .codec.framing import make_frame
-from .combine import (CombinerSet, build_combiner, combine_initial,
-                      combine_iterative, effective_stats)
+from .combine import build_combiner, combine_initial, combine_iterative, effective_stats
 from .config import ConfigError, ScenarioConfig, dbm_to_joules, load_config, save_config
 from .harness import (Campaign, emit_figure_data, gaussian_symbol_study,
                       run_campaign, write_csv)
@@ -36,16 +34,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockSignals", "Campaign", "ChannelEstimateSet", "CodeSpec",
-    "CodewordFrame", "CombinerSet", "ConfigError", "EstimationError",
+    "CodewordFrame", "ConfigError", "EstimationError",
     "FeasibilityResult", "HexGrid", "IterationState", "IterationTrace",
     "NetworkRealization", "PilotAssignment", "PilotBook", "ProjectionError",
     "ScenarioConfig", "SoftDataState", "apply_power_control", "assign_pilots",
     "binary_entropy", "bler", "build_combiner", "build_geometry",
     "combine_initial", "combine_iterative", "correlation_sqrt", "crandn",
     "data_aided_feasibility", "data_aided_observation", "dbm_to_joules",
-    "decode", "deframe_codeword", "draw_channels", "effective_snr_db",
+    "decode", "draw_channels", "effective_snr_db",
     "effective_stats", "emit_figure_data", "encode", "frame_codeword",
-    "gaussian_symbol_study", "hard_decisions", "lmmse", "lmmse_filter",
+    "gaussian_symbol_study", "hard_decisions", "lmmse_filter",
     "load_config", "local_scattering_correlation", "make_code", "make_frame",
     "make_network", "make_pilot_book", "mse_channel_analytic",
     "mse_channel_empirical", "pilot_observation", "psi_data_aided_bound",

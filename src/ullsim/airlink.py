@@ -65,43 +65,38 @@ def build_transmit(mode: str, assignment: PilotAssignment, data: np.ndarray,
                    realization: NetworkRealization, config: ScenarioConfig) -> np.ndarray:
     """Per-UE transmitted sequences for a batch of blocks.
 
-    data: (..., L, K, n_data) unit-energy symbols, n_data = tau_d for rp
-    (the data tail) and tau_c for sp. Returns (..., L, K, tau_c) with
+    data: (..., L, K, config.data_slots(mode)) unit-energy symbols (the rp
+    data tail, or the whole sp block). Returns (..., L, K, tau_c) with
     rp: x = [sqrt(q)*phi, sqrt(p)*s], sp: x = sqrt(q)*phi + sqrt(p)*s.
+    The receiver builds its estimated transmit matrix here too, from soft
+    symbols.
     """
     q, p = realization.energies(mode)
-    seqs = assignment.book.seqs[assignment.indices]        # (L, K, len)
     data = np.asarray(data)
+    n_data = config.data_slots(mode)
+    if data.shape[-1] != n_data:
+        raise ValueError(f"{mode} data must have {n_data} symbols per block")
+    pilots = np.sqrt(q)[..., None] * assignment.seqs       # (L, K, len)
     if mode == "rp":
-        if data.shape[-1] != config.tau_d:
-            raise ValueError(f"rp data tail must have {config.tau_d} symbols")
-        head = np.sqrt(q)[..., None] * seqs                # (L, K, tau_p)
-        tail = np.sqrt(p)[..., None] * data
-        head = np.broadcast_to(head, data.shape[:-1] + head.shape[-1:])
-        return np.concatenate([head, tail], axis=-1)
-    if mode == "sp":
-        if data.shape[-1] != config.tau_c:
-            raise ValueError(f"sp data must span all {config.tau_c} samples")
-        return np.sqrt(q)[..., None] * seqs + np.sqrt(p)[..., None] * data
-    raise ValueError(f"unknown mode {mode!r}")
+        head = np.broadcast_to(pilots, data.shape[:-1] + pilots.shape[-1:])
+        return np.concatenate([head, np.sqrt(p)[..., None] * data], axis=-1)
+    return pilots + np.sqrt(p)[..., None] * data
 
 
 def receive(H: np.ndarray, X: np.ndarray, noise_energy: float,
-            rng: np.random.Generator, return_noise: bool = False):
+            rng: np.random.Generator) -> np.ndarray:
     """Received blocks Y_l = sum_{cells, UEs} h x^T + N at every BS.
 
     H: (..., L, L, K, M), X: (..., L, K, tau_c) -> Y: (..., L, M, tau_c).
     """
     Y = np.einsum("...abkm,...bkt->...amt", H, X)
-    N = np.sqrt(noise_energy) * crandn(rng, Y.shape)
-    Y = Y + N
-    return (Y, N) if return_noise else Y
+    return Y + np.sqrt(noise_energy) * crandn(rng, Y.shape)
 
 
 def simulate_blocks(mode: str, assignment: PilotAssignment, data: np.ndarray,
                     realization: NetworkRealization, config: ScenarioConfig,
-                    rng: np.random.Generator, R_sqrt: np.ndarray | None = None,
-                    n_blocks: int | None = None) -> BlockSignals:
+                    rng: np.random.Generator,
+                    R_sqrt: np.ndarray | None = None) -> BlockSignals:
     """Draw channels, build transmit blocks, and produce received signals.
 
     data: (n_blocks, L, K, n_data). The same data layout is used by the
@@ -110,9 +105,7 @@ def simulate_blocks(mode: str, assignment: PilotAssignment, data: np.ndarray,
     """
     if R_sqrt is None:
         R_sqrt = correlation_sqrt(realization.R)
-    if n_blocks is None:
-        n_blocks = data.shape[0]
-    H = draw_channels(R_sqrt, rng, n_blocks=n_blocks)
+    H = draw_channels(R_sqrt, rng, n_blocks=data.shape[0])
     X = build_transmit(mode, assignment, data, realization, config)
     Y = receive(H, X, config.noise_energy, rng)
     return BlockSignals(mode=mode, H=H, X=X, Y=Y)

@@ -33,9 +33,6 @@ class ChannelEstimateSet:
 
     h_hat: np.ndarray         # (B, L, K, M) per-block serving-channel estimates
     C: np.ndarray             # (L, K, M, M) error covariances
-    psi: np.ndarray           # (L, K, M, M) observation covariances
-    iteration: int
-    mode: str
     source: str               # 'pilot' | 'bound' | 'empirical'
 
 
@@ -163,12 +160,7 @@ def psi_data_aided_bound(realization: NetworkRealization, assignment: PilotAssig
     for l in range(L):
         # Interference sums reused across this cell's UEs.
         intra = [R[l, l, kk] * p[l, kk] * (1.0 - sig[l, kk]) for kk in range(K)]
-        inter = np.zeros((M, M), dtype=complex)
-        for ll in range(L):
-            if ll == l:
-                continue
-            for kk in range(K):
-                inter += R[l, ll, kk] * p[ll, kk]
+        inter = realization.intercell(l, p)
         for k in range(K):
             qk, pk, s2 = q[l, k], p[l, k], sig[l, k]
             if mode == "rp" and s2 == 0.0:
@@ -204,32 +196,6 @@ def psi_data_aided_bound(realization: NetworkRealization, assignment: PilotAssig
 
 # ---------------------------------------------------------------------------
 # Empirical covariance
-
-
-class CovarianceAccumulator:
-    """Mergeable running sum of outer products for sample covariances."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.count = 0
-        self.outer = np.zeros((dim, dim), dtype=complex)
-
-    def add(self, draws: np.ndarray) -> "CovarianceAccumulator":
-        draws = np.atleast_2d(draws)
-        self.count += draws.shape[0]
-        self.outer += np.einsum("nm,np->mp", draws, draws.conj())
-        return self
-
-    def merge(self, other: "CovarianceAccumulator") -> "CovarianceAccumulator":
-        self.count += other.count
-        self.outer += other.outer
-        return self
-
-    def finalize(self) -> np.ndarray:
-        if self.count == 0:
-            raise EstimationError("no draws accumulated")
-        psi = self.outer / self.count
-        return _floor_psd(0.5 * (psi + psi.conj().T))
 
 
 def _floor_psd(A: np.ndarray) -> np.ndarray:
@@ -292,13 +258,6 @@ def lmmse_filter(R: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return W, C
 
 
-def lmmse(z: np.ndarray, R: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LMMSE estimate for observations z: (..., M). Returns (h_hat, C)."""
-    W, C = lmmse_filter(R, Psi)
-    h_hat = np.einsum("...mn,...n->...m", W, z)
-    return h_hat, C
-
-
 # ---------------------------------------------------------------------------
 # Feasibility of data-aided improvement (rp mode)
 
@@ -336,6 +295,8 @@ def data_aided_feasibility(config: ScenarioConfig, sigma_sq: float,
 # ---------------------------------------------------------------------------
 # Monte Carlo generator for data-aided observations (oracle + empirical source)
 
+_DRAW_CHUNK = 128             # blocks drawn per batch; fixes the order of the draws
+
 
 def simulate_data_aided_observations(realization: NetworkRealization,
                                      assignment: PilotAssignment,
@@ -343,7 +304,6 @@ def simulate_data_aided_observations(realization: NetworkRealization,
                                      sigma_est: np.ndarray,
                                      rng: np.random.Generator, n_draws: int,
                                      R_sqrt: np.ndarray | None = None,
-                                     chunk: int = 128,
                                      return_channels: bool = False):
     """Draw data-aided observations under the Gaussian-symbol surrogate.
 
@@ -360,9 +320,7 @@ def simulate_data_aided_observations(realization: NetworkRealization,
         raise ValueError("sigma_est must have shape (L, K)")
     if R_sqrt is None:
         R_sqrt = correlation_sqrt(realization.R)
-    q, p = realization.energies(mode)
-    n_data = config.tau_d if mode == "rp" else config.tau_c
-    seqs = assignment.book.seqs[assignment.indices]        # (L, K, len)
+    n_data = config.data_slots(mode)
     amp = np.sqrt(sig)[..., None]
     err = np.sqrt(np.clip(1.0 - sig, 0.0, None))[..., None]
 
@@ -370,21 +328,15 @@ def simulate_data_aided_observations(realization: NetworkRealization,
     chans = (np.empty_like(out) if return_channels else None)
     done = 0
     while done < n_draws:
-        c = min(chunk, n_draws - done)
+        c = min(_DRAW_CHUNK, n_draws - done)
         H = draw_channels(R_sqrt, rng, n_blocks=c)         # (c, L, L, K, M)
         s_hat = amp * crandn(rng, (c, config.L, config.K, n_data))
         s = s_hat + err * crandn(rng, (c, config.L, config.K, n_data))
         X = build_transmit(mode, assignment, s, realization, config)
         Y = receive(H, X, config.noise_energy, rng)        # (c, L, M, tau_c)
+        Xh = np.swapaxes(build_transmit(mode, assignment, s_hat, realization, config), -1, -2)
         for l in range(config.L):
-            if mode == "rp":
-                head = np.sqrt(q[l])[:, None] * seqs[l]    # (K, tau_p)
-                head = np.broadcast_to(head, (c,) + head.shape)
-                tail = np.sqrt(p[l])[:, None] * s_hat[:, l]
-                Xh = np.concatenate([head, tail], axis=-1)
-            else:
-                Xh = np.sqrt(q[l])[:, None] * seqs[l] + np.sqrt(p[l])[:, None] * s_hat[:, l]
-            out[done:done + c, l] = data_aided_observation(Y[:, l], np.swapaxes(Xh, -1, -2))
+            out[done:done + c, l] = data_aided_observation(Y[:, l], Xh[:, l])
             if chans is not None:
                 chans[done:done + c, l] = H[:, l, l]
         done += c

@@ -78,14 +78,20 @@ def main(argv: list[str] | None = None) -> int:
             grid_param, grid_values = "none", (0.0,)
         else:
             grid_param, grid_values = args.param, _parse_values(args.values)
-        campaign = Campaign(config=config, pipeline=args.pipeline,
+        study = getattr(args, "study", False)
+        if study:
+            # The study runs the gaussian pipeline and sets tau_p per variant;
+            # validate the campaign as it runs.
+            config = config.replace(tau_p=config.K)
+        campaign = Campaign(config=config,
+                            pipeline="gaussian" if study else args.pipeline,
                             mode=args.mode, combiner=args.combiner,
                             grid_param=grid_param, grid_values=grid_values,
                             trials=args.trials, seed=args.seed,
                             i_max=args.i_max, psi_source=args.psi_source,
                             code_rate=args.rate, workers=args.workers,
                             fixed_drop=args.fixed_drop)
-        if getattr(args, "study", False):
+        if study:
             from pathlib import Path
             out_dir = Path(args.out).parent if Path(args.out).suffix else Path(args.out)
             rows = gaussian_symbol_study(campaign, out_dir)

@@ -7,14 +7,13 @@ import numpy as np
 from .ldpc import PRESET_RATES, CodeSpec, decode, encode, make_code, syndrome_ok
 from .modem import (demap_llr_exact, hard_decisions, qpsk_demap_llr, qpsk_map,
                     remodulate, soft_symbols, LLR_CAP, QPSK_SYMBOLS)
-from .framing import CodewordFrame, deframe_codeword, frame_codeword
+from .framing import CodewordFrame, frame_codeword
 
 
 @dataclass
 class SoftDataState:
     """Per-iteration decoder state for a batch of codewords."""
 
-    llr_pre: np.ndarray       # (..., n) channel LLRs into the decoder
     llr_post: np.ndarray      # (..., n) posterior LLRs out of the decoder
     s_hat: np.ndarray         # (..., n_sym) soft symbol estimates
     sigma_sq: np.ndarray      # (...,) mean squared soft-symbol amplitude
@@ -24,7 +23,7 @@ class SoftDataState:
 
 __all__ = [
     "CodeSpec", "CodewordFrame", "SoftDataState", "LLR_CAP", "PRESET_RATES",
-    "QPSK_SYMBOLS", "decode", "deframe_codeword", "demap_llr_exact", "encode",
+    "QPSK_SYMBOLS", "decode", "demap_llr_exact", "encode",
     "frame_codeword", "hard_decisions", "make_code", "qpsk_demap_llr",
     "qpsk_map", "remodulate", "soft_symbols", "syndrome_ok",
 ]

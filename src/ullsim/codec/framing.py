@@ -20,13 +20,6 @@ class CodewordFrame:
     n_blocks: int
     n_pad: int
 
-    @property
-    def slot_mask(self) -> np.ndarray:
-        """(n_blocks, slots_per_block) bool, True where a codeword symbol sits."""
-        mask = np.zeros(self.n_blocks * self.slots_per_block, dtype=bool)
-        mask[:self.n_sym] = True
-        return mask.reshape(self.n_blocks, self.slots_per_block)
-
 
 def make_frame(n_sym: int, slots_per_block: int) -> CodewordFrame:
     if n_sym < 1 or slots_per_block < 1:
@@ -46,11 +39,3 @@ def frame_codeword(symbols: np.ndarray, frame: CodewordFrame) -> np.ndarray:
     padded = np.pad(symbols, pad)
     return padded.reshape(symbols.shape[:-1] + (frame.n_blocks, frame.slots_per_block))
 
-
-def deframe_codeword(blocks: np.ndarray, frame: CodewordFrame) -> np.ndarray:
-    """(..., n_blocks, slots_per_block) -> (..., n_sym), dropping pad slots."""
-    blocks = np.asarray(blocks)
-    if blocks.shape[-2:] != (frame.n_blocks, frame.slots_per_block):
-        raise ValueError("block array shape does not match frame")
-    flat = blocks.reshape(blocks.shape[:-2] + (frame.n_blocks * frame.slots_per_block,))
-    return flat[..., :frame.n_sym]

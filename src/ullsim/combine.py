@@ -9,20 +9,10 @@ effective_stats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ScenarioConfig
 from .netgeom import NetworkRealization
-
-
-@dataclass
-class CombinerSet:
-    """Combining vectors of one iteration: (B, L, K, M), plus the kind."""
-
-    v: np.ndarray
-    kind: str                 # 'mr' or 'smmse'
 
 
 def build_combiner(h_hat: np.ndarray, C: np.ndarray, rho: np.ndarray,
@@ -152,26 +142,9 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
     n_var = n_var + np.einsum("...kj,kj->...k", cross, off.astype(float))
 
     # Intercell interference (never cancelled: symbols unknown at this BS).
-    inter = np.zeros_like(realization.R[l, 0, 0])
-    for ll in range(config.L):
-        if ll == l:
-            continue
-        for kk in range(K):
-            energy = p_all[ll, kk] if mode == "rp" else p_all[ll, kk] + q_all[ll, kk]
-            inter = inter + realization.R[l, ll, kk] * energy
+    inter = realization.intercell(l, p_all if mode == "rp" else p_all + q_all)
     n_var = n_var + np.einsum("...km,mn,...kn->...k", v.conj(), inter, v).real
 
     n_var = n_var + config.noise_energy * np.einsum("...km,...km->...k", v.conj(), v).real
     return g, n_var
 
-
-def effective_noise_empirical(y_hat: np.ndarray, g: np.ndarray,
-                              floor: float = 1e-30) -> np.ndarray:
-    """Blind per-UE noise-variance estimate from combined observations.
-
-    Uses E|y_hat|^2 = |g|^2 + n_var for unit-energy symbols:
-    n_var ~= mean|y_hat|^2 - |g|^2, floored away from zero.
-    y_hat: (..., K, n), g: (..., K). Returns (..., K).
-    """
-    power = np.mean(np.abs(y_hat) ** 2, axis=-1)
-    return np.maximum(power - np.abs(g) ** 2, floor)

@@ -101,10 +101,16 @@ class ScenarioConfig:
         """Data samples per block in regular-pilot mode."""
         return self.tau_c - self.tau_p
 
-    @property
-    def snr_db(self) -> float:
-        import math
-        return 10.0 * math.log10(self.rho_design / self.noise_energy)
+    def data_slots(self, mode: str) -> int:
+        """Data samples per block: tau_d for rp (pilot head first), tau_c for sp.
+
+        The pre-log factor of either scheme is data_slots(mode) / tau_c.
+        """
+        if mode == "rp":
+            return self.tau_d
+        if mode == "sp":
+            return self.tau_c
+        raise ConfigError(f"unknown pilot mode {mode!r}")
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         """New config with selected fields overridden (re-validated)."""
@@ -131,10 +137,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     Unknown keys are a configuration error.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise exc
+    text = path.read_text()
     overrides = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()

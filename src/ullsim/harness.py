@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .airlink import correlation_sqrt, simulate_blocks
+from .airlink import build_transmit, correlation_sqrt, simulate_blocks
 from .chest import (EstimationError, ProjectionError, data_aided_observation,
                     lmmse_filter, pilot_observation, psi_data_aided_bound,
                     psi_pilot)
@@ -24,7 +24,7 @@ from .codec.framing import make_frame
 from .codec.ldpc import CodeSpec
 from .combine import build_combiner, combine_initial, combine_iterative
 from .config import ConfigError, ScenarioConfig
-from .metrics import se_uatf_samples
+from .metrics import bler, mse_channel_analytic, se_uatf_moments, se_uatf_samples
 from .netgeom import make_network
 from .pilots import assign_pilots
 from .receiver import run_receiver
@@ -76,8 +76,16 @@ class Campaign:
             raise ConfigError("i_max must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.grid_param == "sigma_est" and self.pipeline == "coded":
+            raise ConfigError("sigma_est sweeps need the gaussian pipeline: the coded "
+                              "receiver measures its own symbol quality")
+        # Where the data-aided bound runs, rp needs more data samples than UEs.
+        bound_runs = self.pipeline == "gaussian" or self.i_max >= 1
         for v in self.grid_values:
-            apply_grid_point(self.config, self.grid_param, v)  # validates
+            config, _ = apply_grid_point(self.config, self.grid_param, v)  # validates
+            if bound_runs and self.mode == "rp" and config.tau_d <= config.K:
+                raise ConfigError(f"rp data-aided estimation needs tau_d > K (grid value "
+                                  f"{v}: tau_d={config.tau_d}, K={config.K})")
 
 
 def apply_grid_point(config: ScenarioConfig, param: str, value) -> tuple[ScenarioConfig, dict]:
@@ -139,7 +147,7 @@ def run_coded_trial(campaign: Campaign, grid_index: int, trial_index: int) -> li
     realization = make_network(config, _drop_rng(campaign, grid_index, trial_index))
     assignment = assign_pilots(config, campaign.mode)
     code = get_code(campaign.code_rate)
-    slots = config.tau_d if campaign.mode == "rp" else config.tau_c
+    slots = config.data_slots(campaign.mode)
     frame = make_frame(code.n // 2, slots)
 
     L, K = config.L, config.K
@@ -152,21 +160,19 @@ def run_coded_trial(campaign: Campaign, grid_index: int, trial_index: int) -> li
                          i_max=campaign.i_max, psi_source=campaign.psi_source,
                          rng=rng)
 
+    prelog = slots / config.tau_c
     rows = []
     for it in range(campaign.i_max + 1):
         st = trace.states[min(it, len(trace.states) - 1)]
-        g_bar = np.mean(st.g, axis=0)                 # (L, K)
-        g_var = np.var(st.g, axis=0)
-        nv_bar = np.mean(st.n_var, axis=0)
-        sinr = np.abs(g_bar) ** 2 / (nv_bar + g_var)
-        prelog = config.tau_d / config.tau_c if campaign.mode == "rp" else 1.0
-        se_uatf = prelog * np.log2(1.0 + sinr)        # per-block-hardened estimate
+        # Per-block-hardened estimate: the gain's spread over blocks is noise.
+        se_uatf = se_uatf_moments(np.mean(st.g, axis=0),
+                                  np.mean(st.n_var, axis=0) + np.var(st.g, axis=0), prelog)
         for k in range(K):
             rows.append(dict(iteration=it, ue_index_class=k,
                              mse_ch=float(np.mean(st.mse_emp[:, k])),
                              se_uatf=float(np.mean(se_uatf[:, k])),
                              se_mi=float(np.mean(st.se_mi[:, k])),
-                             bler=float(1.0 - st.soft.decoded_ok[:, k].mean()),
+                             bler=bler(st.soft.decoded_ok[:, k]),
                              snr_eff_db=float(np.mean(st.snr_eff_db[:, k]))))
     return rows
 
@@ -184,23 +190,22 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int) ->
     rng = _trial_rng(campaign, grid_index, trial_index)
     realization = make_network(config, _drop_rng(campaign, grid_index, trial_index))
     assignment = assign_pilots(config, campaign.mode)
-    L, K, M = config.L, config.K, config.M
+    L, K = config.L, config.K
     q, p = realization.energies(campaign.mode)
     Rs = realization.R[np.arange(L), np.arange(L)]
     R_sqrt = correlation_sqrt(realization.R)
-    seqs = assignment.book.seqs[assignment.indices]
+    seqs = assignment.seqs
     sig = np.full((L, K), sigma_est)
 
     psi0 = psi_pilot(realization, assignment, config, campaign.mode)
     W0, C0 = lmmse_filter(Rs, psi0)
     psi1 = psi_data_aided_bound(realization, assignment, config, campaign.mode, sig)
     W1, C1 = lmmse_filter(Rs, psi1)
-    mse = {0: np.einsum("lkii->lk", C0).real / M,
-           1: np.einsum("lkii->lk", C1).real / M}
+    mse = {0: mse_channel_analytic(C0), 1: mse_channel_analytic(C1)}
 
     # Monte Carlo SE over fresh blocks at the surrogate symbol quality.
     B = campaign.gaussian_blocks
-    n_data = config.tau_d if campaign.mode == "rp" else config.tau_c
+    n_data = config.data_slots(campaign.mode)
     amp = np.sqrt(sig)[..., None]
     err = np.sqrt(np.clip(1.0 - sig, 0.0, None))[..., None]
     s_hat = amp * (rng.standard_normal((B, L, K, n_data)) +
@@ -209,20 +214,16 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int) ->
                        1j * rng.standard_normal((B, L, K, n_data))) / np.sqrt(2)
     blocks = simulate_blocks(campaign.mode, assignment, s, realization, config,
                              rng, R_sqrt=R_sqrt)
-    prelog = config.tau_d / config.tau_c if campaign.mode == "rp" else 1.0
+    Xh = np.swapaxes(build_transmit(campaign.mode, assignment, s_hat, realization, config),
+                     -1, -2)                                   # (B, L, tau_c, K)
+    prelog = n_data / config.tau_c
 
     se = {0: np.zeros((L, K)), 1: np.zeros((L, K))}
     for l in range(L):
         z = pilot_observation(blocks.Y[:, l], seqs[l], q[l], campaign.mode,
                               tau_p=config.tau_p)
         h_pl = np.einsum("kmn,bkn->bkm", W0[l], z)
-        if campaign.mode == "rp":
-            head = np.broadcast_to(np.sqrt(q[l])[:, None] * seqs[l],
-                                   (B, K, config.tau_p))
-            Xh = np.concatenate([head, np.sqrt(p[l])[:, None] * s_hat[:, l]], axis=-1)
-        else:
-            Xh = np.sqrt(q[l])[:, None] * seqs[l] + np.sqrt(p[l])[:, None] * s_hat[:, l]
-        z1 = data_aided_observation(blocks.Y[:, l], np.swapaxes(Xh, -1, -2))
+        z1 = data_aided_observation(blocks.Y[:, l], Xh[:, l])
         h_da = np.einsum("kmn,bkn->bkm", W1[l], z1)
 
         for it, (h_hat, C) in enumerate(((h_pl, C0[l]), (h_da, C1[l]))):
@@ -283,6 +284,10 @@ def run_campaign(campaign: Campaign, out_path: str | Path | None = None) -> list
             g, t, rows = _run_pair(args)
             results[(g, t)] = rows
 
+    failed = sum(1 for rows in results.values() if not rows)
+    if failed:
+        log.warning("%d of %d trials failed", failed, len(pairs))
+
     # Deterministic reduce: group by (grid, iteration, ue class) in sorted order.
     table: dict[tuple, dict[str, list]] = {}
     for (g, t) in sorted(results):
@@ -339,15 +344,16 @@ def gaussian_symbol_study(campaign: Campaign, out_dir: str | Path | None = None)
     """MSE/SE curves vs the sweep parameter for rp (reuse 1 and 3) and sp.
 
     Runs the gaussian pipeline for each mode variant (pilot reuse 3 uses
-    tau_p = 3K) with the campaign's combiner, and returns the union of the
-    aggregated rows (mode column distinguishes the variants). When out_dir
-    is given, writes results.csv plus per-figure long-format files.
+    tau_p = 3K, and runs only if that leaves tau_d > K) with the campaign's
+    combiner, and returns the union of the aggregated rows (mode column
+    distinguishes the variants). When out_dir is given, writes results.csv
+    plus per-figure long-format files.
     """
     variants = []
     cfg = campaign.config
     variants.append(("rp", replace(campaign, pipeline="gaussian", mode="rp",
                                    config=cfg.replace(tau_p=cfg.K))))
-    if 3 * cfg.K <= cfg.tau_c:
+    if cfg.tau_c - 3 * cfg.K > cfg.K:                  # its data-aided bound needs tau_d > K
         variants.append(("rp3", replace(campaign, pipeline="gaussian", mode="rp",
                                         config=cfg.replace(tau_p=3 * cfg.K))))
     variants.append(("sp", replace(campaign, pipeline="gaussian", mode="sp",

@@ -2,45 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 SINR_CAP = 1e9                # noiseless observations saturate here
 
 
-@dataclass
-class MetricRecord:
-    """One aggregated result row (see harness.write_csv for the column order)."""
-
-    mode: str
-    combiner: str
-    grid_param: str
-    grid_value: float
-    iteration: int
-    ue_index_class: int
-    mse_ch: float = np.nan
-    se_uatf: float = np.nan
-    se_mi: float = np.nan
-    bler: float = np.nan
-    snr_eff_db: float = np.nan
-    n_trials: int = 0
-    stderr: dict = field(default_factory=dict)
-
-
-def se_uatf_moments(gain: complex, denom_var: float, prelog: float) -> float:
+def se_uatf_moments(gain, denom_var, prelog: float):
     """Hardening-style achievable SE from known moments.
 
-    gain = E{y_hat s*}, denom_var = Var{y_hat - gain*s}. The observation is
-    treated as a deterministic channel `gain` plus uncorrelated noise, which
-    lower-bounds the true mutual information.
+    gain = E{y_hat s*}, denom_var = Var{y_hat - gain*s}, scalars or arrays
+    of one shape (the result has that shape). The observation is treated as
+    a deterministic channel `gain` plus uncorrelated noise, which
+    lower-bounds the true mutual information. The SINR saturates at
+    SINR_CAP, also for a nonzero gain over zero variance.
     """
-    if denom_var <= 0:
-        if np.abs(gain) > 0:
-            return prelog * np.log2(1.0 + SINR_CAP)
+    g2 = np.abs(gain) ** 2
+    denom = np.asarray(denom_var, dtype=float)
+    if np.any((denom <= 0) & (g2 == 0)):
         raise ValueError("degenerate observation: zero gain and zero variance")
-    sinr = min(np.abs(gain) ** 2 / denom_var, SINR_CAP)
-    return prelog * np.log2(1.0 + sinr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = np.where(denom <= 0, SINR_CAP, g2 / denom)
+    se = prelog * np.log2(1.0 + np.minimum(sinr, SINR_CAP))
+    return float(se) if se.ndim == 0 else se
 
 
 def se_uatf_samples(y_hat: np.ndarray, s: np.ndarray, prelog: float,
@@ -94,10 +77,15 @@ def mse_channel_analytic(C: np.ndarray) -> np.ndarray:
     return np.einsum("...ii->...", C).real / M
 
 
-def mse_channel_empirical(h: np.ndarray, h_hat: np.ndarray) -> float:
-    """Mean ||h - h_hat||^2 / M over all leading axes (M = last axis)."""
+def mse_channel_empirical(h: np.ndarray, h_hat: np.ndarray):
+    """Mean ||h - h_hat||^2 / M over the block (first) and antenna (last) axes.
+
+    h, h_hat: (M,) or (B, ..., M). Returns a float, or an array of the
+    axes in between (e.g. (L, K) for (B, L, K, M) inputs).
+    """
     err = np.asarray(h) - np.asarray(h_hat)
-    return float(np.mean(np.abs(err) ** 2))
+    mse = np.mean(np.abs(err) ** 2, axis=(0, err.ndim - 1) if err.ndim > 1 else None)
+    return float(mse) if mse.ndim == 0 else mse
 
 
 def bler(decoded_ok: np.ndarray) -> float:
@@ -108,10 +96,15 @@ def bler(decoded_ok: np.ndarray) -> float:
     return float(1.0 - ok.mean())
 
 
-def effective_snr_db(g: np.ndarray, n_var: np.ndarray) -> float:
-    """10 log10 of mean effective-signal power over mean effective noise."""
-    num = np.mean(np.abs(np.asarray(g)) ** 2)
-    den = np.mean(np.asarray(n_var))
-    if den <= 0:
+def effective_snr_db(g: np.ndarray, n_var: np.ndarray):
+    """10 log10 of mean effective-signal power over mean effective noise.
+
+    g, n_var: (B, ...) per-block gains and noise variances, averaged over
+    the block (first) axis. Returns a float for 1-D inputs, else (...).
+    """
+    num = np.mean(np.abs(np.asarray(g)) ** 2, axis=0)
+    den = np.mean(np.asarray(n_var), axis=0)
+    if np.any(den <= 0):
         raise ValueError("nonpositive noise variance")
-    return float(10.0 * np.log10(num / den))
+    snr = 10.0 * np.log10(num / den)
+    return float(snr) if snr.ndim == 0 else snr

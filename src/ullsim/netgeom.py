@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, hex_cluster_values
+from .config import ConfigError, ScenarioConfig
 
 
 def _cluster_basis(L: int) -> tuple[int, int]:
@@ -116,6 +116,17 @@ class NetworkRealization:
         if mode == "sp":
             return self.q_sp, self.p_sp
         raise ValueError(f"unknown mode {mode!r}")
+
+    def intercell(self, l: int, energy: np.ndarray) -> np.ndarray:
+        """Intercell interference sum_{ll != l, kk} R[l, ll, kk] energy[ll, kk] at BS l."""
+        L, K = energy.shape
+        inter = np.zeros(self.R.shape[-2:], dtype=complex)
+        for ll in range(L):
+            if ll == l:
+                continue
+            for kk in range(K):
+                inter += self.R[l, ll, kk] * energy[ll, kk]
+        return inter
 
 
 def build_geometry(config: ScenarioConfig, rng) -> tuple[HexGrid, np.ndarray, np.ndarray, np.ndarray]:

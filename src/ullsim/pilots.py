@@ -59,12 +59,10 @@ class PilotAssignment:
     n_classes: int            # distinct cell colors actually used
     sharing: list = field(default_factory=list)
 
-    def seq(self, l: int, k: int) -> np.ndarray:
-        return self.book.seqs[self.indices[l, k]]
-
-    def cell_seqs(self, l: int) -> np.ndarray:
-        """(K, length) pilot sequences of cell l's UEs."""
-        return self.book.seqs[self.indices[l]]
+    @property
+    def seqs(self) -> np.ndarray:
+        """(L, K, length) pilot sequence of every UE."""
+        return self.book.seqs[self.indices]
 
 
 def _sharing_sets(indices: np.ndarray) -> list:

@@ -15,17 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airlink import BlockSignals
-from .chest import (ChannelEstimateSet, ProjectionError, data_aided_observation,
-                    lmmse_filter, psi_data_aided_bound, psi_data_aided_empirical,
-                    psi_pilot, pilot_observation, simulate_data_aided_observations)
+from .airlink import BlockSignals, build_transmit
+from .chest import (ChannelEstimateSet, EstimationError, ProjectionError,
+                    data_aided_observation, lmmse_filter, psi_data_aided_bound,
+                    psi_data_aided_empirical, psi_pilot, pilot_observation,
+                    simulate_data_aided_observations)
 from .codec import (CodewordFrame, SoftDataState, decode, frame_codeword,
                     hard_decisions, qpsk_demap_llr, remodulate, soft_symbols)
 from .codec.ldpc import CodeSpec
-from .combine import (CombinerSet, build_combiner, combine_initial,
-                      combine_iterative, effective_stats)
+from .combine import build_combiner, combine_initial, combine_iterative, effective_stats
 from .config import ConfigError, ScenarioConfig
-from .metrics import se_mutual_info
+from .metrics import bler, effective_snr_db, mse_channel_empirical, se_mutual_info
 from .netgeom import NetworkRealization
 from .pilots import PilotAssignment
 
@@ -36,7 +36,6 @@ class IterationState:
 
     index: int
     estimates: ChannelEstimateSet
-    combiners: CombinerSet
     soft: SoftDataState
     g: np.ndarray             # (B, L, K) effective gains
     n_var: np.ndarray         # (B, L, K) effective noise variances
@@ -93,8 +92,8 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
 
     q, p = realization.energies(mode)
     Rs = realization.R[np.arange(L), np.arange(L)]         # (L, K, M, M) serving
-    seqs = assignment.book.seqs[assignment.indices]        # (L, K, len)
-    prelog = config.tau_d / config.tau_c if mode == "rp" else 1.0
+    seqs = assignment.seqs                                 # (L, K, len)
+    prelog = config.data_slots(mode) / config.tau_c
 
     # Iteration 0: pilot-only estimation.
     psi0 = psi_pilot(realization, assignment, config, mode)
@@ -106,7 +105,7 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
     states: list[IterationState] = []
     soft_prev: SoftDataState | None = None
 
-    def demod_decode(it: int, h_hat, C, psi, source, sigma_in, fallbacks) -> IterationState:
+    def demod_decode(it: int, h_hat, C, source, sigma_in, fallbacks) -> IterationState:
         nonlocal soft_prev
         V = np.empty_like(h_hat)
         y_all = []
@@ -128,13 +127,12 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
                 sigma_in[l], cancelled=(it > 0))
             y_all.append(y_l)
         y_hat = np.stack(y_all, axis=1)                    # (B, L, K, slots)
+        if np.any(n_var <= 0):
+            # An indefinite error covariance (sample psi) or a zero combiner.
+            raise EstimationError(f"iteration {it}: effective noise variance is not positive")
 
         # Per-slot LLRs with per-block gains, reassembled into codeword order.
-        zsc = np.conj(g)[..., None] * y_hat * (4.0 / (np.sqrt(2.0) * n_var[..., None]))
-        llr_blocks = np.empty(zsc.shape[:-1] + (2 * zsc.shape[-1],))
-        llr_blocks[..., 0::2] = zsc.real
-        llr_blocks[..., 1::2] = zsc.imag
-        llr_blocks = np.clip(llr_blocks, -40.0, 40.0)
+        llr_blocks = qpsk_demap_llr(y_hat, g[..., None], n_var[..., None])
         llr_cw = (llr_blocks.transpose(1, 2, 0, 3)
                   .reshape(L, K, -1)[:, :, :code.n])       # drop pad-slot bits
 
@@ -159,28 +157,23 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
         s_exact = remodulate(hard)
         s_hat = np.where(ok[..., None], s_exact, s_hat)
         sig = np.where(ok, 1.0, sig)
-        soft = SoftDataState(llr_pre=llr_cw, llr_post=llr_post, s_hat=s_hat,
-                             sigma_sq=sig, decoded_ok=ok, hard_bits=hard)
+        soft = SoftDataState(llr_post=llr_post, s_hat=s_hat, sigma_sq=sig,
+                             decoded_ok=ok, hard_bits=hard)
         soft_prev = soft
 
         h_true = blocks.H[:, np.arange(L), np.arange(L)]   # (B, L, K, M)
-        mse_emp = np.mean(np.abs(h_true - h_hat) ** 2, axis=(0, 3))
         p0 = 1.0 / (1.0 + np.exp(-llr_post))
         se_mi = np.array([[se_mutual_info(p0[l, k], prelog, 2, code.rate)
                            for k in range(K)] for l in range(L)])
-        snr = 10.0 * np.log10(np.mean(np.abs(g) ** 2, axis=0)
-                              / np.mean(n_var, axis=0))
-        est = ChannelEstimateSet(h_hat=h_hat, C=C, psi=psi, iteration=it,
-                                 mode=mode, source=source)
-        return IterationState(index=it, estimates=est,
-                              combiners=CombinerSet(v=V, kind=combiner_kind),
-                              soft=soft, g=g, n_var=n_var, mse_emp=mse_emp,
-                              se_mi=se_mi, snr_eff_db=snr,
-                              bler=float(1.0 - ok.mean()),
-                              fallback_blocks=fallbacks)
+        return IterationState(index=it,
+                              estimates=ChannelEstimateSet(h_hat=h_hat, C=C, source=source),
+                              soft=soft, g=g, n_var=n_var,
+                              mse_emp=mse_channel_empirical(h_true, h_hat),
+                              se_mi=se_mi, snr_eff_db=effective_snr_db(g, n_var),
+                              bler=bler(ok), fallback_blocks=fallbacks)
 
     sigma0 = np.zeros((L, K))
-    states.append(demod_decode(0, h0, C0, psi0, "pilot", sigma0, 0))
+    states.append(demod_decode(0, h0, C0, "pilot", sigma0, 0))
 
     termination = "i_max"
     if states[-1].bler == 0.0:
@@ -199,26 +192,19 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
         W, C = lmmse_filter(Rs, psi)
 
         s_framed = frame_codeword(soft_prev.s_hat, frame)  # (L, K, B, slots)
+        Xh = np.swapaxes(build_transmit(mode, assignment, np.moveaxis(s_framed, 2, 0),
+                                        realization, config), -1, -2)  # (B, L, tau_c, K)
         fallbacks = 0
         h_hat = np.empty((B, L, K, M), dtype=complex)
         for l in range(L):
-            if mode == "rp":
-                head = np.sqrt(q[l])[:, None] * seqs[l]    # (K, tau_p)
-                head = np.broadcast_to(head, (B, K, config.tau_p))
-                tail = np.sqrt(p[l])[:, None] * s_framed[l].transpose(1, 0, 2)
-                Xh = np.concatenate([head, tail], axis=-1)
-            else:
-                Xh = (np.sqrt(q[l])[:, None] * seqs[l]
-                      + np.sqrt(p[l])[:, None] * s_framed[l].transpose(1, 0, 2))
-            Xh = np.swapaxes(Xh, -1, -2)                   # (B, tau_c, K)
             for b in range(B):
                 try:
-                    z = data_aided_observation(blocks.Y[b, l], Xh[b])
+                    z = data_aided_observation(blocks.Y[b, l], Xh[b, l])
                     h_hat[b, l] = np.einsum("kmn,kn->km", W[l], z)
                 except ProjectionError:
                     h_hat[b, l] = h0[b, l]                 # pilot-only fallback
                     fallbacks += 1
-        states.append(demod_decode(it, h_hat, C, psi, psi_source, sigma_est, fallbacks))
+        states.append(demod_decode(it, h_hat, C, psi_source, sigma_est, fallbacks))
         if states[-1].bler == 0.0:
             termination = "all_decoded"
             break

@@ -105,7 +105,12 @@ def test_reconstruction_identity_with_stored_noise():
     R_sqrt = correlation_sqrt(net.R)
     H = draw_channels(R_sqrt, rng, n_blocks=2)
     X = build_transmit("rp", asg, s, net, config)
-    Y, N = receive(H, X, config.noise_energy, rng, return_noise=True)
+    Y = receive(H, X, config.noise_energy, rng)
+    # Replay the same seed's draws in order: symbols, channels, then the noise.
+    replay = np.random.default_rng(10)
+    crandn(replay, s.shape)
+    draw_channels(R_sqrt, replay, n_blocks=2)
+    N = np.sqrt(config.noise_energy) * crandn(replay, Y.shape)
     resignal = np.einsum("...abkm,...bkt->...amt", H, X)
     assert np.allclose(Y - N, resignal, atol=1e-25)
 

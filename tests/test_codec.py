@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ullsim.codec import (LLR_CAP, CodeSpec, decode, deframe_codeword,
-                          demap_llr_exact, encode, frame_codeword,
+from ullsim.codec import (LLR_CAP, CodeSpec, decode, demap_llr_exact, encode,
+                          frame_codeword,
                           hard_decisions, make_code, qpsk_demap_llr, qpsk_map,
                           remodulate, soft_symbols, syndrome_ok)
 from ullsim.codec.framing import make_frame
@@ -286,10 +286,10 @@ def test_frame_geometry_full_blocks():
 def test_frame_geometry_with_padding():
     frame = make_frame(1920, 190)                  # rp: tau_d slots per block
     assert (frame.n_blocks, frame.n_pad) == (11, 170)
-    mask = frame.slot_mask
-    assert mask.shape == (11, 190)
-    assert mask.sum() == 1920
-    assert not mask[-1, 20:].any()                 # tail of last block is padding
+    occupied = frame_codeword(np.ones(1920), frame) != 0
+    assert occupied.shape == (11, 190)
+    assert occupied.sum() == 1920
+    assert not occupied[-1, 20:].any()             # tail of last block is padding
 
 
 def test_frame_round_trip():
@@ -299,7 +299,8 @@ def test_frame_round_trip():
     blocks = frame_codeword(sym, frame)
     assert blocks.shape == (3, 11, 190)
     assert np.all(blocks[:, -1, 20:] == 0)
-    assert np.array_equal(deframe_codeword(blocks, frame), sym)
+    # symbol order is row-major over (block, slot): the reshape inverts it
+    assert np.array_equal(blocks.reshape(3, -1)[:, :1920], sym)
 
 
 def test_frame_rejects_wrong_sizes():
@@ -307,4 +308,4 @@ def test_frame_rejects_wrong_sizes():
     with pytest.raises(ValueError):
         frame_codeword(np.zeros(99), frame)
     with pytest.raises(ValueError):
-        deframe_codeword(np.zeros((3, 31)), frame)
+        frame_codeword(np.zeros((3, 101)), frame)

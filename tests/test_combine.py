@@ -8,7 +8,7 @@ from ullsim import ScenarioConfig
 from ullsim.airlink import crandn, simulate_blocks
 from ullsim.chest import lmmse_filter, pilot_observation, psi_pilot
 from ullsim.combine import (build_combiner, combine_initial, combine_iterative,
-                            effective_noise_empirical, effective_stats)
+                            effective_stats)
 from ullsim.pilots import assign_pilots
 
 
@@ -267,18 +267,3 @@ def test_effective_stats_match_simulation():
     ana = np.mean(n_var, axis=0)
     assert np.all(np.abs(emp - ana) <= 0.05 * ana), (emp, ana)
 
-
-def test_effective_noise_empirical_identity():
-    rng = np.random.default_rng(13)
-    g = np.array([2.0 + 0j, 0.5 + 0.5j])
-    n = 500_000
-    s = crandn(rng, (2, n))
-    noise = crandn(rng, (2, n)) * np.sqrt([[0.3], [1.2]])
-    y_hat = g[:, None] * s + noise
-    est = effective_noise_empirical(y_hat, g)
-    # subtracting the large |g|^2 leaves a small difference of large numbers,
-    # so the relative error is a few times larger than 1/sqrt(n)
-    assert np.allclose(est, [0.3, 1.2], rtol=0.06)
-    # floor engages when the gain over-explains the power
-    tiny = effective_noise_empirical(np.zeros((1, 100)), np.array([1.0 + 0j]))
-    assert tiny[0] == 1e-30

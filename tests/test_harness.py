@@ -1,5 +1,6 @@
 """Campaign runner: grids, aggregation, CSV output, CLI entry points."""
 
+import logging
 import os
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import ullsim
-from ullsim import ScenarioConfig
+import ullsim.codec
+from ullsim import ScenarioConfig, harness
+from ullsim.chest import ProjectionError
 from ullsim.config import ConfigError, load_config, save_config
 from ullsim.harness import (CSV_COLUMNS, Campaign, apply_grid_point,
                             gaussian_symbol_study, run_campaign, write_csv)
@@ -70,13 +73,28 @@ def test_campaign_validation():
         Campaign(config=config, grid_param="sigma_est", grid_values=(0.5, 2.0))
 
 
-@pytest.mark.parametrize("field, value", [
-    ("mode", "xx"), ("combiner", "zf"), ("psi_source", "oracle"),
-    ("code_rate", "2/3"), ("i_max", -1), ("workers", 0),
+# tau_c = 4 leaves rp tau_d = 2 = K data samples: too few for the data-aided bound.
+@pytest.mark.parametrize("field, value, extra", [
+    pytest.param(f, v, {}, id=f"{f}-{v}") for f, v in [
+        ("mode", "xx"), ("combiner", "zf"), ("psi_source", "oracle"),
+        ("code_rate", "2/3"), ("i_max", -1), ("workers", 0)]
+] + [
+    # the coded receiver ignores sigma_est, so sweeping it means nothing
+    pytest.param("grid_param", "sigma_est", {}, id="grid_param-sigma_est-coded"),
+    pytest.param("config", small_config(tau_c=4), {}, id="config-rp_short_tau_d-coded"),
+    pytest.param("config", small_config(tau_c=4), {"pipeline": "gaussian", "i_max": 0},
+                 id="config-rp_short_tau_d-gaussian"),
+    pytest.param("grid_param", "tau_c", {"grid_values": (24, 4)},
+                 id="grid_param-tau_c-rp_short_tau_d"),
 ])
-def test_campaign_rejects_bad_field_at_construction(field, value):
+def test_campaign_rejects_bad_field_at_construction(field, value, extra):
     with pytest.raises(ConfigError):
-        Campaign(config=small_config(), **{field: value})
+        Campaign(**{"config": small_config(), field: value, **extra})
+
+
+def test_short_rp_data_is_fine_where_no_data_aided_bound_runs():
+    Campaign(config=small_config(tau_c=4), i_max=0)
+    Campaign(config=small_config(tau_c=4), mode="sp")
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +147,21 @@ def test_quadrupling_trials_halves_stderr():
     ratios = [l["stderr_mse_ch"] / s["stderr_mse_ch"]
               for s, l in zip(small, large)]
     assert np.isclose(np.mean(ratios), 0.5, atol=0.15)
+
+
+def test_failed_trials_are_counted_and_logged(monkeypatch, caplog):
+    trial = harness.run_gaussian_trial
+
+    def flaky(campaign, grid_index, trial_index):
+        if trial_index == 1:
+            raise ProjectionError("rank deficient")
+        return trial(campaign, grid_index, trial_index)
+
+    monkeypatch.setattr(harness, "run_gaussian_trial", flaky)
+    with caplog.at_level(logging.WARNING, logger="ullsim.harness"):
+        rows = run_campaign(gaussian_campaign(trials=3, workers=1))
+    assert "1 of 3 trials failed" in caplog.messages
+    assert {r["n_trials"] for r in rows} == {2}
 
 
 def test_rp_bound_at_zero_quality_changes_nothing():
@@ -188,6 +221,24 @@ def test_study_emits_mode_variants_and_figures(tmp_path):
     # figure files are long format with a fixed header
     head = (tmp_path / "mse_curves.csv").read_text().splitlines()[0]
     assert head == "series,x,ue_index_class,value,stderr,n_trials"
+
+
+def test_study_skips_rp3_when_its_data_is_too_short():
+    # tau_p = 3K = 6 would leave rp3 tau_d = 2 = K data samples
+    config = ScenarioConfig(M=8, K=2, L=3, tau_c=8, tau_p=2)
+    rows = gaussian_symbol_study(gaussian_campaign(config=config, trials=1))
+    assert {r["mode"] for r in rows} == {"rp", "sp"}
+    assert all(np.isfinite(r["mse_ch"]) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# Package surface
+
+
+@pytest.mark.parametrize("package", [ullsim, ullsim.codec], ids=["ullsim", "ullsim.codec"])
+def test_exported_names_resolve(package):
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +307,20 @@ def test_cli_sweep_succeeds(tmp_path, config_file):
     assert proc.returncode == 0, proc.stderr
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 2 * 2 * 2             # grid x iterations x UEs
+
+
+def test_cli_study_runs_as_the_study_does(tmp_path):
+    # The study forces the gaussian pipeline and its own tau_p per variant,
+    # so neither --pipeline nor a tau_p leaving tau_d = K may reject it.
+    config = tmp_path / "scenario.cfg"
+    save_config(ScenarioConfig(M=2, K=2, L=3, tau_c=12, tau_p=10), config)
+    proc = run_cli(["sweep", str(config), "--study", "--param", "sigma_est",
+                    "--values", "0.5", "--trials", "1",
+                    "--out", str(tmp_path / "study.csv")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    modes = {line.split(",")[0] for line in
+             (tmp_path / "results.csv").read_text().splitlines()[1:]}
+    assert modes == {"rp", "rp3", "sp"}
 
 
 def test_cli_config_error_exits_2(tmp_path, config_file):

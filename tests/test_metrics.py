@@ -17,6 +17,10 @@ def test_uatf_moments_basic_value():
     # SINR = |g|^2 / var: 3 -> log2(4) = 2 bits, scaled by the prelog
     assert np.isclose(se_uatf_moments(np.sqrt(3.0), 1.0, 0.5), 1.0)
     assert np.isclose(se_uatf_moments(1j * np.sqrt(3.0), 1.0, 1.0), 2.0)
+    # arrays of moments give one rate per entry
+    gain = np.array([[np.sqrt(3.0), 1j * np.sqrt(7.0)], [np.sqrt(15.0), 0.0]])
+    var = np.array([[1.0, 1.0], [1.0, 2.0]])
+    assert np.allclose(se_uatf_moments(gain, var, 0.5), [[1.0, 1.5], [2.0, 0.0]])
 
 
 def test_uatf_moments_caps_noiseless():
@@ -26,6 +30,10 @@ def test_uatf_moments_caps_noiseless():
     assert huge <= np.log2(1.0 + SINR_CAP)
     with pytest.raises(ValueError):
         se_uatf_moments(0.0, 0.0, 1.0)
+    capped = se_uatf_moments(np.array([1.0, 1e9, 2.0]), np.array([0.0, 1e-12, 3.0]), 1.0)
+    assert np.allclose(capped, [np.log2(1.0 + SINR_CAP)] * 2 + [np.log2(1.0 + 4.0 / 3.0)])
+    with pytest.raises(ValueError):
+        se_uatf_moments(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0)
 
 
 def test_uatf_samples_recover_known_channel():
@@ -103,6 +111,13 @@ def test_mse_empirical_limits():
     assert mse_channel_empirical(h, h) == 0.0
     # a zero estimate has MSE equal to the per-antenna channel energy
     assert abs(mse_channel_empirical(h, np.zeros_like(h)) - beta) <= 0.02 * beta
+    # (B, L, K, M) inputs reduce over blocks and antennas to one MSE per UE
+    h = crandn(rng, (200, 2, 3, 4))
+    err = np.sqrt(np.arange(1.0, 7.0).reshape(2, 3))[None, :, :, None]
+    mse = mse_channel_empirical(h, h + err)
+    assert mse.shape == (2, 3)
+    assert np.allclose(mse, np.arange(1.0, 7.0).reshape(2, 3))
+    assert mse_channel_empirical(h[0, 0, 0], h[0, 0, 0] + 1.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -123,3 +138,11 @@ def test_effective_snr_exact_ratio():
     assert np.isclose(effective_snr_db(g, n_var), 10.0 * np.log10(10.0))
     with pytest.raises(ValueError):
         effective_snr_db(g, np.array([0.0, 0.0]))
+    # (B, L, K) inputs average over blocks to one SNR per UE
+    g = np.array([[[2.0, 1.0j]], [[2.0, -1.0j]]])      # (2, 1, 2)
+    n_var = np.array([[[0.4, 1.0]], [[0.4, 0.1]]])
+    snr = effective_snr_db(g, n_var)
+    assert snr.shape == (1, 2)
+    assert np.allclose(snr, [[10.0, 10.0 * np.log10(1.0 / 0.55)]])
+    with pytest.raises(ValueError):
+        effective_snr_db(g, n_var * np.array([1.0, 0.0]))

@@ -114,7 +114,7 @@ def test_in_cell_pilots_always_orthogonal():
     for mode in ("rp", "sp"):
         asg = assign_pilots(cfg(L=4, K=5, tau_p=5), mode)
         for l in range(4):
-            seqs = asg.cell_seqs(l)
+            seqs = asg.seqs[l]
             gram = seqs.conj() @ seqs.T
             assert np.allclose(gram, asg.book.length * np.eye(5), atol=1e-9)
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from conftest import manual_network
 
-from ullsim import ScenarioConfig
+from ullsim import ScenarioConfig, receiver
 from ullsim.airlink import simulate_blocks
-from ullsim.chest import lmmse_filter, pilot_observation, psi_pilot
+from ullsim.chest import EstimationError, lmmse_filter, pilot_observation, psi_pilot
 from ullsim.codec import encode, make_code, qpsk_map
 from ullsim.codec.framing import make_frame
 from ullsim.config import ConfigError
@@ -94,6 +94,23 @@ def test_clean_channel_decodes_immediately(code):
     assert len(trace.states) == 1                          # no extra iterations
     assert trace.final.bler == 0.0
     assert np.array_equal(trace.final.soft.hard_bits, cw)
+
+
+def test_nonpositive_effective_noise_is_an_estimation_error(code, monkeypatch):
+    # LLRs scaled by a negative variance would have their signs flipped
+    config = ScenarioConfig(M=12, K=2, L=1, tau_c=200, tau_p=2,
+                            noise_energy=0.01, rho_design=1.0, rho_max=10.0)
+    net = manual_network(config, np.ones((1, 1, 2)))
+    asg, frame, _, blocks = make_trial(config, net, "rp", code, np.random.default_rng(1))
+    stats = receiver.effective_stats
+
+    def indefinite(*args, **kwargs):
+        g, n_var = stats(*args, **kwargs)
+        return g, -n_var
+
+    monkeypatch.setattr(receiver, "effective_stats", indefinite)
+    with pytest.raises(EstimationError):
+        run_receiver(blocks, net, asg, config, code, frame, "rp", i_max=8)
 
 
 def test_imax_zero_is_the_pilot_only_pipeline(code):
