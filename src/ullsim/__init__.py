@@ -7,7 +7,8 @@ sequential MMSE combining, QC-LDPC coding over QPSK, and a reproducible
 Monte Carlo campaign harness.
 """
 
-from .airlink import BlockSignals, correlation_sqrt, crandn, draw_channels, simulate_blocks
+from .airlink import (BlockSignals, correlation_sqrt, crandn, draw_channels,
+                      gaussian_symbols, simulate_blocks)
 from .chest import (ChannelEstimateSet, EstimationError, FeasibilityResult,
                     ProjectionError, data_aided_feasibility,
                     data_aided_observation, lmmse_filter,
@@ -28,7 +29,8 @@ from .metrics import (binary_entropy, bler, effective_snr_db,
 from .netgeom import (HexGrid, NetworkRealization, apply_power_control,
                       build_geometry, local_scattering_correlation, make_network)
 from .pilots import PilotAssignment, PilotBook, assign_pilots, make_pilot_book, sp_reuse_factor
-from .receiver import IterationState, IterationTrace, run_receiver, sigma_update
+from .receiver import (IterationState, IterationTrace, estimate_and_combine, run_receiver,
+                       sigma_update)
 
 __version__ = "0.1.0"
 
@@ -41,9 +43,9 @@ __all__ = [
     "binary_entropy", "bler", "build_combiner", "build_geometry",
     "combine_initial", "combine_iterative", "correlation_sqrt", "crandn",
     "data_aided_feasibility", "data_aided_observation", "dbm_to_joules",
-    "decode", "draw_channels", "effective_snr_db",
-    "effective_stats", "emit_figure_data", "encode", "frame_codeword",
-    "gaussian_symbol_study", "hard_decisions", "lmmse_filter",
+    "decode", "draw_channels", "effective_snr_db", "effective_stats",
+    "emit_figure_data", "encode", "estimate_and_combine", "frame_codeword",
+    "gaussian_symbol_study", "gaussian_symbols", "hard_decisions", "lmmse_filter",
     "load_config", "local_scattering_correlation", "make_code", "make_frame",
     "make_network", "make_pilot_book", "mse_channel_analytic",
     "mse_channel_empirical", "pilot_observation", "psi_data_aided_bound",

@@ -22,6 +22,20 @@ def crandn(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def gaussian_symbols(rng: np.random.Generator, sigma_sq: np.ndarray,
+                     shape) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian-symbol surrogate of soft symbols with quality sigma^2.
+
+    sigma_sq: (L, K), broadcast over shape (..., L, K, n_data). Returns
+    (s_hat, s) with s_hat ~ CN(0, sigma^2) the receiver's estimate and
+    s = s_hat + e, e ~ CN(0, 1 - sigma^2), the transmitted unit-energy symbols.
+    """
+    sig = np.asarray(sigma_sq, dtype=float)[..., None]
+    s_hat = np.sqrt(sig) * crandn(rng, shape)
+    s = s_hat + np.sqrt(np.clip(1.0 - sig, 0.0, None)) * crandn(rng, shape)
+    return s_hat, s
+
+
 def correlation_sqrt(R: np.ndarray) -> np.ndarray:
     """Hermitian square roots of a stack of PSD matrices.
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airlink import build_transmit, crandn, draw_channels, receive, correlation_sqrt
+from .airlink import (build_transmit, correlation_sqrt, draw_channels,
+                      gaussian_symbols, receive)
 from .config import ScenarioConfig
 from .netgeom import NetworkRealization
 from .pilots import PilotAssignment
@@ -321,8 +322,7 @@ def simulate_data_aided_observations(realization: NetworkRealization,
     if R_sqrt is None:
         R_sqrt = correlation_sqrt(realization.R)
     n_data = config.data_slots(mode)
-    amp = np.sqrt(sig)[..., None]
-    err = np.sqrt(np.clip(1.0 - sig, 0.0, None))[..., None]
+    serving = np.arange(config.L)
 
     out = np.empty((n_draws, config.L, config.K, config.M), dtype=complex)
     chans = (np.empty_like(out) if return_channels else None)
@@ -330,15 +330,13 @@ def simulate_data_aided_observations(realization: NetworkRealization,
     while done < n_draws:
         c = min(_DRAW_CHUNK, n_draws - done)
         H = draw_channels(R_sqrt, rng, n_blocks=c)         # (c, L, L, K, M)
-        s_hat = amp * crandn(rng, (c, config.L, config.K, n_data))
-        s = s_hat + err * crandn(rng, (c, config.L, config.K, n_data))
+        s_hat, s = gaussian_symbols(rng, sig, (c, config.L, config.K, n_data))
         X = build_transmit(mode, assignment, s, realization, config)
         Y = receive(H, X, config.noise_energy, rng)        # (c, L, M, tau_c)
         Xh = np.swapaxes(build_transmit(mode, assignment, s_hat, realization, config), -1, -2)
-        for l in range(config.L):
-            out[done:done + c, l] = data_aided_observation(Y[:, l], Xh[:, l])
-            if chans is not None:
-                chans[done:done + c, l] = H[:, l, l]
+        out[done:done + c] = data_aided_observation(Y, Xh)
+        if chans is not None:
+            chans[done:done + c] = H[:, serving, serving]
         done += c
     if chans is not None:
         return out, chans

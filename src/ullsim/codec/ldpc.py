@@ -36,14 +36,12 @@ class CodeSpec:
     name: str
     n: int                    # codeword length
     k: int                    # information bits, the first k of a codeword
-    alpha: float = MINSUM_ALPHA
-    max_iters: int = MAX_BP_ITERS
-    # QC structure: list of (row, col, shift), lift size, base rows and
-    # systematic base columns. encode, syndrome_ok and decode need it.
-    qc_entries: list | None = None
-    qc_Z: int = 0
-    qc_mb: int = 0
-    qc_kb: int = 0
+    # QC structure: base-graph entries (row, col, shift) sorted by row, then
+    # column; lift size, base rows and systematic base columns.
+    qc_entries: list
+    qc_Z: int
+    qc_mb: int
+    qc_kb: int
 
     @property
     def rate(self) -> float:
@@ -117,15 +115,8 @@ def make_code(rate: str) -> CodeSpec:
     m_b, n_b, Z = p["m_b"], p["n_b"], p["Z"]
     return CodeSpec(name=f"qc-ldpc-{rate.replace('/', '')}-n{n_b * Z}",
                     n=n_b * Z, k=(n_b - m_b) * Z,
-                    qc_entries=_make_base(m_b, n_b, Z, p["seed"]),
+                    qc_entries=sorted(_make_base(m_b, n_b, Z, p["seed"])),
                     qc_Z=Z, qc_mb=m_b, qc_kb=n_b - m_b)
-
-
-def _circulants(spec: CodeSpec) -> list[tuple[int, int, int]]:
-    """The base-graph entries (row, col, shift), sorted by row, then column."""
-    if spec.qc_entries is None:
-        raise ValueError(f"code {spec.name!r} has no circulant structure (qc_entries)")
-    return sorted(spec.qc_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +129,6 @@ def encode(info: np.ndarray, spec: CodeSpec) -> np.ndarray:
     The parity bits follow by forward substitution through the lower
     bidiagonal parity part of the base graph.
     """
-    entries = _circulants(spec)
     info = np.asarray(info, dtype=np.uint8)
     if info.shape[-1] != spec.k:
         raise ValueError(f"expected {spec.k} info bits, got {info.shape[-1]}")
@@ -147,7 +137,7 @@ def encode(info: np.ndarray, spec: CodeSpec) -> np.ndarray:
     B = flat.shape[0]
     blocks = flat.reshape(B, k_b, Z)
     syn = np.zeros((B, m_b, Z), dtype=np.uint8)
-    for (r, c, s) in entries:
+    for (r, c, s) in spec.qc_entries:
         if c < k_b:
             syn[:, r] ^= np.roll(blocks[:, c], -s, axis=-1)
     parity = np.zeros((B, m_b, Z), dtype=np.uint8)
@@ -178,10 +168,9 @@ def _checks_ok(bits2: np.ndarray, entries, m_b: int) -> np.ndarray:
 
 def syndrome_ok(bits: np.ndarray, spec: CodeSpec) -> np.ndarray:
     """True per codeword iff every parity check holds. bits: (..., n)."""
-    entries = _circulants(spec)
     bits = np.asarray(bits)
     bits2 = _doubled_blocks(bits.reshape(-1, spec.n).astype(bool), spec.qc_Z)
-    return _checks_ok(bits2, entries, spec.qc_mb).reshape(bits.shape[:-1])
+    return _checks_ok(bits2, spec.qc_entries, spec.qc_mb).reshape(bits.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +188,10 @@ def _row_groups(entries) -> list[tuple[int, int, int]]:
     return groups
 
 
-def _check_update(v2c: np.ndarray, c2v: np.ndarray, groups, alpha: float) -> None:
+def _check_update(v2c: np.ndarray, c2v: np.ndarray, groups) -> None:
     """Normalized min-sum check-to-variable messages, written into c2v.
 
-    Each edge gets alpha times the smallest |v2c| of the other edges of its
+    Each edge gets MINSUM_ALPHA times the smallest |v2c| of the other edges of its
     check, signed by their sign parity. Only the first minimum's edge sees
     the second minimum; on a tie both minima are equal. v2c holds no -0.0,
     so a set sign bit means a negative message. v2c is overwritten.
@@ -222,8 +211,8 @@ def _check_update(v2c: np.ndarray, c2v: np.ndarray, groups, alpha: float) -> Non
         s ^= np.bitwise_xor.reduce(s, axis=1, keepdims=True)
         # alpha*m2 on the edge whose |v2c| is m1, alpha*m1 elsewhere
         # (m2 >= m1 >= 0, and m2 * 0.0 = +0.0); then the sign bit.
-        np.multiply(alpha * m2[:, None], x == m1[:, None], out=x)
-        np.maximum(x, alpha * m1[:, None], out=x)
+        np.multiply(MINSUM_ALPHA * m2[:, None], x == m1[:, None], out=x)
+        np.maximum(x, MINSUM_ALPHA * m1[:, None], out=x)
         s |= x.view(np.uint64)
 
 
@@ -242,11 +231,11 @@ def decode(llr: np.ndarray, spec: CodeSpec, max_iters: int | None = None
     check-to-variable messages in ascending base-row order, then adds the
     channel LLR.
     """
-    max_iters = spec.max_iters if max_iters is None else max_iters
+    max_iters = MAX_BP_ITERS if max_iters is None else max_iters
     llr = np.asarray(llr, dtype=float)
     lead = llr.shape[:-1]
     ch = llr.reshape(-1, spec.n)
-    entries = _circulants(spec)
+    entries = spec.qc_entries
     Z, n = spec.qc_Z, spec.n
 
     llr_post = ch.copy()
@@ -270,7 +259,7 @@ def decode(llr: np.ndarray, spec: CodeSpec, max_iters: int | None = None
             # less the entry's last check-to-variable message.
             for e, (_, c, s) in enumerate(entries):
                 np.subtract(tot2[c, s:s + Z], c2v[e], out=v2c[e])
-            _check_update(v2c, c2v, groups, spec.alpha)
+            _check_update(v2c, c2v, groups)
 
             # Bit totals: each message rotated back into bit order, in
             # ascending base-row order, then the channel LLR.

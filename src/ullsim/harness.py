@@ -15,19 +15,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .airlink import build_transmit, correlation_sqrt, simulate_blocks
-from .chest import (EstimationError, ProjectionError, data_aided_observation,
-                    lmmse_filter, pilot_observation, psi_data_aided_bound,
-                    psi_pilot)
+from .airlink import gaussian_symbols, simulate_blocks
+from .chest import (EstimationError, ProjectionError, lmmse_filter,
+                    psi_data_aided_bound, psi_pilot)
 from .codec import PRESET_RATES, encode, frame_codeword, make_code, qpsk_map
 from .codec.framing import make_frame
 from .codec.ldpc import CodeSpec
-from .combine import build_combiner, combine_initial, combine_iterative
 from .config import ConfigError, ScenarioConfig
 from .metrics import bler, mse_channel_analytic, se_uatf_moments, se_uatf_samples
 from .netgeom import make_network
 from .pilots import assign_pilots
-from .receiver import run_receiver
+from .receiver import estimate_and_combine, run_receiver
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +35,8 @@ CSV_COLUMNS = ["mode", "combiner", "grid_param", "grid_value", "iteration",
                "stderr_se_mi", "stderr_bler", "stderr_snr_eff_db"]
 
 _METRICS = ["mse_ch", "se_uatf", "se_mi", "bler", "snr_eff_db"]
+
+GAUSSIAN_BLOCKS = 20          # fresh blocks per Gaussian-symbol trial for the SE samples
 
 
 @dataclass
@@ -54,7 +54,6 @@ class Campaign:
     code_rate: str = "1/2"
     workers: int = 1
     fixed_drop: bool = False            # debug: one UE drop shared by all trials
-    gaussian_blocks: int = 20           # blocks per trial for SE sampling
 
     def __post_init__(self):
         if len(self.grid_values) == 0:
@@ -182,64 +181,37 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int) ->
 
     Emits iteration 0 (pilot-only) and iteration 1 (data-aided at the
     exogenous symbol quality sigma_est) rows; mse_ch is the analytic value
-    for this drop, se_uatf a Monte Carlo estimate over fresh blocks.
+    for this drop, se_uatf a Monte Carlo estimate over GAUSSIAN_BLOCKS fresh
+    blocks through the receiver's estimate-and-combine stage. A block whose
+    estimated symbol matrix is rank deficient keeps its pilot-only estimate.
     """
     value = campaign.grid_values[grid_index]
     config, extra = apply_grid_point(campaign.config, campaign.grid_param, value)
     sigma_est = extra.get("sigma_est", 1.0)
     rng = _trial_rng(campaign, grid_index, trial_index)
     realization = make_network(config, _drop_rng(campaign, grid_index, trial_index))
-    assignment = assign_pilots(config, campaign.mode)
+    mode = campaign.mode
+    assignment = assign_pilots(config, mode)
     L, K = config.L, config.K
-    q, p = realization.energies(campaign.mode)
     Rs = realization.R[np.arange(L), np.arange(L)]
-    R_sqrt = correlation_sqrt(realization.R)
-    seqs = assignment.seqs
     sig = np.full((L, K), sigma_est)
 
-    psi0 = psi_pilot(realization, assignment, config, campaign.mode)
-    W0, C0 = lmmse_filter(Rs, psi0)
-    psi1 = psi_data_aided_bound(realization, assignment, config, campaign.mode, sig)
-    W1, C1 = lmmse_filter(Rs, psi1)
+    # Fresh blocks at the surrogate symbol quality for the Monte Carlo SE,
+    # drawn before the estimator statistics: that order peaks lower in memory.
+    n_data = config.data_slots(mode)
+    s_hat, s = gaussian_symbols(rng, sig, (GAUSSIAN_BLOCKS, L, K, n_data))
+    blocks = simulate_blocks(mode, assignment, s, realization, config, rng)
+
+    W0, C0 = lmmse_filter(Rs, psi_pilot(realization, assignment, config, mode))
+    W1, C1 = lmmse_filter(Rs, psi_data_aided_bound(realization, assignment, config, mode, sig))
     mse = {0: mse_channel_analytic(C0), 1: mse_channel_analytic(C1)}
-
-    # Monte Carlo SE over fresh blocks at the surrogate symbol quality.
-    B = campaign.gaussian_blocks
-    n_data = config.data_slots(campaign.mode)
-    amp = np.sqrt(sig)[..., None]
-    err = np.sqrt(np.clip(1.0 - sig, 0.0, None))[..., None]
-    s_hat = amp * (rng.standard_normal((B, L, K, n_data)) +
-                   1j * rng.standard_normal((B, L, K, n_data))) / np.sqrt(2)
-    s = s_hat + err * (rng.standard_normal((B, L, K, n_data)) +
-                       1j * rng.standard_normal((B, L, K, n_data))) / np.sqrt(2)
-    blocks = simulate_blocks(campaign.mode, assignment, s, realization, config,
-                             rng, R_sqrt=R_sqrt)
-    Xh = np.swapaxes(build_transmit(campaign.mode, assignment, s_hat, realization, config),
-                     -1, -2)                                   # (B, L, tau_c, K)
+    stage = (realization, assignment, config, mode, campaign.combiner)
+    h_pilot, _, y0, _ = estimate_and_combine(blocks, W0, C0, *stage)
+    _, _, y1, _ = estimate_and_combine(blocks, W1, C1, *stage, s_blocks=s_hat, h_pilot=h_pilot)
     prelog = n_data / config.tau_c
-
-    se = {0: np.zeros((L, K)), 1: np.zeros((L, K))}
-    for l in range(L):
-        z = pilot_observation(blocks.Y[:, l], seqs[l], q[l], campaign.mode,
-                              tau_p=config.tau_p)
-        h_pl = np.einsum("kmn,bkn->bkm", W0[l], z)
-        z1 = data_aided_observation(blocks.Y[:, l], Xh[:, l])
-        h_da = np.einsum("kmn,bkn->bkm", W1[l], z1)
-
-        for it, (h_hat, C) in enumerate(((h_pl, C0[l]), (h_da, C1[l]))):
-            V = build_combiner(h_hat, C, realization.rho[l],
-                               config.noise_energy, campaign.combiner)
-            if it == 0:
-                y = combine_initial(blocks.Y[:, l], V, campaign.mode, config,
-                                    h_hat=h_hat, seqs=seqs[l], q=q[l])
-            else:
-                y = combine_iterative(blocks.Y[:, l], V, h_hat, s_hat[:, l],
-                                      campaign.mode, config, p=p[l],
-                                      seqs=seqs[l], q=q[l])
-            for k in range(K):
-                # sample budget is the campaign's gaussian_blocks choice
-                se[it][l, k] = se_uatf_samples(y[:, k], s[:, l, k], prelog,
-                                               min_samples=1)
+    se = {it: np.array([[se_uatf_samples(y[:, l, k], s[:, l, k], prelog, min_samples=1)
+                         for k in range(K)] for l in range(L)])
+          for it, y in ((0, y0), (1, y1))}
 
     rows = []
     for it in (0, 1):

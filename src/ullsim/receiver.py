@@ -7,6 +7,9 @@ matrices (soft symbols of the previous iteration, exact symbols for UEs
 that already decoded), cancels reconstructed in-cell interference, and
 decodes again. UEs whose parity checks pass are frozen: their symbols are
 the exact remodulated codeword and their quality is pinned to 1.
+
+Estimation and combining are one stage, estimate_and_combine, which the
+Gaussian-symbol study also runs, on surrogate instead of decoded symbols.
 """
 
 from __future__ import annotations
@@ -48,10 +51,6 @@ class IterationState:
 
 @dataclass
 class IterationTrace:
-    mode: str
-    combiner_kind: str
-    i_max: int
-    psi_source: str
     states: list
     termination: str
 
@@ -64,6 +63,65 @@ def sigma_update(sigma_sq: np.ndarray, decoded_ok: np.ndarray) -> np.ndarray:
     """Symbol-quality input to the next estimation round (decoded UEs -> 1)."""
     return np.where(np.asarray(decoded_ok, dtype=bool), 1.0,
                     np.clip(np.asarray(sigma_sq, dtype=float), 0.0, 1.0))
+
+
+def estimate_and_combine(blocks: BlockSignals, W: np.ndarray, C: np.ndarray,
+                         realization: NetworkRealization, assignment: PilotAssignment,
+                         config: ScenarioConfig, mode: str, combiner_kind: str,
+                         s_blocks: np.ndarray | None = None, h_pilot: np.ndarray | None = None
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """LMMSE channel estimates and combined data observations, every cell and block.
+
+    W, C: (L, K, M, M) LMMSE filters and error covariances of the serving
+    channels. Without s_blocks the filters act on the de-spread pilots and
+    the combiner removes no co-UE signal. With s_blocks (B, L, K, slots),
+    estimated data symbols, they act on the projection of each block onto
+    its estimated transmit matrix, and the combiner cancels the
+    reconstructed in-cell signals. The projection runs on all blocks at
+    once; only if that fails are the blocks redone one at a time, and a
+    block whose symbol matrix is still rank deficient keeps its h_pilot
+    estimate (or raises ProjectionError without one).
+
+    Returns (h_hat, V, y, fallbacks): h_hat and V (B, L, K, M), y
+    (B, L, K, slots), and the number of blocks that kept h_pilot.
+    """
+    Y = blocks.Y
+    q, p = realization.energies(mode)
+    seqs = assignment.seqs
+    failed = []
+    if s_blocks is None:
+        z = np.stack([pilot_observation(Y[:, l], seqs[l], q[l], mode, tau_p=config.tau_p)
+                      for l in range(config.L)], axis=1)
+    else:
+        Xh = np.swapaxes(build_transmit(mode, assignment, s_blocks, realization, config),
+                         -1, -2)                           # (B, L, tau_c, K)
+        try:
+            z = data_aided_observation(Y, Xh)
+        except ProjectionError:
+            z = np.zeros(Xh.shape[:2] + (config.K, config.M), dtype=complex)
+            for b, l in np.ndindex(*Xh.shape[:2]):
+                try:
+                    z[b, l] = data_aided_observation(Y[b, l], Xh[b, l])
+                except ProjectionError:
+                    if h_pilot is None:
+                        raise
+                    failed.append((b, l))
+    h_hat = np.einsum("lkmn,blkn->blkm", W, z)
+    for b, l in failed:
+        h_hat[b, l] = h_pilot[b, l]                        # pilot-only fallback
+
+    V = np.empty_like(h_hat)
+    y = []
+    for l in range(config.L):
+        V[:, l] = build_combiner(h_hat[:, l], C[l], realization.rho[l],
+                                 config.noise_energy, combiner_kind)
+        if s_blocks is None:
+            y.append(combine_initial(Y[:, l], V[:, l], mode, config,
+                                     h_hat=h_hat[:, l], seqs=seqs[l], q=q[l]))
+        else:
+            y.append(combine_iterative(Y[:, l], V[:, l], h_hat[:, l], s_blocks[:, l],
+                                       mode, config, p=p[l], seqs=seqs[l], q=q[l]))
+    return h_hat, V, np.stack(y, axis=1), len(failed)
 
 
 def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
@@ -90,43 +148,21 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
     if B != frame.n_blocks:
         raise ValueError(f"got {B} blocks for a {frame.n_blocks}-block frame")
 
-    q, p = realization.energies(mode)
     Rs = realization.R[np.arange(L), np.arange(L)]         # (L, K, M, M) serving
-    seqs = assignment.seqs                                 # (L, K, len)
     prelog = config.data_slots(mode) / config.tau_c
-
-    # Iteration 0: pilot-only estimation.
-    psi0 = psi_pilot(realization, assignment, config, mode)
-    W0, C0 = lmmse_filter(Rs, psi0)
-    z0 = np.stack([pilot_observation(blocks.Y[:, l], seqs[l], q[l], mode,
-                                     tau_p=config.tau_p) for l in range(L)], axis=1)
-    h0 = np.einsum("lkmn,blkn->blkm", W0, z0)
 
     states: list[IterationState] = []
     soft_prev: SoftDataState | None = None
 
-    def demod_decode(it: int, h_hat, C, source, sigma_in, fallbacks) -> IterationState:
+    def demod_decode(it: int, stage, C, source, sigma_in) -> IterationState:
         nonlocal soft_prev
-        V = np.empty_like(h_hat)
-        y_all = []
+        h_hat, V, y_hat, fallbacks = stage
         g = np.empty((B, L, K), dtype=complex)
         n_var = np.empty((B, L, K))
         for l in range(L):
-            V[:, l] = build_combiner(h_hat[:, l], C[l], realization.rho[l],
-                                     config.noise_energy, combiner_kind)
-            if it == 0:
-                y_l = combine_initial(blocks.Y[:, l], V[:, l], mode, config,
-                                      h_hat=h_hat[:, l], seqs=seqs[l], q=q[l])
-            else:
-                s_framed = frame_codeword(soft_prev.s_hat[l], frame)   # (K, B, slots)
-                y_l = combine_iterative(blocks.Y[:, l], V[:, l], h_hat[:, l],
-                                        np.swapaxes(s_framed, 0, 1), mode, config,
-                                        p=p[l], seqs=seqs[l], q=q[l])
             g[:, l], n_var[:, l] = effective_stats(
                 V[:, l], h_hat[:, l], C[l], realization, l, mode, config,
                 sigma_in[l], cancelled=(it > 0))
-            y_all.append(y_l)
-        y_hat = np.stack(y_all, axis=1)                    # (B, L, K, slots)
         if np.any(n_var <= 0):
             # An indefinite error covariance (sample psi) or a zero combiner.
             raise EstimationError(f"iteration {it}: effective noise variance is not positive")
@@ -172,12 +208,13 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
                               se_mi=se_mi, snr_eff_db=effective_snr_db(g, n_var),
                               bler=bler(ok), fallback_blocks=fallbacks)
 
-    sigma0 = np.zeros((L, K))
-    states.append(demod_decode(0, h0, C0, "pilot", sigma0, 0))
+    # Iteration 0: pilot-only estimation.
+    W0, C0 = lmmse_filter(Rs, psi_pilot(realization, assignment, config, mode))
+    stage = estimate_and_combine(blocks, W0, C0, realization, assignment, config, mode,
+                                 combiner_kind)
+    states.append(demod_decode(0, stage, C0, "pilot", np.zeros((L, K))))
+    h0 = states[0].estimates.h_hat
 
-    termination = "i_max"
-    if states[-1].bler == 0.0:
-        termination = "all_decoded"
     it = 0
     while it < i_max and states[-1].bler > 0.0:
         it += 1
@@ -191,23 +228,9 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
             psi = psi_data_aided_empirical(draws)
         W, C = lmmse_filter(Rs, psi)
 
-        s_framed = frame_codeword(soft_prev.s_hat, frame)  # (L, K, B, slots)
-        Xh = np.swapaxes(build_transmit(mode, assignment, np.moveaxis(s_framed, 2, 0),
-                                        realization, config), -1, -2)  # (B, L, tau_c, K)
-        fallbacks = 0
-        h_hat = np.empty((B, L, K, M), dtype=complex)
-        for l in range(L):
-            for b in range(B):
-                try:
-                    z = data_aided_observation(blocks.Y[b, l], Xh[b, l])
-                    h_hat[b, l] = np.einsum("kmn,kn->km", W[l], z)
-                except ProjectionError:
-                    h_hat[b, l] = h0[b, l]                 # pilot-only fallback
-                    fallbacks += 1
-        states.append(demod_decode(it, h_hat, C, psi_source, sigma_est, fallbacks))
-        if states[-1].bler == 0.0:
-            termination = "all_decoded"
-            break
-    return IterationTrace(mode=mode, combiner_kind=combiner_kind, i_max=i_max,
-                          psi_source=psi_source, states=states,
-                          termination=termination)
+        s_blocks = np.moveaxis(frame_codeword(soft_prev.s_hat, frame), 2, 0)  # (B, L, K, slots)
+        stage = estimate_and_combine(blocks, W, C, realization, assignment, config, mode,
+                                     combiner_kind, s_blocks=s_blocks, h_pilot=h0)
+        states.append(demod_decode(it, stage, C, psi_source, sigma_est))
+    termination = "all_decoded" if states[-1].bler == 0.0 else "i_max"
+    return IterationTrace(states=states, termination=termination)

@@ -103,8 +103,7 @@ def test_short_rp_data_is_fine_where_no_data_aided_bound_runs():
 
 def gaussian_campaign(**kw):
     base = dict(config=small_config(), pipeline="gaussian", mode="rp",
-                grid_param="sigma_est", grid_values=(0.5,), trials=3, seed=7,
-                gaussian_blocks=8)
+                grid_param="sigma_est", grid_values=(0.5,), trials=3, seed=7)
     base.update(kw)
     return Campaign(**base)
 

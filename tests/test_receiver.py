@@ -5,13 +5,15 @@ import pytest
 from conftest import manual_network
 
 from ullsim import ScenarioConfig, receiver
-from ullsim.airlink import simulate_blocks
-from ullsim.chest import EstimationError, lmmse_filter, pilot_observation, psi_pilot
+from ullsim.airlink import gaussian_symbols, simulate_blocks
+from ullsim.chest import (EstimationError, ProjectionError, lmmse_filter, pilot_observation,
+                          psi_data_aided_bound, psi_pilot)
 from ullsim.codec import encode, make_code, qpsk_map
 from ullsim.codec.framing import make_frame
 from ullsim.config import ConfigError
+from ullsim.netgeom import make_network
 from ullsim.pilots import assign_pilots
-from ullsim.receiver import run_receiver, sigma_update
+from ullsim.receiver import estimate_and_combine, run_receiver, sigma_update
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +136,39 @@ def test_imax_zero_is_the_pilot_only_pipeline(code):
     h0 = np.einsum("kmn,bkn->bkm", W0[0], z0)
     assert np.allclose(state.estimates.h_hat[:, 0], h0, atol=1e-13)
     assert np.allclose(state.estimates.C, C0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Estimate-and-combine stage
+
+
+def test_rank_deficient_block_keeps_its_pilot_estimate():
+    config = ScenarioConfig(M=8, K=2, L=3, tau_c=40, tau_p=2)
+    net = make_network(config, np.random.default_rng(5))
+    asg = assign_pilots(config, "sp")
+    rng = np.random.default_rng(6)
+    sig = np.full((3, 2), 0.6)
+    s_hat, s = gaussian_symbols(rng, sig, (4, 3, 2, config.data_slots("sp")))
+    blocks = simulate_blocks("sp", asg, s, net, config, rng)
+    Rs = net.R[np.arange(3), np.arange(3)]
+    W0, C0 = lmmse_filter(Rs, psi_pilot(net, asg, config, "sp"))
+    W1, C1 = lmmse_filter(Rs, psi_data_aided_bound(net, asg, config, "sp", sig))
+    h_pilot, _, _, _ = estimate_and_combine(blocks, W0, C0, net, asg, config, "sp", "mr")
+    stage = (blocks, W1, C1, net, asg, config, "sp", "mr")
+    clean, _, _, clean_fallbacks = estimate_and_combine(*stage, s_blocks=s_hat,
+                                                        h_pilot=h_pilot)
+    broken = s_hat.copy()
+    broken[2, 1] = np.nan                  # no Gram matrix to invert in block 2, cell 1
+    h_hat, _, _, fallbacks = estimate_and_combine(*stage, s_blocks=broken, h_pilot=h_pilot)
+
+    assert clean_fallbacks == 0
+    assert fallbacks == 1
+    assert np.array_equal(h_hat[2, 1], h_pilot[2, 1])
+    others = np.ones((4, 3), dtype=bool)
+    others[2, 1] = False
+    assert np.array_equal(h_hat[others], clean[others])
+    with pytest.raises(ProjectionError):   # nothing to fall back on
+        estimate_and_combine(*stage, s_blocks=broken)
 
 
 # ---------------------------------------------------------------------------
