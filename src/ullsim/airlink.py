@@ -19,7 +19,11 @@ from .pilots import PilotAssignment
 
 def crandn(rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. CN(0, 1) samples: (randn + 1j*randn)/sqrt(2)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2.0)
+    return out
 
 
 def gaussian_symbols(rng: np.random.Generator, sigma_sq: np.ndarray,
@@ -43,8 +47,10 @@ def correlation_sqrt(R: np.ndarray) -> np.ndarray:
     zero, so slightly indefinite inputs (rounding) are handled gracefully.
     """
     w, U = np.linalg.eigh(R)
-    w = np.clip(w, 0.0, None)
-    return (U * np.sqrt(w)[..., None, :]) @ np.swapaxes(U.conj(), -1, -2)
+    # np.conjugate copies; U.conj() would alias a real U, which is scaled next.
+    U_h = np.swapaxes(np.conjugate(U), -1, -2)
+    U *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return U @ U_h
 
 
 def draw_channels(R_sqrt: np.ndarray, rng: np.random.Generator,
@@ -104,7 +110,10 @@ def receive(H: np.ndarray, X: np.ndarray, noise_energy: float,
     H: (..., L, L, K, M), X: (..., L, K, tau_c) -> Y: (..., L, M, tau_c).
     """
     Y = np.einsum("...abkm,...bkt->...amt", H, X)
-    return Y + np.sqrt(noise_energy) * crandn(rng, Y.shape)
+    noise = crandn(rng, Y.shape)
+    noise *= np.sqrt(noise_energy)
+    Y += noise
+    return Y
 
 
 def simulate_blocks(mode: str, assignment: PilotAssignment, data: np.ndarray,

@@ -1,8 +1,8 @@
 """Monte Carlo campaign runner: deterministic seeding, parallel trials, CSV.
 
-Trials are the unit of parallelism. Every (grid point, trial) pair gets its
+(Grid point, trial) pairs are the unit of parallelism. Every pair gets its
 own RNG stream derived from (master seed, grid index, trial index), each
-trial returns a partial result table, and a single-threaded reducer merges
+pair returns partial result tables, and a single-threaded reducer merges
 them in sorted order — so results are bit-identical for any worker count.
 """
 
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .airlink import gaussian_symbols, simulate_blocks
+from .airlink import correlation_sqrt, gaussian_symbols, simulate_blocks
 from .chest import (EstimationError, ProjectionError, lmmse_filter,
                     psi_data_aided_bound, psi_pilot)
 from .codec import PRESET_RATES, encode, frame_codeword, make_code, qpsk_map
@@ -23,7 +23,7 @@ from .codec.framing import make_frame
 from .codec.ldpc import CodeSpec
 from .config import ConfigError, ScenarioConfig
 from .metrics import bler, mse_channel_analytic, se_uatf_moments, se_uatf_samples
-from .netgeom import make_network
+from .netgeom import NetworkRealization, make_network
 from .pilots import assign_pilots
 from .receiver import estimate_and_combine, run_receiver
 
@@ -176,7 +176,21 @@ def run_coded_trial(campaign: Campaign, grid_index: int, trial_index: int) -> li
     return rows
 
 
-def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int) -> list[dict]:
+def _shared_drop(campaign: Campaign, grid_index: int,
+                 trial_index: int) -> tuple[NetworkRealization, np.ndarray]:
+    """The drop of a (grid point, trial) pair and its R^(1/2).
+
+    The drop reads neither tau_p nor the mode, so every variant of a
+    Gaussian-symbol study shares it.
+    """
+    config, _ = apply_grid_point(campaign.config, campaign.grid_param,
+                                 campaign.grid_values[grid_index])
+    realization = make_network(config, _drop_rng(campaign, grid_index, trial_index))
+    return realization, correlation_sqrt(realization.R)
+
+
+def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
+                       drop: tuple[NetworkRealization, np.ndarray] | None = None) -> list[dict]:
     """One Gaussian-symbol study trial.
 
     Emits iteration 0 (pilot-only) and iteration 1 (data-aided at the
@@ -184,12 +198,15 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int) ->
     for this drop, se_uatf a Monte Carlo estimate over GAUSSIAN_BLOCKS fresh
     blocks through the receiver's estimate-and-combine stage. A block whose
     estimated symbol matrix is rank deficient keeps its pilot-only estimate.
+    drop is the pair's `_shared_drop` when a study shares it.
     """
     value = campaign.grid_values[grid_index]
     config, extra = apply_grid_point(campaign.config, campaign.grid_param, value)
     sigma_est = extra.get("sigma_est", 1.0)
     rng = _trial_rng(campaign, grid_index, trial_index)
-    realization = make_network(config, _drop_rng(campaign, grid_index, trial_index))
+    if drop is None:                    # R^(1/2) is then made and freed in simulate_blocks
+        drop = make_network(config, _drop_rng(campaign, grid_index, trial_index)), None
+    realization, R_sqrt = drop
     mode = campaign.mode
     assignment = assign_pilots(config, mode)
     L, K = config.L, config.K
@@ -200,7 +217,7 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int) ->
     # drawn before the estimator statistics: that order peaks lower in memory.
     n_data = config.data_slots(mode)
     s_hat, s = gaussian_symbols(rng, sig, (GAUSSIAN_BLOCKS, L, K, n_data))
-    blocks = simulate_blocks(mode, assignment, s, realization, config, rng)
+    blocks = simulate_blocks(mode, assignment, s, realization, config, rng, R_sqrt)
 
     W0, C0 = lmmse_filter(Rs, psi_pilot(realization, assignment, config, mode))
     W1, C1 = lmmse_filter(Rs, psi_data_aided_bound(realization, assignment, config, mode, sig))
@@ -224,41 +241,69 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int) ->
     return rows
 
 
+_TRIAL_ERRORS = (EstimationError, ProjectionError, np.linalg.LinAlgError)
+
+
 def _run_pair(args) -> tuple[int, int, list[dict]]:
-    campaign, grid_index, trial_index = args
+    # args: (campaign, grid index, trial index), plus the study's shared drop
+    campaign, grid_index, trial_index, *drop = args
     try:
         if campaign.pipeline == "coded":
             rows = run_coded_trial(campaign, grid_index, trial_index)
         else:
-            rows = run_gaussian_trial(campaign, grid_index, trial_index)
-    except (EstimationError, ProjectionError, np.linalg.LinAlgError) as exc:
+            rows = run_gaussian_trial(campaign, grid_index, trial_index, *drop)
+    except _TRIAL_ERRORS as exc:
         log.warning("trial (grid=%d, trial=%d) failed: %s", grid_index, trial_index, exc)
         rows = []
     return grid_index, trial_index, rows
+
+
+def _run_variants(args) -> tuple[int, int, list[list[dict]]]:
+    """Every study variant's trial of one (grid point, trial) pair, on one drop.
+
+    R^(1/2) lives only for the pair, not on the realization, which the
+    coded receiver holds through all its iterations. A drop that fails
+    fails the pair's trial in every variant.
+    """
+    variants, grid_index, trial_index = args
+    try:
+        drop = _shared_drop(variants[0], grid_index, trial_index)
+    except _TRIAL_ERRORS as exc:
+        log.warning("drop (grid=%d, trial=%d) failed: %s", grid_index, trial_index, exc)
+        return grid_index, trial_index, [[] for _ in variants]
+    return grid_index, trial_index, [_run_pair((sub, grid_index, trial_index, drop))[2]
+                                     for sub in variants]
 
 
 # ---------------------------------------------------------------------------
 # Aggregation and persistence
 
 
-def run_campaign(campaign: Campaign, out_path: str | Path | None = None) -> list[dict]:
-    """Run all (grid point, trial) pairs and aggregate, optionally to CSV."""
-    pairs = [(campaign, g, t)
-             for g in range(len(campaign.grid_values))
-             for t in range(campaign.trials)]
-    results = {}
+def _run_pairs(fn, campaign: Campaign, target) -> dict[tuple[int, int], object]:
+    """fn((target, g, t)) -> (g, t, result) over every (grid point, trial) pair.
+
+    Runs serially, or over one process pool of campaign.workers; either way
+    the results are keyed by the pair, so the reducer sees the same table.
+    """
+    work = [(target, g, t) for g in range(len(campaign.grid_values))
+            for t in range(campaign.trials)]
     if campaign.workers > 1:
         with ProcessPoolExecutor(max_workers=campaign.workers) as pool:
-            for g, t, rows in pool.map(_run_pair, pairs, chunksize=1):
-                results[(g, t)] = rows
-    else:
-        for args in pairs:
-            g, t, rows = _run_pair(args)
-            results[(g, t)] = rows
+            return {(g, t): out for g, t, out in pool.map(fn, work, chunksize=1)}
+    return {(g, t): out for g, t, out in map(fn, work)}
 
+
+def _aggregate(campaign: Campaign, results: dict[tuple[int, int], list[dict]],
+               label: str | None = None) -> list[dict]:
+    """Mean and standard error per (grid point, iteration, UE class).
+
+    label names a study variant: it fills the mode column and prefixes the
+    failed-trial log line.
+    """
     failed = sum(1 for rows in results.values() if not rows)
     if failed:
-        log.warning("%d of %d trials failed", failed, len(pairs))
+        log.warning("%s%d of %d trials failed", f"{label}: " if label else "",
+                    failed, len(results))
 
     # Deterministic reduce: group by (grid, iteration, ue class) in sorted order.
     table: dict[tuple, dict[str, list]] = {}
@@ -272,7 +317,7 @@ def run_campaign(campaign: Campaign, out_path: str | Path | None = None) -> list
     out_rows = []
     for (g, it, k) in sorted(table):
         bucket = table[(g, it, k)]
-        row = dict(mode=campaign.mode, combiner=campaign.combiner,
+        row = dict(mode=label or campaign.mode, combiner=campaign.combiner,
                    grid_param=campaign.grid_param,
                    grid_value=campaign.grid_values[g],
                    iteration=it, ue_index_class=k)
@@ -286,10 +331,15 @@ def run_campaign(campaign: Campaign, out_path: str | Path | None = None) -> list
                                   if good.size > 1 else float("nan"))
         row["n_trials"] = n
         out_rows.append(row)
-
-    if out_path is not None:
-        write_csv(out_rows, out_path)
     return out_rows
+
+
+def run_campaign(campaign: Campaign, out_path: str | Path | None = None) -> list[dict]:
+    """Run all (grid point, trial) pairs and aggregate, optionally to CSV."""
+    rows = _aggregate(campaign, _run_pairs(_run_pair, campaign, campaign))
+    if out_path is not None:
+        write_csv(rows, out_path)
+    return rows
 
 
 def _fmt(value) -> str:
@@ -318,24 +368,23 @@ def gaussian_symbol_study(campaign: Campaign, out_dir: str | Path | None = None)
     Runs the gaussian pipeline for each mode variant (pilot reuse 3 uses
     tau_p = 3K, and runs only if that leaves tau_d > K) with the campaign's
     combiner, and returns the union of the aggregated rows (mode column
-    distinguishes the variants). When out_dir is given, writes results.csv
-    plus per-figure long-format files.
+    distinguishes the variants). Each (grid point, trial) pair draws one
+    drop for all variants, and one pool runs the pairs. When out_dir is
+    given, writes results.csv plus per-figure long-format files.
     """
-    variants = []
     cfg = campaign.config
-    variants.append(("rp", replace(campaign, pipeline="gaussian", mode="rp",
-                                   config=cfg.replace(tau_p=cfg.K))))
+    variants = [("rp", replace(campaign, pipeline="gaussian", mode="rp",
+                               config=cfg.replace(tau_p=cfg.K)))]
     if cfg.tau_c - 3 * cfg.K > cfg.K:                  # its data-aided bound needs tau_d > K
         variants.append(("rp3", replace(campaign, pipeline="gaussian", mode="rp",
                                         config=cfg.replace(tau_p=3 * cfg.K))))
     variants.append(("sp", replace(campaign, pipeline="gaussian", mode="sp",
                                    config=cfg.replace(tau_p=cfg.K))))
+    results = _run_pairs(_run_variants, campaign, [sub for _, sub in variants])
     all_rows = []
-    for label, sub in variants:
-        rows = run_campaign(sub)
-        for row in rows:
-            row["mode"] = label
-        all_rows.extend(rows)
+    for i, (label, sub) in enumerate(variants):
+        all_rows.extend(_aggregate(sub, {pair: rows[i] for pair, rows in results.items()},
+                                   label))
     if out_dir is not None:
         out_dir = Path(out_dir)
         write_csv(all_rows, out_dir / "results.csv")

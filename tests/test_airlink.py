@@ -44,6 +44,41 @@ def test_channel_sample_covariance_correlated():
     assert np.linalg.norm(cov - R[0, 0, 0]) <= 0.05 * np.linalg.norm(R[0, 0, 0])
 
 
+# The in-place rewrites of crandn, receive and correlation_sqrt must keep
+# every bit of the out-of-place expressions they replaced.
+
+
+def test_crandn_equals_the_out_of_place_expression():
+    shape = (3, 4, 5)
+    ref = np.random.default_rng(20)
+    a, b = ref.standard_normal(shape), ref.standard_normal(shape)
+    assert np.array_equal(crandn(np.random.default_rng(20), shape),
+                          (a + 1j * b) / np.sqrt(2))
+
+
+def test_receive_equals_the_out_of_place_expression():
+    rng = np.random.default_rng(21)
+    H = crandn(rng, (2, 3, 3, 2, 4))
+    X = crandn(rng, (2, 3, 2, 6))
+    e = 1.7e-3
+    Y = np.einsum("...abkm,...bkt->...amt", H, X)
+    want = Y + np.sqrt(e) * crandn(np.random.default_rng(22), Y.shape)
+    assert np.array_equal(receive(H, X, e, np.random.default_rng(22)), want)
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_correlation_sqrt_equals_the_out_of_place_expression(dtype):
+    # A real R gives a real U, for which U.conj() is U itself: the case
+    # where scaling U in place could also scale its conjugate transpose.
+    A = crandn(np.random.default_rng(23), (2, 3, 5, 3))
+    A = A if dtype is complex else A.real
+    R = A @ np.swapaxes(A.conj(), -1, -2)               # rank 3 of 5
+    R[0, 0] -= 0.1 * np.eye(5)                          # indefinite: the clip acts
+    w, U = np.linalg.eigh(R)
+    want = (U * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(U.conj(), -1, -2)
+    assert np.array_equal(correlation_sqrt(R), want)
+
+
 def test_transmit_pure_pilot_and_pure_data():
     config = cfg(delta=1.0)
     net = make_network(config, np.random.default_rng(3))

@@ -222,6 +222,47 @@ def test_study_emits_mode_variants_and_figures(tmp_path):
     assert head == "series,x,ue_index_class,value,stderr,n_trials"
 
 
+def test_study_variants_equal_standalone_campaigns(tmp_path):
+    # Sharing one drop per (grid point, trial) changes no row of any variant.
+    config = small_config()
+    study = dict(config=config, grid_values=(0.2, 0.8), trials=2)
+    rows = gaussian_symbol_study(gaussian_campaign(**study))
+    for label, mode, tau_p in (("rp", "rp", 2), ("rp3", "rp", 6), ("sp", "sp", 2)):
+        got = [r for r in rows if r["mode"] == label]
+        want = run_campaign(gaussian_campaign(config=config.replace(tau_p=tau_p), mode=mode,
+                                              grid_values=(0.2, 0.8), trials=2))
+        assert len(got) == len(want) == 8
+        for col in CSV_COLUMNS:
+            expect = [label] * 8 if col == "mode" else [r[col] for r in want]
+            np.testing.assert_array_equal([r[col] for r in got], expect, err_msg=col)
+
+    a, b = tmp_path / "w1", tmp_path / "w2"
+    gaussian_symbol_study(gaussian_campaign(**study, workers=1), a)
+    gaussian_symbol_study(gaussian_campaign(**study, workers=2), b)
+    assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+
+
+def test_failed_drop_fails_the_trial_in_every_study_variant(monkeypatch, caplog):
+    make_network = harness.make_network
+    calls = []
+
+    def flaky(config, rng):
+        calls.append(None)
+        if len(calls) == 1:                        # the drop of (grid 0, trial 0)
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return make_network(config, rng)
+
+    monkeypatch.setattr(harness, "make_network", flaky)
+    campaign = gaussian_campaign(grid_values=(0.2, 0.8), trials=2, workers=1)
+    with caplog.at_level(logging.WARNING, logger="ullsim.harness"):
+        rows = gaussian_symbol_study(campaign)
+    assert len(calls) == 4                         # one drop per (grid point, trial)
+    for label in ("rp", "rp3", "sp"):
+        assert f"{label}: 1 of 4 trials failed" in caplog.messages
+    assert {r["mode"] for r in rows} == {"rp", "rp3", "sp"}
+    assert {(r["grid_value"], r["n_trials"]) for r in rows} == {(0.2, 1), (0.8, 2)}
+
+
 def test_study_skips_rp3_when_its_data_is_too_short():
     # tau_p = 3K = 6 would leave rp3 tau_d = 2 = K data samples
     config = ScenarioConfig(M=8, K=2, L=3, tau_c=8, tau_p=2)
