@@ -45,12 +45,17 @@ def correlation_sqrt(R: np.ndarray) -> np.ndarray:
 
     R: (..., M, M). Eigendecomposition with negative eigenvalues clipped to
     zero, so slightly indefinite inputs (rounding) are handled gracefully.
+    One matrix at a time: the temporaries are (M, M), not stacks, and LAPACK
+    and BLAS get the per-matrix calls of the stacked expression, same bits.
     """
-    w, U = np.linalg.eigh(R)
-    # np.conjugate copies; U.conj() would alias a real U, which is scaled next.
-    U_h = np.swapaxes(np.conjugate(U), -1, -2)
-    U *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    return U @ U_h
+    out = np.empty(R.shape, dtype=np.result_type(R.dtype, float))
+    for idx in np.ndindex(R.shape[:-2]):
+        w, U = np.linalg.eigh(R[idx])
+        # np.conjugate copies; U.conj() would alias a real U, which is scaled next.
+        U_h = np.swapaxes(np.conjugate(U), -1, -2)
+        U *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+        out[idx] = U @ U_h
+    return out
 
 
 def draw_channels(R_sqrt: np.ndarray, rng: np.random.Generator,

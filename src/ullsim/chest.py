@@ -253,9 +253,13 @@ def lmmse_filter(R: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     antenna when Psi really is the covariance of z and E{z h^H} = R.
     """
     X = _solve_psd(Psi, R)                            # Psi^{-1} R
-    W = np.swapaxes(X.conj(), -1, -2)                 # R Psi^{-1} (both Hermitian)
-    C = R - W @ R
-    C = 0.5 * (C + np.swapaxes(C.conj(), -1, -2))
+    # W = X^H = R Psi^{-1} (both Hermitian), C = R - W R, C = 0.5 (C + C^H):
+    # the same bits in place on fresh arrays, three (..., M, M) temporaries fewer.
+    W = np.swapaxes(np.conjugate(X, out=X), -1, -2)
+    C = W @ R
+    np.subtract(R, C, out=C)
+    C += np.swapaxes(np.conjugate(C), -1, -2)
+    C *= 0.5
     return W, C
 
 

@@ -119,7 +119,7 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
     q_all, p_all = realization.energies(mode)
     q, p = q_all[l], p_all[l]
     K = config.K
-    sig = np.zeros(K) if sigma_est is None else np.asarray(sigma_est, dtype=float)
+    sig = np.asarray(sigma_est, dtype=float)
 
     g = np.sqrt(p) * np.einsum("...km,...km->...k", v.conj(), h_hat)
 

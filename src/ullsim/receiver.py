@@ -35,10 +35,9 @@ from .pilots import PilotAssignment
 
 @dataclass
 class IterationState:
-    """Everything one iteration produced (arrays indexed [block, cell, ue])."""
+    """What one iteration produced (arrays indexed [block, cell, ue])."""
 
     index: int
-    estimates: ChannelEstimateSet
     soft: SoftDataState
     g: np.ndarray             # (B, L, K) effective gains
     n_var: np.ndarray         # (B, L, K) effective noise variances
@@ -51,8 +50,15 @@ class IterationState:
 
 @dataclass
 class IterationTrace:
+    """Every iteration's state, and the final iteration's channel estimates.
+
+    Earlier iterations' estimates and error covariances are not kept: they
+    are L*K*M^2 numbers per iteration, the bulk of the receiver's memory.
+    """
+
     states: list
     termination: str
+    estimates: ChannelEstimateSet
 
     @property
     def final(self) -> IterationState:
@@ -149,14 +155,41 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
         raise ValueError(f"got {B} blocks for a {frame.n_blocks}-block frame")
 
     Rs = realization.R[np.arange(L), np.arange(L)]         # (L, K, M, M) serving
+    h_true = blocks.H[:, np.arange(L), np.arange(L)]       # (B, L, K, M)
     prelog = config.data_slots(mode) / config.tau_c
-
     states: list[IterationState] = []
-    soft_prev: SoftDataState | None = None
+    h0 = None                         # pilot-only estimates, the projection fallback
 
-    def demod_decode(it: int, stage, C, source, sigma_in) -> IterationState:
-        nonlocal soft_prev
-        h_hat, V, y_hat, fallbacks = stage
+    def iterate() -> ChannelEstimateSet:
+        """One estimate -> combine -> demap -> decode pass.
+
+        Appends the pass's state and returns its estimates. psi and W are
+        dropped once used, and the caller drops the previous pass's
+        estimates first, so one iteration's channel statistics are live.
+        """
+        it = len(states)
+        if it == 0:
+            # Iteration 0: pilot-only estimation.
+            source, soft_prev, s_blocks = "pilot", None, None
+            sigma_in = np.zeros((L, K))
+            psi = psi_pilot(realization, assignment, config, mode)
+        else:
+            source, soft_prev = psi_source, states[-1].soft
+            sigma_in = sigma_update(soft_prev.sigma_sq, soft_prev.decoded_ok)
+            if psi_source == "bound":
+                psi = psi_data_aided_bound(realization, assignment, config, mode, sigma_in)
+            else:
+                psi = psi_data_aided_empirical(simulate_data_aided_observations(
+                    realization, assignment, config, mode, sigma_in, rng,
+                    n_draws=max(100, 10 * M)))
+            s_blocks = np.moveaxis(frame_codeword(soft_prev.s_hat, frame), 2, 0)
+        W, C = lmmse_filter(Rs, psi)
+        del psi
+        h_hat, V, y_hat, fallbacks = estimate_and_combine(
+            blocks, W, C, realization, assignment, config, mode, combiner_kind,
+            s_blocks=s_blocks, h_pilot=h0)
+        del W
+
         g = np.empty((B, L, K), dtype=complex)
         n_var = np.empty((B, L, K))
         for l in range(L):
@@ -195,42 +228,20 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
         sig = np.where(ok, 1.0, sig)
         soft = SoftDataState(llr_post=llr_post, s_hat=s_hat, sigma_sq=sig,
                              decoded_ok=ok, hard_bits=hard)
-        soft_prev = soft
 
-        h_true = blocks.H[:, np.arange(L), np.arange(L)]   # (B, L, K, M)
         p0 = 1.0 / (1.0 + np.exp(-llr_post))
         se_mi = np.array([[se_mutual_info(p0[l, k], prelog, 2, code.rate)
                            for k in range(K)] for l in range(L)])
-        return IterationState(index=it,
-                              estimates=ChannelEstimateSet(h_hat=h_hat, C=C, source=source),
-                              soft=soft, g=g, n_var=n_var,
-                              mse_emp=mse_channel_empirical(h_true, h_hat),
-                              se_mi=se_mi, snr_eff_db=effective_snr_db(g, n_var),
-                              bler=bler(ok), fallback_blocks=fallbacks)
+        states.append(IterationState(index=it, soft=soft, g=g, n_var=n_var,
+                                     mse_emp=mse_channel_empirical(h_true, h_hat),
+                                     se_mi=se_mi, snr_eff_db=effective_snr_db(g, n_var),
+                                     bler=bler(ok), fallback_blocks=fallbacks))
+        return ChannelEstimateSet(h_hat=h_hat, C=C, source=source)
 
-    # Iteration 0: pilot-only estimation.
-    W0, C0 = lmmse_filter(Rs, psi_pilot(realization, assignment, config, mode))
-    stage = estimate_and_combine(blocks, W0, C0, realization, assignment, config, mode,
-                                 combiner_kind)
-    states.append(demod_decode(0, stage, C0, "pilot", np.zeros((L, K))))
-    h0 = states[0].estimates.h_hat
-
-    it = 0
-    while it < i_max and states[-1].bler > 0.0:
-        it += 1
-        sigma_est = sigma_update(soft_prev.sigma_sq, soft_prev.decoded_ok)
-        if psi_source == "bound":
-            psi = psi_data_aided_bound(realization, assignment, config, mode, sigma_est)
-        else:
-            draws = simulate_data_aided_observations(
-                realization, assignment, config, mode, sigma_est, rng,
-                n_draws=max(100, 10 * M))
-            psi = psi_data_aided_empirical(draws)
-        W, C = lmmse_filter(Rs, psi)
-
-        s_blocks = np.moveaxis(frame_codeword(soft_prev.s_hat, frame), 2, 0)  # (B, L, K, slots)
-        stage = estimate_and_combine(blocks, W, C, realization, assignment, config, mode,
-                                     combiner_kind, s_blocks=s_blocks, h_pilot=h0)
-        states.append(demod_decode(it, stage, C, psi_source, sigma_est))
+    estimates = iterate()
+    h0 = estimates.h_hat
+    while len(states) <= i_max and states[-1].bler > 0.0:
+        del estimates                 # the next pass needs none of them
+        estimates = iterate()
     termination = "all_decoded" if states[-1].bler == 0.0 else "i_max"
-    return IterationTrace(states=states, termination=termination)
+    return IterationTrace(states=states, termination=termination, estimates=estimates)

@@ -66,14 +66,20 @@ def test_receive_equals_the_out_of_place_expression():
     assert np.array_equal(receive(H, X, e, np.random.default_rng(22)), want)
 
 
-@pytest.mark.parametrize("dtype", [complex, float])
-def test_correlation_sqrt_equals_the_out_of_place_expression(dtype):
+@pytest.mark.parametrize("dtype, lead", [
+    pytest.param(complex, (2, 3), id="complex"),
+    pytest.param(float, (2, 3), id="float"),
+    pytest.param(complex, (3, 3, 2), id="complex-LLK"),
+    pytest.param(float, (3, 3, 2), id="float-LLK"),
+])
+def test_correlation_sqrt_equals_the_out_of_place_expression(dtype, lead):
     # A real R gives a real U, for which U.conj() is U itself: the case
     # where scaling U in place could also scale its conjugate transpose.
-    A = crandn(np.random.default_rng(23), (2, 3, 5, 3))
+    # (3, 3, 2) is a drop's (L, L, K) stack, taken one matrix at a time.
+    A = crandn(np.random.default_rng(23), lead + (5, 3))
     A = A if dtype is complex else A.real
     R = A @ np.swapaxes(A.conj(), -1, -2)               # rank 3 of 5
-    R[0, 0] -= 0.1 * np.eye(5)                          # indefinite: the clip acts
+    R[(0,) * len(lead)] -= 0.1 * np.eye(5)              # indefinite: the clip acts
     w, U = np.linalg.eigh(R)
     want = (U * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(U.conj(), -1, -2)
     assert np.array_equal(correlation_sqrt(R), want)

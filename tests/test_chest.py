@@ -177,6 +177,24 @@ def test_lmmse_estimate_reduces_error_monte_carlo():
         assert abs(mse_emp - mse_ana) <= 0.05 * mse_ana
 
 
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_lmmse_filter_equals_the_out_of_place_expression(dtype):
+    # W, R - W R and its symmetrization run in place; the bits must be those
+    # of the out-of-place expressions. A real C is its own conj(): the case
+    # where C += C^H reads what it writes.
+    rng = np.random.default_rng(30)
+    A, B = crandn(rng, (2, 3, 5, 5)), crandn(rng, (2, 3, 5, 5))
+    A, B = (A, B) if dtype is complex else (A.real, B.real)
+    R = A @ np.swapaxes(A.conj(), -1, -2)
+    Psi = R + B @ np.swapaxes(B.conj(), -1, -2) + 0.1 * np.eye(5)
+    W, C = lmmse_filter(R, Psi)
+    W_want = np.swapaxes(np.linalg.solve(Psi, R).conj(), -1, -2)
+    C_want = R - W_want @ R
+    C_want = 0.5 * (C_want + np.swapaxes(C_want.conj(), -1, -2))
+    assert np.array_equal(W, W_want)
+    assert np.array_equal(C, C_want)
+
+
 # ---------------------------------------------------------------------------
 # Data-aided projection
 

@@ -1,5 +1,7 @@
 """Iterative receiver behavior: termination, freezing, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import manual_network
@@ -13,6 +15,7 @@ from ullsim.codec.framing import make_frame
 from ullsim.config import ConfigError
 from ullsim.netgeom import make_network
 from ullsim.pilots import assign_pilots
+from ullsim.metrics import mse_channel_empirical
 from ullsim.receiver import estimate_and_combine, run_receiver, sigma_update
 
 
@@ -126,7 +129,7 @@ def test_imax_zero_is_the_pilot_only_pipeline(code):
     assert len(trace.states) == 1
     state = trace.final
     assert state.index == 0
-    assert state.estimates.source == "pilot"
+    assert trace.estimates.source == "pilot"
     # the estimates must be exactly LMMSE on the de-spread pilot observation
     psi0 = psi_pilot(net, asg, config, "sp")
     W0, C0 = lmmse_filter(net.R[np.arange(1), np.arange(1)], psi0)
@@ -134,8 +137,8 @@ def test_imax_zero_is_the_pilot_only_pipeline(code):
     seqs = asg.book.seqs[asg.indices]
     z0 = pilot_observation(blocks.Y[:, 0], seqs[0], q[0], "sp")
     h0 = np.einsum("kmn,bkn->bkm", W0[0], z0)
-    assert np.allclose(state.estimates.h_hat[:, 0], h0, atol=1e-13)
-    assert np.allclose(state.estimates.C, C0, atol=1e-14)
+    assert np.allclose(trace.estimates.h_hat[:, 0], h0, atol=1e-13)
+    assert np.allclose(trace.estimates.C, C0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +248,47 @@ def test_receiver_is_deterministic(code):
         assert np.array_equal(sa.soft.llr_post, sb.soft.llr_post)
         assert np.array_equal(sa.mse_emp, sb.mse_emp)
         assert np.array_equal(sa.g, sb.g)
+
+
+# ---------------------------------------------------------------------------
+# Memory
+
+
+def test_receiver_memory_does_not_grow_with_imax(code):
+    # Error covariances (L*K*M^2 complex) dominate an iteration's state at
+    # M=128; at -25 dB per antenna no UE ever decodes, so every iteration runs.
+    config = ScenarioConfig(M=128, K=2, L=3, tau_c=200, tau_p=2,
+                            noise_energy=1.0, rho_design=10 ** -2.5, rho_max=10.0)
+    beta = np.full((3, 3, 2), 0.3)
+    beta[np.arange(3), np.arange(3)] = 1.0
+    net = manual_network(config, beta)
+    asg, frame, _, blocks = make_trial(config, net, "sp", code, np.random.default_rng(7))
+    run_receiver(blocks, net, asg, config, code, frame, "sp", i_max=1)   # warm caches
+
+    def traced(i_max):
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            trace = run_receiver(blocks, net, asg, config, code, frame, "sp", i_max=i_max)
+            return trace, tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+
+    short, short_peak = traced(2)
+    trace, peak = traced(6)
+    assert len(short.states) == 3 and len(trace.states) == 7
+    # Four more iterations may add their soft states (about one C each time
+    # all four are counted), never their four error covariances.
+    c_bytes = config.L * config.K * config.M ** 2 * 16
+    assert peak - short_peak < 2 * c_bytes
+
+    # The trace keeps the final iteration's estimates.
+    final = trace.estimates
+    assert final.source == "bound"
+    h_true = blocks.H[:, np.arange(3), np.arange(3)]
+    assert np.array_equal(mse_channel_empirical(h_true, final.h_hat), trace.final.mse_emp)
+    prev = trace.states[-2].soft
+    psi = psi_data_aided_bound(net, asg, config, "sp",
+                               sigma_update(prev.sigma_sq, prev.decoded_ok))
+    _, C = lmmse_filter(net.R[np.arange(3), np.arange(3)], psi)
+    assert np.array_equal(final.C, C)
