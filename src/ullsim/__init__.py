@@ -2,7 +2,7 @@
 channel estimation and decoding.
 
 Supports regular (time-multiplexed) and superimposed pilots, LMMSE channel
-estimation with closed-form or Monte Carlo data-aided statistics, MR and
+estimation with closed-form pilot-only and data-aided statistics, MR and
 sequential MMSE combining, QC-LDPC coding over QPSK, and a reproducible
 Monte Carlo campaign harness.
 """

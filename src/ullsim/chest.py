@@ -1,10 +1,11 @@
 """Channel estimation: de-spread observations, LMMSE, error-covariance bounds.
 
 Every estimator here works from a per-UE observation vector z (one per
-coherence block) whose second-order statistics Psi are known either in
-closed form (pilot-only and the data-aided lower bound) or empirically
-(sample covariance of simulated observations). The LMMSE estimate is then
-h_hat = R Psi^{-1} z with error covariance C = R - R Psi^{-1} R.
+coherence block) whose second-order statistics Psi are known in closed
+form (pilot-only and the data-aided lower bound). The LMMSE estimate is
+then h_hat = R Psi^{-1} z with error covariance C = R - R Psi^{-1} R.
+The sample covariance of simulated observations is not a receiver option:
+it is the independent reference the tests check the bound against.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class ChannelEstimateSet:
 
     h_hat: np.ndarray         # (B, L, K, M) per-block serving-channel estimates
     C: np.ndarray             # (L, K, M, M) error covariances
-    source: str               # 'pilot' | 'bound' | 'empirical'
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def psi_data_aided_bound(realization: NetworkRealization, assignment: PilotAssig
 
 
 # ---------------------------------------------------------------------------
-# Empirical covariance
+# Empirical covariance (the reference for the closed-form bound)
 
 
 def _floor_psd(A: np.ndarray) -> np.ndarray:
@@ -298,7 +298,7 @@ def data_aided_feasibility(config: ScenarioConfig, sigma_sq: float,
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo generator for data-aided observations (oracle + empirical source)
+# Monte Carlo generator for data-aided observations (the bound's reference)
 
 _DRAW_CHUNK = 128             # blocks drawn per batch; fixes the order of the draws
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
 from .config import ConfigError, load_config
@@ -23,14 +24,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=["rp", "sp"], default="rp")
     sub.add_argument("--combiner", choices=["mr", "smmse"], default="mr")
     sub.add_argument("--imax", type=int, default=8, dest="i_max")
-    sub.add_argument("--psi", choices=["bound", "empirical"], default="bound",
-                     dest="psi_source")
+    sub.add_argument("--psi", choices=["bound"], default="bound",
+                     help="data-aided observation covariance: the closed-form bound")
     sub.add_argument("--pipeline", choices=["coded", "gaussian"], default="coded")
     sub.add_argument("--rate", choices=["1/2", "3/4"], default="1/2")
     sub.add_argument("--out", default="results.csv")
     sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--fixed-drop", action="store_true",
-                     help="reuse one UE drop across trials (debugging)")
     sub.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -61,7 +60,12 @@ def _parse_values(text: str) -> tuple:
         tok = tok.strip()
         if not tok:
             continue
-        value = float(tok)
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ConfigError(f"--values: {tok!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"--values: {tok!r} is not finite")
         out.append(int(value) if value == int(value) else value)
     if not out:
         raise ConfigError("--values is empty")
@@ -88,9 +92,8 @@ def main(argv: list[str] | None = None) -> int:
                             mode=args.mode, combiner=args.combiner,
                             grid_param=grid_param, grid_values=grid_values,
                             trials=args.trials, seed=args.seed,
-                            i_max=args.i_max, psi_source=args.psi_source,
-                            code_rate=args.rate, workers=args.workers,
-                            fixed_drop=args.fixed_drop)
+                            i_max=args.i_max, code_rate=args.rate,
+                            workers=args.workers)
         if study:
             from pathlib import Path
             out_dir = Path(args.out).parent if Path(args.out).suffix else Path(args.out)

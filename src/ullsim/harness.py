@@ -50,24 +50,22 @@ class Campaign:
     trials: int = 10
     seed: int = 1
     i_max: int = 8
-    psi_source: str = "bound"
     code_rate: str = "1/2"
     workers: int = 1
-    fixed_drop: bool = False            # debug: one UE drop shared by all trials
 
     def __post_init__(self):
         if len(self.grid_values) == 0:
             raise ConfigError("grid must have at least one value")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0 (got {self.seed})")
         if self.pipeline not in ("coded", "gaussian"):
             raise ConfigError(f"unknown pipeline {self.pipeline!r}")
         if self.mode not in ("rp", "sp"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.combiner not in ("mr", "smmse"):
             raise ConfigError(f"unknown combiner {self.combiner!r}")
-        if self.psi_source not in ("bound", "empirical"):
-            raise ConfigError(f"unknown psi_source {self.psi_source!r}")
         if self.code_rate not in PRESET_RATES:
             raise ConfigError(f"no code preset for rate {self.code_rate!r} "
                               f"(have {', '.join(PRESET_RATES)})")
@@ -105,6 +103,8 @@ def apply_grid_point(config: ScenarioConfig, param: str, value) -> tuple[Scenari
         extra["sigma_est"] = float(value)
         return config, extra
     if param in ("tau_c", "tau_p", "M", "K", "L"):
+        if not float(value).is_integer():
+            raise ConfigError(f"{param} grid value {value} is not an integer")
         return config.replace(**{param: int(value)}), extra
     if param == "delta":
         return config.replace(delta=float(value)), extra
@@ -118,8 +118,6 @@ def _trial_rng(campaign: Campaign, grid_index: int, trial_index: int) -> np.rand
 
 
 def _drop_rng(campaign: Campaign, grid_index: int, trial_index: int) -> np.random.Generator:
-    if campaign.fixed_drop:
-        trial_index = 0
     seq = np.random.SeedSequence(entropy=campaign.seed,
                                  spawn_key=(grid_index, trial_index, 0xD0))
     return np.random.default_rng(seq)
@@ -156,8 +154,7 @@ def run_coded_trial(campaign: Campaign, grid_index: int, trial_index: int) -> li
     blocks = simulate_blocks(campaign.mode, assignment, data, realization, config, rng)
     trace = run_receiver(blocks, realization, assignment, config, code, frame,
                          campaign.mode, combiner_kind=campaign.combiner,
-                         i_max=campaign.i_max, psi_source=campaign.psi_source,
-                         rng=rng)
+                         i_max=campaign.i_max)
 
     prelog = slots / config.tau_c
     rows = []

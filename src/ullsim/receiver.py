@@ -21,8 +21,7 @@ import numpy as np
 from .airlink import BlockSignals, build_transmit
 from .chest import (ChannelEstimateSet, EstimationError, ProjectionError,
                     data_aided_observation, lmmse_filter, psi_data_aided_bound,
-                    psi_data_aided_empirical, psi_pilot, pilot_observation,
-                    simulate_data_aided_observations)
+                    psi_pilot, pilot_observation)
 from .codec import (CodewordFrame, SoftDataState, decode, frame_codeword,
                     hard_decisions, qpsk_demap_llr, remodulate, soft_symbols)
 from .codec.ldpc import CodeSpec
@@ -133,23 +132,17 @@ def estimate_and_combine(blocks: BlockSignals, W: np.ndarray, C: np.ndarray,
 def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
                  assignment: PilotAssignment, config: ScenarioConfig,
                  code: CodeSpec, frame: CodewordFrame, mode: str,
-                 combiner_kind: str = "mr", i_max: int = 8,
-                 psi_source: str = "bound",
-                 rng: np.random.Generator | None = None) -> IterationTrace:
+                 combiner_kind: str = "mr", i_max: int = 8) -> IterationTrace:
     """Run the full iterative receiver on one batch of coherence blocks.
 
     blocks must span exactly one codeword per UE (frame.n_blocks blocks).
-    psi_source selects how the data-aided observation covariance is
-    obtained: 'bound' (closed form, default) or 'empirical' (Monte Carlo
-    resampling at the current symbol qualities, needs rng).
+    Iteration 0 runs LMMSE on the pilot-only observation covariance, every
+    later iteration on the closed-form data-aided one (psi_data_aided_bound)
+    at the previous iteration's symbol qualities.
     """
-    if psi_source not in ("bound", "empirical"):
-        raise ConfigError(f"unknown psi_source {psi_source!r}")
-    if psi_source == "empirical" and rng is None:
-        raise ConfigError("psi_source='empirical' needs an rng")
     if i_max >= 1 and mode == "rp" and config.tau_d <= config.K:
         raise ConfigError("data-aided iterations in rp mode need tau_d > K")
-    L, K, M = config.L, config.K, config.M
+    L, K = config.L, config.K
     B = blocks.n_blocks
     if B != frame.n_blocks:
         raise ValueError(f"got {B} blocks for a {frame.n_blocks}-block frame")
@@ -170,18 +163,13 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
         it = len(states)
         if it == 0:
             # Iteration 0: pilot-only estimation.
-            source, soft_prev, s_blocks = "pilot", None, None
+            soft_prev, s_blocks = None, None
             sigma_in = np.zeros((L, K))
             psi = psi_pilot(realization, assignment, config, mode)
         else:
-            source, soft_prev = psi_source, states[-1].soft
+            soft_prev = states[-1].soft
             sigma_in = sigma_update(soft_prev.sigma_sq, soft_prev.decoded_ok)
-            if psi_source == "bound":
-                psi = psi_data_aided_bound(realization, assignment, config, mode, sigma_in)
-            else:
-                psi = psi_data_aided_empirical(simulate_data_aided_observations(
-                    realization, assignment, config, mode, sigma_in, rng,
-                    n_draws=max(100, 10 * M)))
+            psi = psi_data_aided_bound(realization, assignment, config, mode, sigma_in)
             s_blocks = np.moveaxis(frame_codeword(soft_prev.s_hat, frame), 2, 0)
         W, C = lmmse_filter(Rs, psi)
         del psi
@@ -197,7 +185,7 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
                 V[:, l], h_hat[:, l], C[l], realization, l, mode, config,
                 sigma_in[l], cancelled=(it > 0))
         if np.any(n_var <= 0):
-            # An indefinite error covariance (sample psi) or a zero combiner.
+            # An indefinite error covariance or a zero combiner.
             raise EstimationError(f"iteration {it}: effective noise variance is not positive")
 
         # Per-slot LLRs with per-block gains, reassembled into codeword order.
@@ -236,7 +224,7 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
                                      mse_emp=mse_channel_empirical(h_true, h_hat),
                                      se_mi=se_mi, snr_eff_db=effective_snr_db(g, n_var),
                                      bler=bler(ok), fallback_blocks=fallbacks))
-        return ChannelEstimateSet(h_hat=h_hat, C=C, source=source)
+        return ChannelEstimateSet(h_hat=h_hat, C=C)
 
     estimates = iterate()
     h0 = estimates.h_hat

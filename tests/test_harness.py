@@ -11,7 +11,7 @@ import pytest
 
 import ullsim
 import ullsim.codec
-from ullsim import ScenarioConfig, harness
+from ullsim import ScenarioConfig, cli, harness
 from ullsim.chest import ProjectionError
 from ullsim.config import ConfigError, load_config, save_config
 from ullsim.harness import (CSV_COLUMNS, Campaign, apply_grid_point,
@@ -76,8 +76,8 @@ def test_campaign_validation():
 # tau_c = 4 leaves rp tau_d = 2 = K data samples: too few for the data-aided bound.
 @pytest.mark.parametrize("field, value, extra", [
     pytest.param(f, v, {}, id=f"{f}-{v}") for f, v in [
-        ("mode", "xx"), ("combiner", "zf"), ("psi_source", "oracle"),
-        ("code_rate", "2/3"), ("i_max", -1), ("workers", 0)]
+        ("mode", "xx"), ("combiner", "zf"), ("code_rate", "2/3"),
+        ("i_max", -1), ("workers", 0), ("seed", -1)]
 ] + [
     # the coded receiver ignores sigma_est, so sweeping it means nothing
     pytest.param("grid_param", "sigma_est", {}, id="grid_param-sigma_est-coded"),
@@ -86,6 +86,8 @@ def test_campaign_validation():
                  id="config-rp_short_tau_d-gaussian"),
     pytest.param("grid_param", "tau_c", {"grid_values": (24, 4)},
                  id="grid_param-tau_c-rp_short_tau_d"),
+    # an integer field would silently run M=8 and label the rows 8.5
+    pytest.param("grid_param", "M", {"grid_values": (8.5,)}, id="grid_param-M-fractional"),
 ])
 def test_campaign_rejects_bad_field_at_construction(field, value, extra):
     with pytest.raises(ConfigError):
@@ -363,7 +365,7 @@ def test_cli_study_runs_as_the_study_does(tmp_path):
     assert modes == {"rp", "rp3", "sp"}
 
 
-def test_cli_config_error_exits_2(tmp_path, config_file):
+def test_cli_config_error_exits_2(tmp_path, config_file, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("M = 4\nunknown_knob = 1\n")
     proc = run_cli(["run", str(bad)], tmp_path)
@@ -373,6 +375,20 @@ def test_cli_config_error_exits_2(tmp_path, config_file):
     proc = run_cli(["sweep", str(config_file), "--param", "sigma_est",
                     "--values", "2.0", "--trials", "1"], tmp_path)
     assert proc.returncode == 2
+    # these fail before any trial runs, so they run in-process
+    for args in (["sweep", "--param", "snr_db", "--values", "abc"],
+                 ["sweep", "--param", "snr_db", "--values", "0,nan"],
+                 ["sweep", "--param", "snr_db", "--values", "inf"],
+                 ["sweep", "--param", "M", "--values", "8.5"],
+                 ["run", "--seed", "-1"]):
+        assert cli.main([args[0], str(config_file), *args[1:]]) == 2, args
+        assert "config error" in capsys.readouterr().err
+    # only the closed-form bound is left behind --psi
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(config_file), "--psi", "empirical"])
+    assert exc.value.code == 2
+    args = cli.build_parser().parse_args(["run", str(config_file), "--psi", "bound"])
+    assert args.psi == "bound"
 
 
 def test_cli_io_error_exits_3(tmp_path, config_file):

@@ -56,16 +56,6 @@ def test_sigma_update_rules():
 # Argument guards
 
 
-def test_receiver_rejects_bad_psi_source():
-    config = ScenarioConfig(M=2, K=1, L=1, tau_c=8, tau_p=1)
-    with pytest.raises(ConfigError):
-        run_receiver(None, None, None, config, None, None, "rp",
-                     psi_source="exact")
-    with pytest.raises(ConfigError):
-        run_receiver(None, None, None, config, None, None, "rp",
-                     psi_source="empirical", rng=None)
-
-
 def test_receiver_rejects_rp_without_data_room():
     # tau_d = 2 <= K = 10: the projection cannot have full column rank
     config = ScenarioConfig(M=2, K=10, L=1, tau_c=12, tau_p=10)
@@ -129,7 +119,6 @@ def test_imax_zero_is_the_pilot_only_pipeline(code):
     assert len(trace.states) == 1
     state = trace.final
     assert state.index == 0
-    assert trace.estimates.source == "pilot"
     # the estimates must be exactly LMMSE on the de-spread pilot observation
     psi0 = psi_pilot(net, asg, config, "sp")
     W0, C0 = lmmse_filter(net.R[np.arange(1), np.arange(1)], psi0)
@@ -284,7 +273,6 @@ def test_receiver_memory_does_not_grow_with_imax(code):
 
     # The trace keeps the final iteration's estimates.
     final = trace.estimates
-    assert final.source == "bound"
     h_true = blocks.H[:, np.arange(3), np.arange(3)]
     assert np.array_equal(mse_channel_empirical(h_true, final.h_hat), trace.final.mse_emp)
     prev = trace.states[-2].soft

@@ -10,9 +10,9 @@ failed call, 2 when BASE_REV cannot be exported.
 
 The list covers the three perfbench workloads on the paper scenario at
 seeds 1 and 2, and the M=8, K=2, L=3 scenario through both modes and
-combiners, the gaussian pipeline, rate 3/4, a 2-worker sweep and a
-2-worker study. The paper-scale calls take a few minutes per tree on a
-2-core machine.
+combiners, the gaussian pipeline, rate 3/4, a 2-worker sweep, an integer
+(tau_c) sweep and a 2-worker study. The paper-scale calls take a few
+minutes per tree on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ def _calls() -> list[tuple[str, str, tuple]]:
         ("tiny-sweep-workers2", "tiny",
          ("sweep", "--param", "snr_db", "--values", "0,10", "--trials", "2",
           "--workers", "2")),
+        ("tiny-sweep-tau_c", "tiny",
+         ("sweep", "--param", "tau_c", "--values", "24,30", "--trials", "2")),
         ("tiny-study-workers2", "tiny",
          ("sweep", "--study", "--param", "sigma_est", "--values", "0.2,1.0",
           "--trials", "2", "--workers", "2")),
