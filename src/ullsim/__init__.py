@@ -29,8 +29,7 @@ from .metrics import (binary_entropy, bler, effective_snr_db,
 from .netgeom import (HexGrid, NetworkRealization, apply_power_control,
                       build_geometry, local_scattering_correlation, make_network)
 from .pilots import PilotAssignment, PilotBook, assign_pilots, make_pilot_book, sp_reuse_factor
-from .receiver import (IterationState, IterationTrace, estimate_and_combine, run_receiver,
-                       sigma_update)
+from .receiver import IterationState, IterationTrace, estimate_and_combine, run_receiver
 
 __version__ = "0.1.0"
 
@@ -51,7 +50,7 @@ __all__ = [
     "mse_channel_empirical", "pilot_observation", "psi_data_aided_bound",
     "psi_data_aided_empirical", "psi_pilot", "qpsk_demap_llr", "qpsk_map",
     "remodulate", "run_campaign", "run_receiver", "save_config",
-    "se_mutual_info", "se_uatf_moments", "se_uatf_samples", "sigma_update",
+    "se_mutual_info", "se_uatf_moments", "se_uatf_samples",
     "simulate_blocks", "simulate_data_aided_observations", "soft_symbols",
     "sp_reuse_factor", "write_csv",
 ]

@@ -76,9 +76,7 @@ def draw_channels(R_sqrt: np.ndarray, rng: np.random.Generator,
 class BlockSignals:
     """Signals of one batch of coherence blocks (leading axis = block)."""
 
-    mode: str
     H: np.ndarray             # (B, L, L, K, M) channels (BS, cell, UE)
-    X: np.ndarray             # (B, L, K, tau_c) transmitted sequences
     Y: np.ndarray             # (B, L, M, tau_c) received signals
 
     @property
@@ -136,4 +134,4 @@ def simulate_blocks(mode: str, assignment: PilotAssignment, data: np.ndarray,
     H = draw_channels(R_sqrt, rng, n_blocks=data.shape[0])
     X = build_transmit(mode, assignment, data, realization, config)
     Y = receive(H, X, config.noise_energy, rng)
-    return BlockSignals(mode=mode, H=H, X=X, Y=Y)
+    return BlockSignals(H=H, Y=Y)

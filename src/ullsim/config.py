@@ -9,6 +9,7 @@ Defaults follow the urban-macro setup used throughout: 20 MHz bandwidth,
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,6 +77,12 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # rho_max = inf means no power cap; every other float must be finite.
+            if f.name not in _INT_FIELDS and not (
+                    math.isfinite(value) or (f.name == "rho_max" and value == math.inf)):
+                raise ConfigError(f"{f.name} must be finite (got {value})")
         if self.M < 1 or self.K < 1:
             raise ConfigError(f"M and K must be positive (got M={self.M}, K={self.K})")
         if self.L not in hex_cluster_values(_HEX_CLUSTER_LIMIT):

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .airlink import correlation_sqrt, gaussian_symbols, simulate_blocks
-from .chest import (EstimationError, ProjectionError, lmmse_filter,
-                    psi_data_aided_bound, psi_pilot)
+from .chest import EstimationError, ProjectionError
 from .codec import PRESET_RATES, encode, frame_codeword, make_code, qpsk_map
 from .codec.framing import make_frame
 from .codec.ldpc import CodeSpec
@@ -207,7 +206,6 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     mode = campaign.mode
     assignment = assign_pilots(config, mode)
     L, K = config.L, config.K
-    Rs = realization.R[np.arange(L), np.arange(L)]
     sig = np.full((L, K), sigma_est)
 
     # Fresh blocks at the surrogate symbol quality for the Monte Carlo SE,
@@ -216,12 +214,10 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     s_hat, s = gaussian_symbols(rng, sig, (GAUSSIAN_BLOCKS, L, K, n_data))
     blocks = simulate_blocks(mode, assignment, s, realization, config, rng, R_sqrt)
 
-    W0, C0 = lmmse_filter(Rs, psi_pilot(realization, assignment, config, mode))
-    W1, C1 = lmmse_filter(Rs, psi_data_aided_bound(realization, assignment, config, mode, sig))
+    stage = (blocks, realization, assignment, config, mode, campaign.combiner)
+    h_pilot, C0, _, y0, _ = estimate_and_combine(*stage)
+    _, C1, _, y1, _ = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig, h_pilot=h_pilot)
     mse = {0: mse_channel_analytic(C0), 1: mse_channel_analytic(C1)}
-    stage = (realization, assignment, config, mode, campaign.combiner)
-    h_pilot, _, y0, _ = estimate_and_combine(blocks, W0, C0, *stage)
-    _, _, y1, _ = estimate_and_combine(blocks, W1, C1, *stage, s_blocks=s_hat, h_pilot=h_pilot)
     prelog = n_data / config.tau_c
     se = {it: np.array([[se_uatf_samples(y[:, l, k], s[:, l, k], prelog, min_samples=1)
                          for k in range(K)] for l in range(L)])

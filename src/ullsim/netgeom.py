@@ -93,28 +93,25 @@ class HexGrid:
 
 @dataclass
 class NetworkRealization:
-    """One large-scale realization: geometry, gains, correlations, powers.
+    """One large-scale realization: spatial correlations and transmit energies.
 
     Index convention: [l, ll, k] couples BS l with UE k of cell ll.
     """
 
-    grid: HexGrid
-    ue_pos: np.ndarray        # (L, K, 2) km
-    beta: np.ndarray          # (L, L, K) linear channel gains
-    angle: np.ndarray         # (L, L, K) nominal angles, radians
     R: np.ndarray             # (L, L, K, M, M) spatial correlation matrices
     rho: np.ndarray           # (L, K) per-UE transmit energy after power control
-    q_rp: np.ndarray          # (L, K) RP pilot energy (== rho)
-    p_rp: np.ndarray          # (L, K) RP data energy (== rho)
-    q_sp: np.ndarray          # (L, K) SP pilot energy (delta * rho)
-    p_sp: np.ndarray          # (L, K) SP data energy ((1 - delta) * rho)
+    delta: float              # SP pilot share of rho
 
     def energies(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
-        """(pilot energy q, data energy p), each (L, K), for 'rp' or 'sp'."""
+        """(pilot energy q, data energy p), each (L, K), for 'rp' or 'sp'.
+
+        rp sends pilots and data at full energy; sp splits it, q = delta * rho
+        and p = (1 - delta) * rho.
+        """
         if mode == "rp":
-            return self.q_rp, self.p_rp
+            return self.rho, self.rho
         if mode == "sp":
-            return self.q_sp, self.p_sp
+            return self.delta * self.rho, (1.0 - self.delta) * self.rho
         raise ValueError(f"unknown mode {mode!r}")
 
     def intercell(self, l: int, energy: np.ndarray) -> np.ndarray:
@@ -211,9 +208,9 @@ def apply_power_control(beta_serving: np.ndarray, config: ScenarioConfig) -> np.
 
 
 def make_network(config: ScenarioConfig, rng) -> NetworkRealization:
-    """Full large-scale realization: geometry, correlations, and powers."""
+    """Full large-scale realization: correlations and powers of a fresh drop."""
     rng = np.random.default_rng(rng)
-    grid, ue_pos, beta, angle = build_geometry(config, rng)
+    _, _, beta, angle = build_geometry(config, rng)
     L, K, M = config.L, config.K, config.M
 
     R = np.empty((L, L, K, M, M), dtype=complex)
@@ -225,8 +222,4 @@ def make_network(config: ScenarioConfig, rng) -> NetworkRealization:
 
     serving = beta[np.arange(L), np.arange(L), :]          # (L, K)
     rho = apply_power_control(serving, config)
-    return NetworkRealization(
-        grid=grid, ue_pos=ue_pos, beta=beta, angle=angle, R=R,
-        rho=rho, q_rp=rho.copy(), p_rp=rho.copy(),
-        q_sp=config.delta * rho, p_sp=(1.0 - config.delta) * rho,
-    )
+    return NetworkRealization(R=R, rho=rho, delta=config.delta)

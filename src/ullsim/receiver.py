@@ -64,39 +64,43 @@ class IterationTrace:
         return self.states[-1]
 
 
-def sigma_update(sigma_sq: np.ndarray, decoded_ok: np.ndarray) -> np.ndarray:
-    """Symbol-quality input to the next estimation round (decoded UEs -> 1)."""
-    return np.where(np.asarray(decoded_ok, dtype=bool), 1.0,
-                    np.clip(np.asarray(sigma_sq, dtype=float), 0.0, 1.0))
-
-
-def estimate_and_combine(blocks: BlockSignals, W: np.ndarray, C: np.ndarray,
-                         realization: NetworkRealization, assignment: PilotAssignment,
-                         config: ScenarioConfig, mode: str, combiner_kind: str,
-                         s_blocks: np.ndarray | None = None, h_pilot: np.ndarray | None = None
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
+                         assignment: PilotAssignment, config: ScenarioConfig, mode: str,
+                         combiner_kind: str, s_blocks: np.ndarray | None = None,
+                         sigma: np.ndarray | None = None, h_pilot: np.ndarray | None = None
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """LMMSE channel estimates and combined data observations, every cell and block.
 
-    W, C: (L, K, M, M) LMMSE filters and error covariances of the serving
-    channels. Without s_blocks the filters act on the de-spread pilots and
-    the combiner removes no co-UE signal. With s_blocks (B, L, K, slots),
-    estimated data symbols, they act on the projection of each block onto
-    its estimated transmit matrix, and the combiner cancels the
-    reconstructed in-cell signals. The projection runs on all blocks at
-    once; only if that fails are the blocks redone one at a time, and a
-    block whose symbol matrix is still rank deficient keeps its h_pilot
-    estimate (or raises ProjectionError without one).
+    Without s_blocks the LMMSE filters of the serving channels come from
+    the pilot-only statistics (psi_pilot) and act on the de-spread pilots,
+    and the combiner removes no co-UE signal. With s_blocks (B, L, K, slots),
+    estimated data symbols of quality sigma (L, K), they come from the
+    closed-form data-aided statistics (psi_data_aided_bound) and act on the
+    projection of each block onto its estimated transmit matrix, and the
+    combiner cancels the reconstructed in-cell signals. The projection runs
+    on all blocks at once; only if that fails are the blocks redone one at a
+    time, and a block whose symbol matrix is still rank deficient keeps its
+    h_pilot estimate (or raises ProjectionError without one).
 
-    Returns (h_hat, V, y, fallbacks): h_hat and V (B, L, K, M), y
-    (B, L, K, slots), and the number of blocks that kept h_pilot.
+    Returns (h_hat, C, V, y, fallbacks): h_hat and V (B, L, K, M), the error
+    covariances C (L, K, M, M), y (B, L, K, slots), and the number of blocks
+    that kept h_pilot. psi and the filters are freed once used, so the
+    caller holds one set of channel statistics, C.
     """
+    L = config.L
+    if s_blocks is None:
+        psi = psi_pilot(realization, assignment, config, mode)
+    else:
+        psi = psi_data_aided_bound(realization, assignment, config, mode, sigma)
+    W, C = lmmse_filter(realization.R[np.arange(L), np.arange(L)], psi)
+    del psi
     Y = blocks.Y
     q, p = realization.energies(mode)
     seqs = assignment.seqs
     failed = []
     if s_blocks is None:
         z = np.stack([pilot_observation(Y[:, l], seqs[l], q[l], mode, tau_p=config.tau_p)
-                      for l in range(config.L)], axis=1)
+                      for l in range(L)], axis=1)
     else:
         Xh = np.swapaxes(build_transmit(mode, assignment, s_blocks, realization, config),
                          -1, -2)                           # (B, L, tau_c, K)
@@ -112,12 +116,13 @@ def estimate_and_combine(blocks: BlockSignals, W: np.ndarray, C: np.ndarray,
                         raise
                     failed.append((b, l))
     h_hat = np.einsum("lkmn,blkn->blkm", W, z)
+    del W
     for b, l in failed:
         h_hat[b, l] = h_pilot[b, l]                        # pilot-only fallback
 
     V = np.empty_like(h_hat)
     y = []
-    for l in range(config.L):
+    for l in range(L):
         V[:, l] = build_combiner(h_hat[:, l], C[l], realization.rho[l],
                                  config.noise_energy, combiner_kind)
         if s_blocks is None:
@@ -126,7 +131,7 @@ def estimate_and_combine(blocks: BlockSignals, W: np.ndarray, C: np.ndarray,
         else:
             y.append(combine_iterative(Y[:, l], V[:, l], h_hat[:, l], s_blocks[:, l],
                                        mode, config, p=p[l], seqs=seqs[l], q=q[l]))
-    return h_hat, V, np.stack(y, axis=1), len(failed)
+    return h_hat, C, V, np.stack(y, axis=1), len(failed)
 
 
 def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
@@ -147,7 +152,6 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
     if B != frame.n_blocks:
         raise ValueError(f"got {B} blocks for a {frame.n_blocks}-block frame")
 
-    Rs = realization.R[np.arange(L), np.arange(L)]         # (L, K, M, M) serving
     h_true = blocks.H[:, np.arange(L), np.arange(L)]       # (B, L, K, M)
     prelog = config.data_slots(mode) / config.tau_c
     states: list[IterationState] = []
@@ -156,27 +160,22 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
     def iterate() -> ChannelEstimateSet:
         """One estimate -> combine -> demap -> decode pass.
 
-        Appends the pass's state and returns its estimates. psi and W are
-        dropped once used, and the caller drops the previous pass's
-        estimates first, so one iteration's channel statistics are live.
+        Appends the pass's state and returns its estimates. The caller drops
+        the previous pass's estimates first, so one iteration's channel
+        statistics are live.
         """
         it = len(states)
         if it == 0:
             # Iteration 0: pilot-only estimation.
             soft_prev, s_blocks = None, None
             sigma_in = np.zeros((L, K))
-            psi = psi_pilot(realization, assignment, config, mode)
         else:
             soft_prev = states[-1].soft
-            sigma_in = sigma_update(soft_prev.sigma_sq, soft_prev.decoded_ok)
-            psi = psi_data_aided_bound(realization, assignment, config, mode, sigma_in)
+            sigma_in = soft_prev.sigma_sq
             s_blocks = np.moveaxis(frame_codeword(soft_prev.s_hat, frame), 2, 0)
-        W, C = lmmse_filter(Rs, psi)
-        del psi
-        h_hat, V, y_hat, fallbacks = estimate_and_combine(
-            blocks, W, C, realization, assignment, config, mode, combiner_kind,
-            s_blocks=s_blocks, h_pilot=h0)
-        del W
+        h_hat, C, V, y_hat, fallbacks = estimate_and_combine(
+            blocks, realization, assignment, config, mode, combiner_kind,
+            s_blocks=s_blocks, sigma=sigma_in, h_pilot=h0)
 
         g = np.empty((B, L, K), dtype=complex)
         n_var = np.empty((B, L, K))

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ullsim import ScenarioConfig
-from ullsim.netgeom import HexGrid, NetworkRealization
+from ullsim.netgeom import NetworkRealization
 
 
 def manual_network(config: ScenarioConfig, beta: np.ndarray,
@@ -24,9 +24,4 @@ def manual_network(config: ScenarioConfig, beta: np.ndarray,
         serving = beta[np.arange(L), np.arange(L)]
         rho = np.minimum(config.rho_design / serving, config.rho_max)
     rho = np.asarray(rho, dtype=float)
-    return NetworkRealization(
-        grid=HexGrid(L, config.inter_bs_km), ue_pos=np.zeros((L, K, 2)),
-        beta=beta, angle=np.zeros((L, L, K)), R=R, rho=rho,
-        q_rp=rho.copy(), p_rp=rho.copy(),
-        q_sp=config.delta * rho, p_sp=(1.0 - config.delta) * rho,
-    )
+    return NetworkRealization(R=R, rho=rho, delta=config.delta)

@@ -165,7 +165,6 @@ def test_simulate_blocks_shapes_both_modes():
         data = crandn(rng, (5, config.L, config.K, n_data))
         blocks = simulate_blocks(mode, asg, data, net, config, rng)
         assert blocks.H.shape == (5, 3, 3, 2, config.M)
-        assert blocks.X.shape == (5, 3, 2, config.tau_c)
         assert blocks.Y.shape == (5, 3, config.M, config.tau_c)
         assert blocks.n_blocks == 5
 

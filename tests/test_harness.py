@@ -304,6 +304,23 @@ def test_config_load_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
+_FLOAT_FIELDS = ("delta", "noise_energy", "rho_design", "rho_max", "inter_bs_km",
+                 "pathloss_exponent", "pathloss_ref_db", "shadow_std_db", "min_dist_km",
+                 "angular_std_deg", "antenna_spacing")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_config_rejects_non_finite_floats(field, value):
+    # NaN compares False with every bound, so a plain `<= 0` check lets it through.
+    if field == "rho_max" and value == float("inf"):
+        assert small_config(rho_max=value).rho_max == value     # no power cap
+        return
+    with pytest.raises(ConfigError, match=field):
+        small_config(**{field: value})
+
+
 def test_config_load_missing_file_is_io_error(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "nope.cfg")
@@ -383,6 +400,13 @@ def test_cli_config_error_exits_2(tmp_path, config_file, capsys):
                  ["run", "--seed", "-1"]):
         assert cli.main([args[0], str(config_file), *args[1:]]) == 2, args
         assert "config error" in capsys.readouterr().err
+    # a NaN in the config file once ran every trial into a failure and exited 0
+    nan_file = tmp_path / "nan.cfg"
+    nan_file.write_text(config_file.read_text() + "rho_design = nan\n")
+    assert cli.main(["run", str(nan_file), "--pipeline", "gaussian", "--trials", "1",
+                     "--out", str(tmp_path / "nan.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "nan.csv").exists()
     # only the closed-form bound is left behind --psi
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", str(config_file), "--psi", "empirical"])

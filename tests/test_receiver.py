@@ -16,7 +16,7 @@ from ullsim.config import ConfigError
 from ullsim.netgeom import make_network
 from ullsim.pilots import assign_pilots
 from ullsim.metrics import mse_channel_empirical
-from ullsim.receiver import estimate_and_combine, run_receiver, sigma_update
+from ullsim.receiver import estimate_and_combine, run_receiver
 
 
 @pytest.fixture(scope="module")
@@ -37,19 +37,6 @@ def make_trial(config, net, mode, code, rng):
         (config.L, config.K, frame.n_blocks, n_data)), (2, 0, 1, 3))
     blocks = simulate_blocks(mode, asg, data, net, config, rng)
     return asg, frame, cw, blocks
-
-
-# ---------------------------------------------------------------------------
-# sigma_update
-
-
-def test_sigma_update_rules():
-    sig = np.array([[0.3, 1.7], [-0.2, 0.9]])
-    ok = np.array([[True, False], [False, True]])
-    out = sigma_update(sig, ok)
-    assert np.array_equal(out, [[1.0, 1.0], [0.0, 1.0]])
-    assert np.array_equal(sigma_update(np.zeros(3), np.zeros(3, dtype=bool)),
-                          np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -134,24 +121,55 @@ def test_imax_zero_is_the_pilot_only_pipeline(code):
 # Estimate-and-combine stage
 
 
+def _stage_inputs(net, config):
+    """Pilots, surrogate blocks and estimated symbols for the sp stage on net."""
+    asg = assign_pilots(config, "sp")
+    rng = np.random.default_rng(6)
+    sig = np.full((config.L, config.K), 0.6)
+    s_hat, s = gaussian_symbols(rng, sig, (4, config.L, config.K, config.data_slots("sp")))
+    blocks = simulate_blocks("sp", asg, s, net, config, rng)
+    return asg, blocks, s_hat, sig
+
+
+@pytest.mark.parametrize("drop", ["manual", "make_network"])
+def test_stage_picks_pilot_or_data_aided_statistics(drop):
+    config = ScenarioConfig(M=8, K=2, L=3, tau_c=40, tau_p=2)
+    if drop == "manual":
+        beta = np.full((3, 3, 2), 0.2)
+        beta[np.arange(3), np.arange(3)] = 1.0
+        net = manual_network(config, beta)
+    else:
+        net = make_network(config, np.random.default_rng(5))
+    asg, blocks, s_hat, sig = _stage_inputs(net, config)
+    Rs = net.R[np.arange(3), np.arange(3)]
+    W0, C0 = lmmse_filter(Rs, psi_pilot(net, asg, config, "sp"))
+    _, C1 = lmmse_filter(Rs, psi_data_aided_bound(net, asg, config, "sp", sig))
+    assert not np.allclose(C0, C1, rtol=1e-3, atol=0)   # the two statistics differ
+
+    h_hat, C, _, _, _ = estimate_and_combine(blocks, net, asg, config, "sp", "mr")
+    q, _ = net.energies("sp")
+    z0 = np.stack([pilot_observation(blocks.Y[:, l], asg.seqs[l], q[l], "sp")
+                   for l in range(3)], axis=1)
+    assert np.array_equal(C, C0)
+    assert np.array_equal(h_hat, np.einsum("lkmn,blkn->blkm", W0, z0))
+
+    _, C, _, _, _ = estimate_and_combine(blocks, net, asg, config, "sp", "mr",
+                                         s_blocks=s_hat, sigma=sig, h_pilot=h_hat)
+    assert np.array_equal(C, C1)
+
+
 def test_rank_deficient_block_keeps_its_pilot_estimate():
     config = ScenarioConfig(M=8, K=2, L=3, tau_c=40, tau_p=2)
     net = make_network(config, np.random.default_rng(5))
-    asg = assign_pilots(config, "sp")
-    rng = np.random.default_rng(6)
-    sig = np.full((3, 2), 0.6)
-    s_hat, s = gaussian_symbols(rng, sig, (4, 3, 2, config.data_slots("sp")))
-    blocks = simulate_blocks("sp", asg, s, net, config, rng)
-    Rs = net.R[np.arange(3), np.arange(3)]
-    W0, C0 = lmmse_filter(Rs, psi_pilot(net, asg, config, "sp"))
-    W1, C1 = lmmse_filter(Rs, psi_data_aided_bound(net, asg, config, "sp", sig))
-    h_pilot, _, _, _ = estimate_and_combine(blocks, W0, C0, net, asg, config, "sp", "mr")
-    stage = (blocks, W1, C1, net, asg, config, "sp", "mr")
-    clean, _, _, clean_fallbacks = estimate_and_combine(*stage, s_blocks=s_hat,
-                                                        h_pilot=h_pilot)
+    asg, blocks, s_hat, sig = _stage_inputs(net, config)
+    stage = (blocks, net, asg, config, "sp", "mr")
+    h_pilot, _, _, _, _ = estimate_and_combine(*stage)
+    clean, _, _, _, clean_fallbacks = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig,
+                                                           h_pilot=h_pilot)
     broken = s_hat.copy()
     broken[2, 1] = np.nan                  # no Gram matrix to invert in block 2, cell 1
-    h_hat, _, _, fallbacks = estimate_and_combine(*stage, s_blocks=broken, h_pilot=h_pilot)
+    h_hat, _, _, _, fallbacks = estimate_and_combine(*stage, s_blocks=broken, sigma=sig,
+                                                     h_pilot=h_pilot)
 
     assert clean_fallbacks == 0
     assert fallbacks == 1
@@ -160,7 +178,7 @@ def test_rank_deficient_block_keeps_its_pilot_estimate():
     others[2, 1] = False
     assert np.array_equal(h_hat[others], clean[others])
     with pytest.raises(ProjectionError):   # nothing to fall back on
-        estimate_and_combine(*stage, s_blocks=broken)
+        estimate_and_combine(*stage, s_blocks=broken, sigma=sig)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +294,6 @@ def test_receiver_memory_does_not_grow_with_imax(code):
     h_true = blocks.H[:, np.arange(3), np.arange(3)]
     assert np.array_equal(mse_channel_empirical(h_true, final.h_hat), trace.final.mse_emp)
     prev = trace.states[-2].soft
-    psi = psi_data_aided_bound(net, asg, config, "sp",
-                               sigma_update(prev.sigma_sq, prev.decoded_ok))
+    psi = psi_data_aided_bound(net, asg, config, "sp", prev.sigma_sq)
     _, C = lmmse_filter(net.R[np.arange(3), np.arange(3)], psi)
     assert np.array_equal(final.C, C)

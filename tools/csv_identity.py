@@ -10,9 +10,10 @@ failed call, 2 when BASE_REV cannot be exported.
 
 The list covers the three perfbench workloads on the paper scenario at
 seeds 1 and 2, and the M=8, K=2, L=3 scenario through both modes and
-combiners, the gaussian pipeline, rate 3/4, a 2-worker sweep, an integer
-(tau_c) sweep and a 2-worker study. The paper-scale calls take a few
-minutes per tree on a 2-core machine.
+combiners, the gaussian pipeline in both modes, rate 3/4, a 2-worker
+sweep, an integer (tau_c) sweep, a 2-worker study and a study at
+sigma_est = 0. The paper-scale calls take a few minutes per tree on a
+2-core machine.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ def _calls() -> list[tuple[str, str, tuple]]:
                           ("run", "--mode", mode, "--combiner", combiner, "--trials", "2")))
     calls += [
         ("tiny-gaussian", "tiny", ("run", "--pipeline", "gaussian", "--trials", "3")),
+        ("tiny-gaussian-sp", "tiny",
+         ("run", "--pipeline", "gaussian", "--mode", "sp", "--trials", "3")),
         ("tiny-rate34", "tiny", ("run", "--rate", "3/4", "--trials", "2")),
         ("tiny-sweep-workers2", "tiny",
          ("sweep", "--param", "snr_db", "--values", "0,10", "--trials", "2",
@@ -63,6 +66,10 @@ def _calls() -> list[tuple[str, str, tuple]]:
         ("tiny-study-workers2", "tiny",
          ("sweep", "--study", "--param", "sigma_est", "--values", "0.2,1.0",
           "--trials", "2", "--workers", "2")),
+        # sigma_est = 0 takes the bound's rp pilot-only branch
+        ("tiny-study-sigma0", "tiny",
+         ("sweep", "--study", "--param", "sigma_est", "--values", "0.0,0.5",
+          "--trials", "2")),
     ]
     return calls
 
