@@ -127,11 +127,13 @@ def simulate_blocks(mode: str, assignment: PilotAssignment, data: np.ndarray,
 
     data: (n_blocks, L, K, n_data). The same data layout is used by the
     Gaussian-symbol studies (CN(0,1) symbols) and the coded pipeline
-    (framed QPSK symbols).
+    (framed QPSK symbols). An R^(1/2) made here is freed before receive
+    allocates Y and the noise; a caller's R_sqrt stays with the caller.
     """
     if R_sqrt is None:
         R_sqrt = correlation_sqrt(realization.R)
     H = draw_channels(R_sqrt, rng, n_blocks=data.shape[0])
+    del R_sqrt
     X = build_transmit(mode, assignment, data, realization, config)
     Y = receive(H, X, config.noise_energy, rng)
     return BlockSignals(H=H, Y=Y)

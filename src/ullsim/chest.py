@@ -254,11 +254,12 @@ def lmmse_filter(R: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     X = _solve_psd(Psi, R)                            # Psi^{-1} R
     # W = X^H = R Psi^{-1} (both Hermitian), C = R - W R, C = 0.5 (C + C^H):
-    # the same bits in place on fresh arrays, three (..., M, M) temporaries fewer.
+    # the same bits in place on fresh arrays, with (M, M) temporaries only.
     W = np.swapaxes(np.conjugate(X, out=X), -1, -2)
     C = W @ R
     np.subtract(R, C, out=C)
-    C += np.swapaxes(np.conjugate(C), -1, -2)
+    for idx in np.ndindex(C.shape[:-2]):
+        C[idx] += np.conjugate(C[idx]).T
     C *= 0.5
     return W, C
 

@@ -12,13 +12,17 @@ from .framing import CodewordFrame, frame_codeword
 
 @dataclass
 class SoftDataState:
-    """Per-iteration decoder state for a batch of codewords."""
+    """Per-iteration decoder state for a batch of codewords.
 
-    llr_post: np.ndarray      # (..., n) posterior LLRs out of the decoder
-    s_hat: np.ndarray         # (..., n_sym) soft symbol estimates
-    sigma_sq: np.ndarray      # (...,) mean squared soft-symbol amplitude
-    decoded_ok: np.ndarray    # (...,) parity-check success flags
-    hard_bits: np.ndarray     # (..., n) hard decisions
+    The receiver sets llr_post and s_hat to None in every state but its
+    newest, once the next iteration has read them.
+    """
+
+    llr_post: np.ndarray | None   # (..., n) posterior LLRs out of the decoder
+    s_hat: np.ndarray | None      # (..., n_sym) soft symbol estimates
+    sigma_sq: np.ndarray          # (...,) mean squared soft-symbol amplitude
+    decoded_ok: np.ndarray        # (...,) parity-check success flags
+    hard_bits: np.ndarray         # (..., n) hard decisions
 
 
 __all__ = [

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,9 +80,13 @@ class ScenarioConfig:
     def validate(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            if f.name in _INT_FIELDS:
+                try:
+                    operator.index(value)
+                except TypeError:
+                    raise ConfigError(f"{f.name} must be an integer (got {value!r})") from None
             # rho_max = inf means no power cap; every other float must be finite.
-            if f.name not in _INT_FIELDS and not (
-                    math.isfinite(value) or (f.name == "rho_max" and value == math.inf)):
+            elif not (math.isfinite(value) or (f.name == "rho_max" and value == math.inf)):
                 raise ConfigError(f"{f.name} must be finite (got {value})")
         if self.M < 1 or self.K < 1:
             raise ConfigError(f"M and K must be positive (got M={self.M}, K={self.K})")

@@ -34,7 +34,12 @@ from .pilots import PilotAssignment
 
 @dataclass
 class IterationState:
-    """What one iteration produced (arrays indexed [block, cell, ue])."""
+    """What one iteration produced (arrays indexed [block, cell, ue]).
+
+    soft is complete in the newest state only. Once the next iteration has
+    read it, its llr_post and s_hat become None; sigma_sq, decoded_ok and
+    hard_bits stay, so a state costs L*K*n bytes of bits, not its soft state.
+    """
 
     index: int
     soft: SoftDataState
@@ -53,6 +58,9 @@ class IterationTrace:
 
     Earlier iterations' estimates and error covariances are not kept: they
     are L*K*M^2 numbers per iteration, the bulk of the receiver's memory.
+    Nor are their LLRs and soft symbols: final.soft is the one complete
+    soft state (see IterationState), so the trace does not grow with i_max
+    beyond each state's hard bits and per-UE figures.
     """
 
     states: list
@@ -92,7 +100,9 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
         psi = psi_pilot(realization, assignment, config, mode)
     else:
         psi = psi_data_aided_bound(realization, assignment, config, mode, sigma)
-    W, C = lmmse_filter(realization.R[np.arange(L), np.arange(L)], psi)
+    # The serving correlations R[l, l] as a view: (K, M, M, L) -> (L, K, M, M).
+    R_serving = np.moveaxis(np.diagonal(realization.R, axis1=0, axis2=1), -1, 0)
+    W, C = lmmse_filter(R_serving, psi)
     del psi
     Y = blocks.Y
     q, p = realization.energies(mode)
@@ -173,6 +183,7 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
             soft_prev = states[-1].soft
             sigma_in = soft_prev.sigma_sq
             s_blocks = np.moveaxis(frame_codeword(soft_prev.s_hat, frame), 2, 0)
+            soft_prev.s_hat = None        # only the newest state keeps its full soft state
         h_hat, C, V, y_hat, fallbacks = estimate_and_combine(
             blocks, realization, assignment, config, mode, combiner_kind,
             s_blocks=s_blocks, sigma=sigma_in, h_pilot=h0)
@@ -191,6 +202,7 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
         llr_blocks = qpsk_demap_llr(y_hat, g[..., None], n_var[..., None])
         llr_cw = (llr_blocks.transpose(1, 2, 0, 3)
                   .reshape(L, K, -1)[:, :, :code.n])       # drop pad-slot bits
+        del s_blocks, V, y_hat, llr_blocks                 # the decoder needs none of them
 
         if soft_prev is None:
             prev_ok = np.zeros((L, K), dtype=bool)
@@ -198,6 +210,7 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
         else:
             prev_ok = soft_prev.decoded_ok
             llr_post = np.where(prev_ok[..., None], soft_prev.llr_post, llr_cw)
+            soft_prev.llr_post = None
         hard = hard_decisions(llr_post)
         ok = prev_ok.copy()
         todo = np.nonzero(~prev_ok.ravel())[0]

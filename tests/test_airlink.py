@@ -1,5 +1,7 @@
 """Channel drawing, transmit construction, and received-signal tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,30 @@ def test_simulate_blocks_shapes_both_modes():
         assert blocks.H.shape == (5, 3, 3, 2, config.M)
         assert blocks.Y.shape == (5, 3, config.M, config.tau_c)
         assert blocks.n_blocks == 5
+
+
+def test_simulate_blocks_frees_its_own_r_sqrt_before_receive():
+    # R^(1/2) is 0.5 MB here, and so are Y and its noise draw together;
+    # receive holds 2.5 Y at its peak (crandn writes through a half-size
+    # real scratch). Freed after the channel draw, R^(1/2) is never live with
+    # them; held through receive, it would lift the peak to R^(1/2) + 2.5 Y.
+    config = cfg(M=64, K=8, L=1, tau_c=64, tau_p=8)
+    net = make_network(config, np.random.default_rng(14))
+    asg = assign_pilots(config, "sp")
+    rng = np.random.default_rng(15)
+    data = crandn(rng, (4, config.L, config.K, config.tau_c))
+    r_sqrt_bytes = net.R.nbytes
+    y_bytes = 4 * config.L * config.M * config.tau_c * 16
+    assert 2 * y_bytes == r_sqrt_bytes
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        blocks = simulate_blocks("sp", asg, data, net, config, rng)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert blocks.Y.nbytes == y_bytes
+    assert peak < r_sqrt_bytes + 1.5 * y_bytes
 
 
 def test_transmit_rejects_wrong_data_length():

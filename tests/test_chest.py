@@ -195,6 +195,21 @@ def test_lmmse_filter_equals_the_out_of_place_expression(dtype):
     assert np.array_equal(C, C_want)
 
 
+def test_lmmse_filter_on_a_strided_view_of_r():
+    # The receiver hands lmmse_filter the serving correlations R[l, l] as a
+    # view of R's cell diagonal, not a fancy-index copy: same bits.
+    config = cfg(M=6, K=2, L=3, tau_c=16, tau_p=2)
+    net = make_network(config, np.random.default_rng(31))
+    psi = psi_pilot(net, assign_pilots(config, "sp"), config, "sp")
+    view = np.moveaxis(np.diagonal(net.R, axis1=0, axis2=1), -1, 0)
+    copy = net.R[np.arange(3), np.arange(3)]
+    assert np.shares_memory(view, net.R) and not view.flags.c_contiguous
+    W, C = lmmse_filter(view, psi)
+    W_want, C_want = lmmse_filter(copy, psi)
+    assert np.array_equal(W, W_want)
+    assert np.array_equal(C, C_want)
+
+
 # ---------------------------------------------------------------------------
 # Data-aided projection
 

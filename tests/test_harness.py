@@ -321,6 +321,21 @@ def test_config_rejects_non_finite_floats(field, value):
         small_config(**{field: value})
 
 
+@pytest.mark.parametrize("value", [8.5, 2.0, float("nan"), "8"],
+                         ids=["8.5", "2.0", "nan", "str"])
+@pytest.mark.parametrize("field", ["M", "K", "L", "tau_c", "tau_p"])
+def test_config_rejects_non_integer_sizes(field, value):
+    # Through the API a float size used to construct and fail inside a trial.
+    with pytest.raises(ConfigError, match=field):
+        small_config(**{field: value})
+
+
+def test_config_accepts_numpy_integer_sizes():
+    config = small_config(M=np.int64(3), K=np.int32(2), L=np.int64(3),
+                          tau_c=np.int16(24), tau_p=np.uint8(2))
+    assert config == small_config()
+
+
 def test_config_load_missing_file_is_io_error(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "nope.cfg")

@@ -186,8 +186,12 @@ def test_rank_deficient_block_keeps_its_pilot_estimate():
 
 
 @pytest.fixture(scope="module")
-def helper_trace(code):
-    """Scenario where one UE decodes at i = 0 and the other never does."""
+def helper_traces(code):
+    """Scenario where one UE decodes at i = 0 and the other never does.
+
+    Receivers at i_max = 0..3 on the same blocks: only a trace's final state
+    keeps its full soft state, so per-iteration soft checks read final.soft.
+    """
     config = ScenarioConfig(M=8, K=2, L=1, tau_c=200, tau_p=2,
                             noise_energy=1.0, rho_design=1.0, rho_max=10.0,
                             delta=0.3)
@@ -195,8 +199,15 @@ def helper_trace(code):
                          rho=np.ones((1, 2)))
     rng = np.random.default_rng(3)
     asg, frame, cw, blocks = make_trial(config, net, "sp", code, rng)
-    trace = run_receiver(blocks, net, asg, config, code, frame, "sp", i_max=3)
-    return trace, cw
+    traces = [run_receiver(blocks, net, asg, config, code, frame, "sp", i_max=i_max)
+              for i_max in range(4)]
+    return traces, cw
+
+
+@pytest.fixture(scope="module")
+def helper_trace(helper_traces):
+    traces, cw = helper_traces
+    return traces[-1], cw
 
 
 def test_unequal_ues_split_at_iteration_zero(helper_trace):
@@ -206,15 +217,36 @@ def test_unequal_ues_split_at_iteration_zero(helper_trace):
     assert np.array_equal(trace.states[0].soft.hard_bits[0, 0], cw[0, 0])
 
 
-def test_decoded_ue_stays_frozen(helper_trace):
-    trace, cw = helper_trace
-    for state in trace.states:
-        assert bool(state.soft.decoded_ok[0, 0])
-        assert np.array_equal(state.soft.hard_bits[0, 0], cw[0, 0])
-        assert state.soft.sigma_sq[0, 0] == 1.0
+def test_decoded_ue_stays_frozen(helper_traces):
+    traces, cw = helper_traces
+    expect = qpsk_map(cw[0, 0])
+    for trace in traces:
+        soft = trace.final.soft
+        assert bool(soft.decoded_ok[0, 0])
+        assert np.array_equal(soft.hard_bits[0, 0], cw[0, 0])
+        assert soft.sigma_sq[0, 0] == 1.0
         # frozen soft symbols are the exact remodulated codeword
-        expect = qpsk_map(cw[0, 0])
-        assert np.allclose(state.soft.s_hat[0, 0], expect, atol=1e-14)
+        assert np.allclose(soft.s_hat[0, 0], expect, atol=1e-14)
+
+
+def test_only_the_final_state_keeps_its_soft_state(helper_traces):
+    traces, _ = helper_traces
+    longest = traces[-1]
+    assert len(longest.states) == len(traces)
+    for t, trace in enumerate(traces):
+        final = trace.final
+        assert final.soft.llr_post is not None and final.soft.s_hat is not None
+        kept = longest.states[t]
+        if t < len(traces) - 1:
+            assert kept.soft.llr_post is None and kept.soft.s_hat is None
+        # A run stopped at i_max = t reproduces state t of a longer run.
+        assert final.index == kept.index == t
+        for name in ("sigma_sq", "decoded_ok", "hard_bits"):
+            assert np.array_equal(getattr(final.soft, name), getattr(kept.soft, name))
+        for name in ("g", "n_var", "mse_emp", "se_mi", "snr_eff_db"):
+            assert np.array_equal(getattr(final, name), getattr(kept, name))
+        assert final.bler == kept.bler
+        assert final.fallback_blocks == kept.fallback_blocks
 
 
 def test_bler_never_increases_across_iterations(helper_trace):
@@ -240,21 +272,24 @@ def test_helper_effect_improves_weak_ue_estimate(helper_trace):
 def test_receiver_is_deterministic(code):
     config = ScenarioConfig(M=8, K=2, L=1, tau_c=200, tau_p=2,
                             noise_energy=1.0, rho_design=1.0, rho_max=10.0)
-    net = manual_network(config, np.array([[[2.0, 1.0]]]))
+    # Without power control the weak UE never decodes, so every iteration runs.
+    net = manual_network(config, np.array([[[2.0, 0.3]]]), rho=np.ones((1, 2)))
 
-    def run():
+    def run(i_max):
         rng = np.random.default_rng(4)
         asg, frame, _, blocks = make_trial(config, net, "rp", code, rng)
-        return run_receiver(blocks, net, asg, config, code, frame, "rp", i_max=2)
+        return run_receiver(blocks, net, asg, config, code, frame, "rp", i_max=i_max)
 
-    a, b = run(), run()
-    assert len(a.states) == len(b.states)
-    assert a.termination == b.termination
-    for sa, sb in zip(a.states, b.states):
-        assert sa.bler == sb.bler
-        assert np.array_equal(sa.soft.llr_post, sb.soft.llr_post)
-        assert np.array_equal(sa.mse_emp, sb.mse_emp)
-        assert np.array_equal(sa.g, sb.g)
+    # Iteration i's LLRs survive only as final.soft of a run stopped at i_max = i.
+    for i_max in range(3):
+        a, b = run(i_max), run(i_max)
+        assert len(a.states) == len(b.states) == i_max + 1
+        assert a.termination == b.termination
+        for sa, sb in zip(a.states, b.states):
+            assert sa.bler == sb.bler
+            assert np.array_equal(sa.mse_emp, sb.mse_emp)
+            assert np.array_equal(sa.g, sb.g)
+        assert np.array_equal(a.final.soft.llr_post, b.final.soft.llr_post)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +319,12 @@ def test_receiver_memory_does_not_grow_with_imax(code):
     short, short_peak = traced(2)
     trace, peak = traced(6)
     assert len(short.states) == 3 and len(trace.states) == 7
-    # Four more iterations may add their soft states (about one C each time
-    # all four are counted), never their four error covariances.
-    c_bytes = config.L * config.K * config.M ** 2 * 16
-    assert peak - short_peak < 2 * c_bytes
+    # Four more iterations may add their trimmed states, each its hard bits
+    # (L*K*n bytes) plus per-UE figures, never their error covariances (a C
+    # is 1.6 MB here) or their soft states (LLRs and symbols, 17 bytes a bit:
+    # keeping all four would add 1.6 MB).
+    hard_bytes = config.L * config.K * code.n
+    assert peak - short_peak < 4 * 2 * hard_bytes
 
     # The trace keeps the final iteration's estimates.
     final = trace.estimates

@@ -9,7 +9,10 @@ module binding that refers to them, the way perfbench's tracer wraps them.
 For each stage it prints the number of calls, the traced bytes live when
 the first and the last call started, and the highest traced peak during
 any call (live bytes included), in MB. The LDPC code is built before
-tracing starts, as the benchmark builds it during set-up.
+tracing starts, as the benchmark builds it during set-up. Under the table
+it prints the process's peak resident set (`ru_maxrss`), which also
+counts the interpreter, the imported modules and what tracemalloc does not
+see; its gap to the trial's traced peak is that untraced part.
 
 numpy reports its array buffers to tracemalloc, so the figures are the
 program's Python and numpy allocations; BLAS/LAPACK workspaces and the
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
+import resource
 import sys
 import tracemalloc
 from pathlib import Path
@@ -33,7 +37,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 STAGES = (
     ("trial", "ullsim.harness", "run_coded_trial"),
     ("drop", "ullsim.netgeom", "make_network"),
+    ("blocks", "ullsim.airlink", "simulate_blocks"),
     ("R^1/2", "ullsim.airlink", "correlation_sqrt"),
+    ("receive", "ullsim.airlink", "receive"),
     ("receiver", "ullsim.receiver", "run_receiver"),
     ("psi", "ullsim.chest", "psi_pilot"),
     ("psi", "ullsim.chest", "psi_data_aided_bound"),
@@ -124,6 +130,8 @@ def main(argv: list[str] | None = None) -> int:
             continue
         print(f"{stage:<22}{name:<30}{s['calls']:>6}{s['first'] / MB:>9.1f}"
               f"{s['last'] / MB:>9.1f}{s['peak'] / MB:>9.1f}")
+    maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss   # kB on Linux
+    print(f"process peak RSS (ru_maxrss): {maxrss_kb * 1e3 / MB:.1f} MB")
     return 0
 
 
