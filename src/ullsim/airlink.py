@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from .config import ScenarioConfig
 from .netgeom import NetworkRealization
 from .pilots import PilotAssignment
@@ -45,16 +46,23 @@ def correlation_sqrt(R: np.ndarray) -> np.ndarray:
 
     R: (..., M, M). Eigendecomposition with negative eigenvalues clipped to
     zero, so slightly indefinite inputs (rounding) are handled gracefully.
-    One matrix at a time: the temporaries are (M, M), not stacks, and LAPACK
-    and BLAS get the per-matrix calls of the stacked expression, same bits.
+    One matrix at a time, the stack split over the trial's threads: the
+    temporaries are (M, M), not stacks, and LAPACK and BLAS get the
+    per-matrix calls of the stacked expression, same bits.
     """
     out = np.empty(R.shape, dtype=np.result_type(R.dtype, float))
-    for idx in np.ndindex(R.shape[:-2]):
-        w, U = np.linalg.eigh(R[idx])
-        # np.conjugate copies; U.conj() would alias a real U, which is scaled next.
-        U_h = np.swapaxes(np.conjugate(U), -1, -2)
-        U *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-        out[idx] = U @ U_h
+    stack = list(np.ndindex(R.shape[:-2]))
+
+    def sqrt_part(s):
+        for idx in stack[s]:
+            w, U = np.linalg.eigh(R[idx])
+            # conj(U) is parked in out[idx] (U.conj() would alias a real U,
+            # which is scaled next), so a thread holds two (M, M) arrays.
+            U_h = np.swapaxes(np.conjugate(U, out=out[idx]), -1, -2)
+            U *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+            out[idx] = U @ U_h
+
+    _threads.split(sqrt_part, len(stack), work=R.size * R.shape[-1])
     return out
 
 
@@ -69,7 +77,9 @@ def draw_channels(R_sqrt: np.ndarray, rng: np.random.Generator,
     if n_blocks is not None:
         shape = (n_blocks,) + shape
     w = crandn(rng, shape)
-    return np.einsum("...mn,...n->...m", R_sqrt, w)
+    # Blocks are split over the trial's threads, R^(1/2) shared.
+    return _threads.einsum("...mn,...n->...m", R_sqrt, w,
+                           split_ops=(1,) if n_blocks is not None else ())
 
 
 @dataclass
@@ -111,8 +121,10 @@ def receive(H: np.ndarray, X: np.ndarray, noise_energy: float,
     """Received blocks Y_l = sum_{cells, UEs} h x^T + N at every BS.
 
     H: (..., L, L, K, M), X: (..., L, K, tau_c) -> Y: (..., L, M, tau_c).
+    Stacked blocks are split over the trial's threads.
     """
-    Y = np.einsum("...abkm,...bkt->...amt", H, X)
+    Y = _threads.einsum("...abkm,...bkt->...amt", H, X,
+                        split_ops=(0, 1) if H.ndim == X.ndim + 1 > 4 else ())
     noise = crandn(rng, Y.shape)
     noise *= np.sqrt(noise_energy)
     Y += noise

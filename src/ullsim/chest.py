@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from .airlink import (build_transmit, correlation_sqrt, draw_channels,
                       gaussian_symbols, receive)
 from .config import ScenarioConfig
@@ -88,7 +89,8 @@ def data_aided_observation(Y: np.ndarray, Xhat: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ProjectionError("estimated symbol matrix is numerically rank deficient")
     U = np.swapaxes(A.conj(), -1, -2)                 # Xhat G^{-1}
-    return np.einsum("...mt,...tk->...km", Y, np.conj(U))
+    blocks = (0, 1) if Y.ndim == U.ndim > 2 else ()   # split stacked blocks
+    return _threads.einsum("...mt,...tk->...km", Y, np.conj(U), split_ops=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +228,30 @@ def psi_data_aided_empirical(draws: np.ndarray) -> np.ndarray:
 # LMMSE
 
 
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.linalg.solve on stacks, split over the trial's threads.
+
+    Split (stacks of one shape), each thread makes one LAPACK call per
+    matrix, the call the stacked solve makes for it, into its own slice of X.
+    """
+    stack = list(np.ndindex(B.shape[:-2]))
+    work = B.size * A.shape[-1]
+    if A.shape[:-2] != B.shape[:-2] or not _threads.parallel(len(stack), work):
+        return np.linalg.solve(A, B)
+    X = np.empty(B.shape, dtype=np.result_type(A, B, float))
+
+    def solve_part(s):
+        for idx in stack[s]:
+            X[idx] = np.linalg.solve(A[idx], B[idx])
+
+    _threads.split(solve_part, len(stack), work)
+    return X
+
+
 def _solve_psd(Psi: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve Psi X = B for stacks of Hermitian Psi, with one-shot regularization."""
     try:
-        X = np.linalg.solve(Psi, B)
+        X = _solve(Psi, B)
         if np.all(np.isfinite(X)):
             return X
     except np.linalg.LinAlgError:
@@ -238,7 +260,7 @@ def _solve_psd(Psi: np.ndarray, B: np.ndarray) -> np.ndarray:
     tr = np.einsum("...ii->...", Psi).real
     reg = Psi + (1e-12 * tr / M)[..., None, None] * np.eye(M)
     try:
-        X = np.linalg.solve(reg, B)
+        X = _solve(reg, B)
     except np.linalg.LinAlgError as exc:
         raise EstimationError("observation covariance is singular") from exc
     if not np.all(np.isfinite(X)):

@@ -286,8 +286,12 @@ def decode(llr: np.ndarray, spec: CodeSpec, max_iters: int | None = None
                 active = active[keep]
                 if active.size == 0:
                     break
-                tot2, ch_blk, c2v = (np.compress(keep, a, axis=-1)
-                                     for a in (tot2, ch_blk, c2v))
+                # Drop v2c and every view of the old arrays, then copy one
+                # array at a time, so each old array is freed as its copy lands.
+                del tot, acc, head, tail, v2c
+                tot2 = np.compress(keep, tot2, axis=-1)
+                ch_blk = np.compress(keep, ch_blk, axis=-1)
+                c2v = np.compress(keep, c2v, axis=-1)
                 tot = tot2[:, :Z]
                 v2c = np.empty_like(c2v)
         if active.size:

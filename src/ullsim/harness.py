@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _threads
 from .airlink import correlation_sqrt, gaussian_symbols, simulate_blocks
 from .chest import EstimationError, ProjectionError
 from .codec import PRESET_RATES, encode, frame_codeword, make_code, qpsk_map
@@ -240,6 +241,7 @@ _TRIAL_ERRORS = (EstimationError, ProjectionError, np.linalg.LinAlgError)
 def _run_pair(args) -> tuple[int, int, list[dict]]:
     # args: (campaign, grid index, trial index), plus the study's shared drop
     campaign, grid_index, trial_index, *drop = args
+    _threads.set_workers(campaign.workers)   # the workers share the cores
     try:
         if campaign.pipeline == "coded":
             rows = run_coded_trial(campaign, grid_index, trial_index)
@@ -259,6 +261,7 @@ def _run_variants(args) -> tuple[int, int, list[list[dict]]]:
     fails the pair's trial in every variant.
     """
     variants, grid_index, trial_index = args
+    _threads.set_workers(variants[0].workers)
     try:
         drop = _shared_drop(variants[0], grid_index, trial_index)
     except _TRIAL_ERRORS as exc:

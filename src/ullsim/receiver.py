@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from .airlink import BlockSignals, build_transmit
 from .chest import (ChannelEstimateSet, EstimationError, ProjectionError,
                     data_aided_observation, lmmse_filter, psi_data_aided_bound,
@@ -125,7 +126,7 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
                     if h_pilot is None:
                         raise
                     failed.append((b, l))
-    h_hat = np.einsum("lkmn,blkn->blkm", W, z)
+    h_hat = _threads.einsum("lkmn,blkn->blkm", W, z, split_ops=(1,))   # split over blocks
     del W
     for b, l in failed:
         h_hat[b, l] = h_pilot[b, l]                        # pilot-only fallback

@@ -12,7 +12,10 @@ any call (live bytes included), in MB. The LDPC code is built before
 tracing starts, as the benchmark builds it during set-up. Under the table
 it prints the process's peak resident set (`ru_maxrss`), which also
 counts the interpreter, the imported modules and what tracemalloc does not
-see; its gap to the trial's traced peak is that untraced part.
+see; its gap to the trial's traced peak is that untraced part. Beside it
+goes the number of threads the trial split its stacked kernels over (all
+usable cores, as for any library caller): each thread gets its own malloc
+arena, which `ru_maxrss` sees and tracemalloc does not.
 
 numpy reports its array buffers to tracemalloc, so the figures are the
 program's Python and numpy allocations; BLAS/LAPACK workspaces and the
@@ -108,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    from ullsim import ScenarioConfig
+    from ullsim import ScenarioConfig, _threads
     from ullsim import harness
     campaign = harness.Campaign(config=ScenarioConfig(), mode=args.mode, trials=1,
                                 seed=args.seed, i_max=8)
@@ -131,7 +134,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{stage:<22}{name:<30}{s['calls']:>6}{s['first'] / MB:>9.1f}"
               f"{s['last'] / MB:>9.1f}{s['peak'] / MB:>9.1f}")
     maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss   # kB on Linux
-    print(f"process peak RSS (ru_maxrss): {maxrss_kb * 1e3 / MB:.1f} MB")
+    print(f"process peak RSS (ru_maxrss): {maxrss_kb * 1e3 / MB:.1f} MB, "
+          f"kernels split over {_threads._count} thread(s)")
     return 0
 
 
