@@ -17,7 +17,7 @@ from .chest import (ChannelEstimateSet, EstimationError, FeasibilityResult,
                     simulate_data_aided_observations)
 from .codec import (CodeSpec, CodewordFrame, SoftDataState, decode, encode,
                     frame_codeword, hard_decisions, make_code, qpsk_demap_llr,
-                    qpsk_map, remodulate, soft_symbols)
+                    qpsk_map, soft_symbols)
 from .codec.framing import make_frame
 from .combine import build_combiner, combine_initial, combine_iterative, effective_stats
 from .config import ConfigError, ScenarioConfig, dbm_to_joules, load_config, save_config
@@ -49,7 +49,7 @@ __all__ = [
     "make_network", "make_pilot_book", "mse_channel_analytic",
     "mse_channel_empirical", "pilot_observation", "psi_data_aided_bound",
     "psi_data_aided_empirical", "psi_pilot", "qpsk_demap_llr", "qpsk_map",
-    "remodulate", "run_campaign", "run_receiver", "save_config",
+    "run_campaign", "run_receiver", "save_config",
     "se_mutual_info", "se_uatf_moments", "se_uatf_samples",
     "simulate_blocks", "simulate_data_aided_observations", "soft_symbols",
     "sp_reuse_factor", "write_csv",

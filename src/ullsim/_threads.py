@@ -1,9 +1,9 @@
 """Split a trial's stacked numpy kernels over threads, with the same bits.
 
-A kernel is split along an axis it does not contract, and each thread
-writes its own slice of one preallocated output with the call the whole
-stack makes, so no result depends on the thread count. With one thread,
-or too little work for two, a kernel makes its one whole-stack call.
+Kernels call `einsum`, which infers the split from its subscripts, and
+`per_matrix` as they call numpy. Each thread writes its own slice of one
+output with the call the whole stack makes, so no result depends on the
+thread count. With one thread, or too little work for two, nothing splits.
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ def _parts(n: int, work: int) -> list[slice]:
     return chunks(n, min(_count, work // _MIN_WORK))
 
 
-def parallel(n: int, work: int) -> bool:
-    """Whether split(fn, n, work) starts threads."""
-    return len(_parts(n, work)) > 1
-
-
 def split(fn, n: int, work: int) -> None:
     """fn(s) over chunks of range(n), the first on the calling thread.
 
@@ -68,27 +63,41 @@ def split(fn, n: int, work: int) -> None:
             h.result()
 
 
-def einsum(subscripts: str, *operands, split_ops: tuple = ()) -> np.ndarray:
-    """np.einsum, split along axis 0 of the output and of operands split_ops.
+def einsum(subscripts: str, *operands) -> np.ndarray:
+    """np.einsum, split along axis 0 of the output's leading "...".
 
-    That axis, axis 0 of each operand in split_ops, must not be contracted;
-    the other operands are shared. Each term's "..." must lead it. Operands
-    that broadcast along it run unsplit.
+    That axis is also cut in each operand whose "..." is as long as the
+    output's, unless it broadcasts (size 1); operands with a shorter "..."
+    or none are shared, and an empty "..." makes the plain call. Each
+    term's "..." must lead it, and the cut axis must not be contracted.
     """
     extent, batch = {}, []
     for term, op in zip(subscripts.split("->")[0].split(","), operands):
         labels = term.replace("...", "")
         batch.append(op.shape[:op.ndim - len(labels)])
         extent.update(zip(labels, op.shape[op.ndim - len(labels):]))
-    work = math.prod(extent.values()) * math.prod(np.broadcast_shapes(*batch))
-    n = operands[split_ops[0]].shape[0] if split_ops else 1
-    if any(operands[i].shape[0] != n for i in split_ops) or not parallel(n, work):
+    stack = np.broadcast_shapes(*batch)
+    work = math.prod(extent.values()) * math.prod(stack)
+    n = stack[0] if stack else 1
+    if len(_parts(n, work)) < 2:
         return np.einsum(subscripts, *operands)
+    cut_ops = [len(b) == len(stack) and b[0] == n for b in batch]
 
     def cut(s):
-        return [op[s] if i in split_ops else op for i, op in enumerate(operands)]
+        return [op[s] if c else op for c, op in zip(cut_ops, operands)]
 
     head = np.einsum(subscripts, *cut(slice(0, 0)))       # shape and dtype, no work
     out = np.empty((n,) + head.shape[1:], dtype=head.dtype)
     split(lambda s: np.einsum(subscripts, *cut(s), out=out[s]), n, work)
     return out
+
+
+def per_matrix(fn, A: np.ndarray) -> None:
+    """fn(idx) for each (M, M) matrix A[idx] of the stack A, split over threads."""
+    stack = list(np.ndindex(A.shape[:-2]))
+
+    def part(s):
+        for idx in stack[s]:
+            fn(idx)
+
+    split(part, len(stack), work=A.size * A.shape[-1])

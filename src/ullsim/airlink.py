@@ -51,18 +51,16 @@ def correlation_sqrt(R: np.ndarray) -> np.ndarray:
     per-matrix calls of the stacked expression, same bits.
     """
     out = np.empty(R.shape, dtype=np.result_type(R.dtype, float))
-    stack = list(np.ndindex(R.shape[:-2]))
 
-    def sqrt_part(s):
-        for idx in stack[s]:
-            w, U = np.linalg.eigh(R[idx])
-            # conj(U) is parked in out[idx] (U.conj() would alias a real U,
-            # which is scaled next), so a thread holds two (M, M) arrays.
-            U_h = np.swapaxes(np.conjugate(U, out=out[idx]), -1, -2)
-            U *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-            out[idx] = U @ U_h
+    def sqrt_one(idx):
+        w, U = np.linalg.eigh(R[idx])
+        # conj(U) is parked in out[idx] (U.conj() would alias a real U,
+        # which is scaled next), so a thread holds two (M, M) arrays.
+        U_h = np.swapaxes(np.conjugate(U, out=out[idx]), -1, -2)
+        U *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+        out[idx] = U @ U_h
 
-    _threads.split(sqrt_part, len(stack), work=R.size * R.shape[-1])
+    _threads.per_matrix(sqrt_one, R)
     return out
 
 
@@ -78,8 +76,7 @@ def draw_channels(R_sqrt: np.ndarray, rng: np.random.Generator,
         shape = (n_blocks,) + shape
     w = crandn(rng, shape)
     # Blocks are split over the trial's threads, R^(1/2) shared.
-    return _threads.einsum("...mn,...n->...m", R_sqrt, w,
-                           split_ops=(1,) if n_blocks is not None else ())
+    return _threads.einsum("...mn,...n->...m", R_sqrt, w)
 
 
 @dataclass
@@ -123,8 +120,7 @@ def receive(H: np.ndarray, X: np.ndarray, noise_energy: float,
     H: (..., L, L, K, M), X: (..., L, K, tau_c) -> Y: (..., L, M, tau_c).
     Stacked blocks are split over the trial's threads.
     """
-    Y = _threads.einsum("...abkm,...bkt->...amt", H, X,
-                        split_ops=(0, 1) if H.ndim == X.ndim + 1 > 4 else ())
+    Y = _threads.einsum("...abkm,...bkt->...amt", H, X)
     noise = crandn(rng, Y.shape)
     noise *= np.sqrt(noise_energy)
     Y += noise

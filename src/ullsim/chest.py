@@ -89,8 +89,7 @@ def data_aided_observation(Y: np.ndarray, Xhat: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ProjectionError("estimated symbol matrix is numerically rank deficient")
     U = np.swapaxes(A.conj(), -1, -2)                 # Xhat G^{-1}
-    blocks = (0, 1) if Y.ndim == U.ndim > 2 else ()   # split stacked blocks
-    return _threads.einsum("...mt,...tk->...km", Y, np.conj(U), split_ops=blocks)
+    return _threads.einsum("...mt,...tk->...km", Y, np.conj(U))
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +228,16 @@ def psi_data_aided_empirical(draws: np.ndarray) -> np.ndarray:
 
 
 def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """np.linalg.solve on stacks, split over the trial's threads.
+    """np.linalg.solve on stacks of one shape, split over the trial's threads.
 
-    Split (stacks of one shape), each thread makes one LAPACK call per
-    matrix, the call the stacked solve makes for it, into its own slice of X.
+    One LAPACK call per matrix, the call the stacked solve makes for it.
     """
-    stack = list(np.ndindex(B.shape[:-2]))
-    work = B.size * A.shape[-1]
-    if A.shape[:-2] != B.shape[:-2] or not _threads.parallel(len(stack), work):
-        return np.linalg.solve(A, B)
     X = np.empty(B.shape, dtype=np.result_type(A, B, float))
 
-    def solve_part(s):
-        for idx in stack[s]:
-            X[idx] = np.linalg.solve(A[idx], B[idx])
+    def solve_one(idx):
+        X[idx] = np.linalg.solve(A[idx], B[idx])
 
-    _threads.split(solve_part, len(stack), work)
+    _threads.per_matrix(solve_one, B)
     return X
 
 
@@ -276,13 +269,17 @@ def lmmse_filter(R: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     X = _solve_psd(Psi, R)                            # Psi^{-1} R
     # W = X^H = R Psi^{-1} (both Hermitian), C = R - W R, C = 0.5 (C + C^H):
-    # the same bits in place on fresh arrays, with (M, M) temporaries only.
+    # the same bits in place, one matrix at a time, with (M, M) temporaries.
     W = np.swapaxes(np.conjugate(X, out=X), -1, -2)
-    C = W @ R
-    np.subtract(R, C, out=C)
-    for idx in np.ndindex(C.shape[:-2]):
-        C[idx] += np.conjugate(C[idx]).T
-    C *= 0.5
+    C = np.empty(W.shape, dtype=np.result_type(W, R))
+
+    def covariance_one(idx):
+        c = np.matmul(W[idx], R[idx], out=C[idx])
+        np.subtract(R[idx], c, out=c)
+        c += np.conjugate(c).T
+        c *= 0.5
+
+    _threads.per_matrix(covariance_one, C)
     return W, C
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from .ldpc import PRESET_RATES, CodeSpec, decode, encode, make_code, syndrome_ok
 from .modem import (demap_llr_exact, hard_decisions, qpsk_demap_llr, qpsk_map,
-                    remodulate, soft_symbols, LLR_CAP, QPSK_SYMBOLS)
+                    soft_symbols, LLR_CAP, QPSK_SYMBOLS)
 from .framing import CodewordFrame, frame_codeword
 
 
@@ -29,5 +29,5 @@ __all__ = [
     "CodeSpec", "CodewordFrame", "SoftDataState", "LLR_CAP", "PRESET_RATES",
     "QPSK_SYMBOLS", "decode", "demap_llr_exact", "encode",
     "frame_codeword", "hard_decisions", "make_code", "qpsk_demap_llr",
-    "qpsk_map", "remodulate", "soft_symbols", "syndrome_ok",
+    "qpsk_map", "soft_symbols", "syndrome_ok",
 ]

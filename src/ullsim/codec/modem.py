@@ -100,8 +100,3 @@ def soft_symbols(llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def hard_decisions(llr: np.ndarray) -> np.ndarray:
     """Hard bits from LLRs (negative LLR -> bit 1)."""
     return (np.asarray(llr) < 0).astype(np.uint8)
-
-
-def remodulate(bits: np.ndarray) -> np.ndarray:
-    """Exact unit-energy symbols from decided bits (frozen decoded UEs)."""
-    return qpsk_map(bits)

@@ -55,13 +55,11 @@ def combine_initial(Y: np.ndarray, v: np.ndarray, mode: str,
         BS removes its own reconstructed pilot component (it knows both the
         pilot and the channel estimate) before demapping.
     """
-    blocks = (0, 1) if v.ndim == Y.ndim > 2 else ()      # split stacked blocks
     if mode == "rp":
-        return _threads.einsum("...km,...mt->...kt", v.conj(), Y[..., :, config.tau_p:],
-                               split_ops=blocks)
+        return _threads.einsum("...km,...mt->...kt", v.conj(), Y[..., :, config.tau_p:])
     if mode != "sp":
         raise ValueError(f"unknown mode {mode!r}")
-    y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Y, split_ops=blocks)
+    y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Y)
     if h_hat is not None:
         gain = np.einsum("...km,...km->...k", v.conj(), h_hat)
         y_hat = y_hat - gain[..., None] * (np.sqrt(q)[:, None] * seqs)
@@ -95,10 +93,8 @@ def combine_iterative(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
     # Subtract every reconstructed in-cell signal, then add back UE k's own
     # reconstructed data (scalar gain v_k^H h_hat_k); for sp its pilot stays
     # removed.
-    # Stacked blocks are split over the trial's threads.
-    blocks = (0, 1) if Y.ndim == v.ndim == h_hat.ndim == recon.ndim > 2 else ()
-    total = _threads.einsum("...km,...kt->...mt", h_hat, recon, split_ops=blocks)
-    y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Yd - total, split_ops=blocks)
+    total = _threads.einsum("...km,...kt->...mt", h_hat, recon)
+    y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Yd - total)
     gain = np.einsum("...km,...km->...k", v.conj(), h_hat)
     return y_hat + gain[..., None] * (np.sqrt(p)[..., :, None] * s_hat)
 
@@ -128,9 +124,8 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
 
     g = np.sqrt(p) * np.einsum("...km,...km->...k", v.conj(), h_hat)
 
-    # v_k^H C_j v_k and |v_k^H h_hat_j|^2 for every in-cell pair (k, j). The
-    # quadratic forms are split along v's leading axis over the trial's threads.
-    vCv = _threads.einsum("...km,jmn,...kn->...kj", v.conj(), C, v, split_ops=(0, 2)).real
+    # v_k^H C_j v_k and |v_k^H h_hat_j|^2 for every in-cell pair (k, j).
+    vCv = _threads.einsum("...km,jmn,...kn->...kj", v.conj(), C, v).real
     vh2 = np.abs(np.einsum("...km,...jm->...kj", v.conj(), h_hat)) ** 2
 
     # Own-UE residual: channel-estimation error on data (and own pilot for sp).
@@ -149,8 +144,7 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
 
     # Intercell interference (never cancelled: symbols unknown at this BS).
     inter = realization.intercell(l, p_all if mode == "rp" else p_all + q_all)
-    n_var = n_var + _threads.einsum("...km,mn,...kn->...k", v.conj(), inter, v,
-                                    split_ops=(0, 2)).real
+    n_var = n_var + _threads.einsum("...km,mn,...kn->...k", v.conj(), inter, v).real
 
     n_var = n_var + config.noise_energy * np.einsum("...km,...km->...k", v.conj(), v).real
     return g, n_var

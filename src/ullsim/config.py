@@ -19,6 +19,16 @@ class ConfigError(ValueError):
     """Raised for invalid or inconsistent scenario parameters."""
 
 
+def require_integers(obj, *names: str) -> None:
+    """ConfigError unless each named field of obj is an integer (operator.index)."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer (got {value!r})") from None
+
+
 BANDWIDTH_HZ = 20e6
 
 
@@ -81,10 +91,7 @@ class ScenarioConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.name in _INT_FIELDS:
-                try:
-                    operator.index(value)
-                except TypeError:
-                    raise ConfigError(f"{f.name} must be an integer (got {value!r})") from None
+                require_integers(self, f.name)
             # rho_max = inf means no power cap; every other float must be finite.
             elif not (math.isfinite(value) or (f.name == "rho_max" and value == math.inf)):
                 raise ConfigError(f"{f.name} must be finite (got {value})")

@@ -21,7 +21,7 @@ from .chest import EstimationError, ProjectionError
 from .codec import PRESET_RATES, encode, frame_codeword, make_code, qpsk_map
 from .codec.framing import make_frame
 from .codec.ldpc import CodeSpec
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, require_integers
 from .metrics import bler, mse_channel_analytic, se_uatf_moments, se_uatf_samples
 from .netgeom import NetworkRealization, make_network
 from .pilots import assign_pilots
@@ -54,6 +54,7 @@ class Campaign:
     workers: int = 1
 
     def __post_init__(self):
+        require_integers(self, "trials", "seed", "i_max", "workers")
         if len(self.grid_values) == 0:
             raise ConfigError("grid must have at least one value")
         if self.trials < 1:

@@ -24,7 +24,7 @@ from .chest import (ChannelEstimateSet, EstimationError, ProjectionError,
                     data_aided_observation, lmmse_filter, psi_data_aided_bound,
                     psi_pilot, pilot_observation)
 from .codec import (CodewordFrame, SoftDataState, decode, frame_codeword,
-                    hard_decisions, qpsk_demap_llr, remodulate, soft_symbols)
+                    hard_decisions, qpsk_demap_llr, qpsk_map, soft_symbols)
 from .codec.ldpc import CodeSpec
 from .combine import build_combiner, combine_initial, combine_iterative, effective_stats
 from .config import ConfigError, ScenarioConfig
@@ -126,7 +126,7 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
                     if h_pilot is None:
                         raise
                     failed.append((b, l))
-    h_hat = _threads.einsum("lkmn,blkn->blkm", W, z, split_ops=(1,))   # split over blocks
+    h_hat = _threads.einsum("lkmn,...lkn->...lkm", W, z)
     del W
     for b, l in failed:
         h_hat[b, l] = h_pilot[b, l]                        # pilot-only fallback
@@ -224,7 +224,7 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
 
         s_hat, sig = soft_symbols(llr_post)
         # Decoded UEs transmit-side symbols are known exactly from here on.
-        s_exact = remodulate(hard)
+        s_exact = qpsk_map(hard)
         s_hat = np.where(ok[..., None], s_exact, s_hat)
         sig = np.where(ok, 1.0, sig)
         soft = SoftDataState(llr_post=llr_post, s_hat=s_hat, sigma_sq=sig,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import manual_network
 
-from ullsim import ScenarioConfig
+from ullsim import ScenarioConfig, _threads
 from ullsim.airlink import crandn, simulate_blocks
 from ullsim.chest import (EstimationError, data_aided_feasibility,
                           data_aided_observation, lmmse_filter, pilot_observation,
@@ -177,11 +177,17 @@ def test_lmmse_estimate_reduces_error_monte_carlo():
         assert abs(mse_emp - mse_ana) <= 0.05 * mse_ana
 
 
-@pytest.mark.parametrize("dtype", [complex, float])
-def test_lmmse_filter_equals_the_out_of_place_expression(dtype):
-    # W, R - W R and its symmetrization run in place; the bits must be those
-    # of the out-of-place expressions. A real C is its own conj(): the case
-    # where C += C^H reads what it writes.
+@pytest.mark.parametrize("dtype, threads", [
+    pytest.param(complex, 1, id="complex"), pytest.param(float, 1, id="float"),
+    pytest.param(complex, 3, id="complex-3-threads"),
+    pytest.param(float, 3, id="float-3-threads")])
+def test_lmmse_filter_equals_the_out_of_place_expression(monkeypatch, dtype, threads):
+    # W, R - W R and its symmetrization run in place, one matrix at a time and
+    # split over threads; the bits must be those of the out-of-place stacked
+    # expressions. A real C is its own conj(): the case where C += C^H reads
+    # what it writes.
+    monkeypatch.setattr(_threads, "_MIN_WORK", 1)
+    monkeypatch.setattr(_threads, "_count", threads)
     rng = np.random.default_rng(30)
     A, B = crandn(rng, (2, 3, 5, 5)), crandn(rng, (2, 3, 5, 5))
     A, B = (A, B) if dtype is complex else (A.real, B.real)

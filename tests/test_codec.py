@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ullsim.codec import (LLR_CAP, decode, demap_llr_exact, encode,
                           frame_codeword,
                           hard_decisions, make_code, qpsk_demap_llr, qpsk_map,
-                          remodulate, soft_symbols, syndrome_ok)
+                          soft_symbols, syndrome_ok)
 from ullsim.codec.framing import make_frame
 
 
@@ -91,7 +91,6 @@ def test_qpsk_map_round_trip():
     s = qpsk_map(bits)
     rec = hard_decisions(qpsk_demap_llr(s, 1.0 + 0j, 1e-3))
     assert np.array_equal(rec, bits)
-    assert np.array_equal(remodulate(bits), s)
 
 
 def test_llr_noiseless_limit_hits_cap():

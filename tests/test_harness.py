@@ -77,7 +77,10 @@ def test_campaign_validation():
 @pytest.mark.parametrize("field, value, extra", [
     pytest.param(f, v, {}, id=f"{f}-{v}") for f, v in [
         ("mode", "xx"), ("combiner", "zf"), ("code_rate", "2/3"),
-        ("i_max", -1), ("workers", 0), ("seed", -1)]
+        ("i_max", -1), ("workers", 0), ("seed", -1),
+        # counts must be integers: a float i_max used to run a whole receiver
+        # before range() raised, and took the campaign down with it
+        ("trials", 2.0), ("seed", 1.5), ("i_max", 1.5), ("workers", 1.5), ("trials", "2")]
 ] + [
     # the coded receiver ignores sigma_est, so sweeping it means nothing
     pytest.param("grid_param", "sigma_est", {}, id="grid_param-sigma_est-coded"),

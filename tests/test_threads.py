@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ullsim import ScenarioConfig, _threads
+from ullsim.airlink import crandn
 from ullsim.chest import lmmse_filter
 from ullsim.harness import Campaign, _run_pair, run_coded_trial, run_gaussian_trial
 
@@ -19,9 +20,9 @@ def _exact(rows):
 
 def _trial_rows():
     config = ScenarioConfig(M=8, K=2, L=3)
-    rows = [run_coded_trial(Campaign(config=config, mode=mode, combiner="mr",
+    rows = [run_coded_trial(Campaign(config=config, mode=mode, combiner=combiner,
                                      trials=1, seed=1, i_max=2), 0, 0)
-            for mode in ("rp", "sp")]
+            for mode in ("rp", "sp") for combiner in ("mr", "smmse")]
     study = Campaign(config=config, pipeline="gaussian", grid_param="sigma_est",
                      grid_values=(0.6,), trials=1, seed=1)
     rows += [run_gaussian_trial(study, 0, 0)]
@@ -57,14 +58,18 @@ def test_threads_for_shares_the_cores_among_the_workers(workers, cores, want):
     assert _threads.threads_for(workers, cores) == want
 
 
+def _chunks_run(n, work):
+    seen = []
+    _threads.split(seen.append, n, work)
+    return len(seen)
+
+
 def test_a_thread_gets_at_least_min_work(monkeypatch):
     monkeypatch.setattr(_threads, "_count", 4)
     work = _threads._MIN_WORK
-    assert not _threads.parallel(8, 2 * work - 1)       # stays on the calling thread
-    assert _threads.parallel(8, 2 * work)
-    seen = []
-    _threads.split(seen.append, 8, 3 * work)
-    assert len(seen) == 3
+    assert _chunks_run(8, 2 * work - 1) == 1            # stays on the calling thread
+    assert _chunks_run(8, 2 * work) == 2
+    assert _chunks_run(8, 3 * work) == 3
 
 
 @pytest.mark.parametrize("workers", [1, 2, 64])
@@ -90,20 +95,54 @@ def test_split_runs_each_chunk_and_raises_a_helper_threads_error(monkeypatch):
         _threads.split(fail_last, 7, work=7 << 20)
 
 
-def test_no_helper_thread_outlives_a_trial(monkeypatch, split_small):
-    monkeypatch.setattr(_threads, "_count", 3)
-    threaded = []
+def _count_chunks(monkeypatch):
+    # The number of chunks each split call runs, appended as the calls return.
+    counts = []
     split = _threads.split
 
     def counting_split(fn, n, work):
-        threaded.append(_threads.parallel(n, work))
-        split(fn, n, work)
+        ran = []
+        split(lambda s: (ran.append(s), fn(s)), n, work)
+        counts.append(len(ran))
 
     monkeypatch.setattr(_threads, "split", counting_split)
+    return counts
+
+
+def test_no_helper_thread_outlives_a_trial(monkeypatch, split_small):
+    monkeypatch.setattr(_threads, "_count", 3)
+    chunks_per_split = _count_chunks(monkeypatch)
     before = threading.active_count()
     _trial_rows()
-    assert any(threaded)                               # helper threads did run
+    assert max(chunks_per_split) > 1                   # helper threads did run
     assert threading.active_count() == before
+
+
+# (subscripts, operand shapes, chunks run over 3 threads), one per call-site
+# form; the shapes are tiny. A stack of one, or none, makes the plain call.
+_EINSUM_FORMS = {
+    "both-stacked": ("...abkm,...bkt->...amt", [(5, 3, 3, 2, 4), (5, 3, 2, 6)], [3]),
+    "shorter-ellipsis": ("...mn,...n->...m", [(3, 3, 2, 4, 4), (5, 3, 3, 2, 4)], [3]),
+    "no-ellipsis": ("...km,jmn,...kn->...kj", [(5, 3, 2, 4), (2, 4, 4), (5, 3, 2, 4)], [3]),
+    "broadcast-1": ("...km,...mt->...kt", [(1, 3, 2, 4), (5, 3, 4, 6)], [3]),
+    "leading-1": ("...km,...mt->...kt", [(1, 3, 2, 4), (1, 3, 4, 6)], []),
+    "unstacked": ("...km,...mt->...kt", [(2, 4), (4, 6)], []),
+    "W-z": ("lkmn,...lkn->...lkm", [(3, 2, 4, 4), (5, 3, 2, 4)], [3]),
+}
+
+
+@pytest.mark.parametrize("form", _EINSUM_FORMS)
+def test_split_einsum_equals_numpy_for_each_call_site_form(monkeypatch, split_small, form):
+    subscripts, shapes, chunks = _EINSUM_FORMS[form]
+    rng = np.random.default_rng(50)
+    ops = [crandn(rng, shape) for shape in shapes]
+    monkeypatch.setattr(_threads, "_count", 3)
+    chunks_per_split = _count_chunks(monkeypatch)
+    got = _threads.einsum(subscripts, *ops)
+    assert chunks_per_split == chunks
+    assert np.array_equal(got, np.einsum(subscripts, *ops))
+    if form == "W-z":                                  # the same product, explicit labels
+        assert np.array_equal(got, np.einsum("lkmn,blkn->blkm", *ops))
 
 
 @pytest.mark.parametrize("bad", [0, 5])              # in the first or the last chunk
