@@ -4,6 +4,13 @@ Kernels call `einsum`, which infers the split from its subscripts, and
 `per_matrix` as they call numpy. Each thread writes its own slice of one
 output with the call the whole stack makes, so no result depends on the
 thread count. With one thread, or too little work for two, nothing splits.
+
+Helper threads write only into arrays the calling thread allocated, and
+keep their own temporaries small. glibc gives each thread its own malloc
+arena, which holds on to the memory freed in it: with the decoder's chunks
+copying their buffers into arrays of their own, a paper-scale coded round
+peaked at 120.7 MB RSS against 115.5 MB with the caller's buffers, and at
+116.5 to 118.4 MB with MALLOC_ARENA_MAX=1 (2-core VM).
 """
 
 from __future__ import annotations

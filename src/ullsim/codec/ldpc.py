@@ -7,16 +7,19 @@ forward-substitution encoder, and whose systematic columns carry weight-3
 pseudorandom circulant shifts screened against length-4 cycles.
 
 A base-graph entry (r, c, s) is a Z x Z circulant: check r*Z + i involves
-bit c*Z + (i + s) mod Z. Encoding, the parity check and decoding all work
-on these Z-blocks; the parity-check matrix is never expanded.
+bit c*Z + (i + s) mod Z. Encoding works on these Z-blocks; the parity check
+and the decoder gather through index tables of the code's edges, built from
+the entries on first use. The parity-check matrix is never expanded.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .. import _threads
 
 MINSUM_ALPHA = 0.8125         # normalization factor, a power-of-two friendly 13/16
 MAX_BP_ITERS = 25
@@ -26,7 +29,15 @@ _PRESETS = {
     "3/4": dict(m_b=6, n_b=24, Z=162, seed=20240502),
 }
 PRESET_RATES = tuple(_PRESETS)
-_SIGN_BIT = np.uint64(1 << 63)
+# One edge's flooding iteration (about 10 ns) costs as much as 2 to 3 of
+# einsum's multiply-adds, the unit of _threads' work; a codeword has about
+# 10^4 edges.
+_EDGE_WORK = 3
+# Codewords decoded together: few enough that much of their messages (about
+# 0.2 MB a codeword) stays in a core's cache, enough that the 40 to 60 numpy
+# calls of an iteration, and the hand-offs of the GIL between threads at
+# each call, stay small next to the work. Measured on a 2-core Xeon VM.
+_TILE = 10
 
 
 @dataclass
@@ -46,6 +57,11 @@ class CodeSpec:
     @property
     def rate(self) -> float:
         return self.k / self.n
+
+    @cached_property
+    def _edges(self) -> _Edges:
+        """The parity check's and the decoder's index tables, built on first use."""
+        return _edge_tables(self)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +136,7 @@ def make_code(rate: str) -> CodeSpec:
 
 
 # ---------------------------------------------------------------------------
-# Encoding and the parity check
+# Encoding
 
 
 def encode(info: np.ndarray, spec: CodeSpec) -> np.ndarray:
@@ -148,72 +164,159 @@ def encode(info: np.ndarray, spec: CodeSpec) -> np.ndarray:
     return cw.reshape(info.shape[:-1] + (spec.n,))
 
 
-def _doubled_blocks(x: np.ndarray, Z: int) -> np.ndarray:
-    """(B, n) -> (n/Z, 2Z, B), each Z-block twice, so rotating one is a slice.
+# ---------------------------------------------------------------------------
+# Edge tables and the parity check
 
-    Block c rotated by s, bit i -> x[c*Z + (i + s) mod Z], is [c, s:s + Z].
+
+@dataclass
+class _Edges:
+    """Index tables over a code's edges, built from its base-graph entries.
+
+    An entry (r, c, s) has Z edges: edge i joins check r*Z + i and bit
+    c*Z + (i + s) mod Z. The edges form `degree` slabs of m_b*Z, one edge
+    per check each: slab j holds the j-th entry (by column) of every base
+    row, row by row. A row with fewer entries has padding edges there.
     """
-    blocks = x.T.reshape(-1, Z, x.shape[0])
-    return np.concatenate([blocks, blocks], axis=1)
+
+    degree: int               # the largest base-row degree: slabs
+    to_check: np.ndarray      # (E,) the bit of each edge: gathers bits into edge order
+    pads: list                # a slice of padding edges per missing entry
+    # Per column-degree layer d: (the bits of the columns with more than d
+    # entries, a contiguous slice; the edge of each of those bits' d-th entry).
+    layers: list
 
 
-def _checks_ok(bits2: np.ndarray, entries, m_b: int) -> np.ndarray:
-    """Per codeword, whether every parity check holds. bits2: doubled bool blocks."""
-    Z = bits2.shape[1] // 2
-    synd = np.zeros((m_b, Z, bits2.shape[2]), dtype=bool)
-    for r, c, s in entries:
-        synd[r] ^= bits2[c, s:s + Z]
-    return ~synd.any(axis=(0, 1))
+def _edge_tables(spec: CodeSpec) -> _Edges:
+    entries, Z, m_b = spec.qc_entries, spec.qc_Z, spec.qc_mb
+    i = np.arange(Z)
+    by_row = [[e for e, (r, _, _) in enumerate(entries) if r == row] for row in range(m_b)]
+    degree = max(map(len, by_row))
+    to_check = np.zeros(degree * m_b * Z, dtype=np.intp)
+    block, pads = {}, []              # block: an entry's Z edges, in units of Z
+    for r, row in enumerate(by_row):
+        for j in range(degree):
+            p = j * m_b + r
+            if j < len(row):
+                _, c, s = entries[row[j]]
+                block[row[j]] = p
+                to_check[p * Z:(p + 1) * Z] = c * Z + (i + s) % Z
+            else:
+                pads.append(slice(p * Z, (p + 1) * Z))
+    by_col = [[(block[e], s) for e, (_, c, s) in enumerate(entries) if c == col]
+              for col in range(spec.n // Z)]
+    layers = []
+    for d in range(max(map(len, by_col))):
+        cols = [c for c, col in enumerate(by_col) if len(col) > d]
+        if cols != list(range(cols[0], cols[0] + len(cols))):
+            raise ValueError(f"{spec.name}: columns of degree > {d} are not contiguous")
+        edge = np.concatenate([p * Z + (i - s) % Z for p, s in (by_col[c][d] for c in cols)])
+        layers.append((slice(cols[0] * Z, (cols[-1] + 1) * Z), edge))
+    return _Edges(degree=degree, to_check=to_check, pads=pads, layers=layers)
+
+
+def _unsatisfied(neg: np.ndarray, edges: _Edges) -> np.ndarray:
+    """Per codeword, whether some check fails.
+
+    neg: (B, E) bits in edge order; its padding edges are cleared.
+    """
+    for p in edges.pads:
+        neg[:, p] = False
+    slabs = neg.reshape(len(neg), edges.degree, -1)
+    return np.logical_xor.reduce(slabs, axis=1).any(axis=1)
 
 
 def syndrome_ok(bits: np.ndarray, spec: CodeSpec) -> np.ndarray:
     """True per codeword iff every parity check holds. bits: (..., n)."""
     bits = np.asarray(bits)
-    bits2 = _doubled_blocks(bits.reshape(-1, spec.n).astype(bool), spec.qc_Z)
-    return _checks_ok(bits2, spec.qc_entries, spec.qc_mb).reshape(bits.shape[:-1])
+    flat = bits.reshape(-1, spec.n).astype(bool)
+    return ~_unsatisfied(flat[:, spec._edges.to_check], spec._edges).reshape(bits.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
 # Decoding
 
 
-def _row_groups(entries) -> list[tuple[int, int, int]]:
-    """(first entry, rows, degree) per run of consecutive equal-degree base rows."""
-    groups = []
-    first = 0
-    for d, run in itertools.groupby(np.bincount([r for r, _, _ in entries]).tolist()):
-        rows = len(list(run))
-        groups.append((first, rows, d))
-        first += rows * d
-    return groups
-
-
-def _check_update(v2c: np.ndarray, c2v: np.ndarray, groups) -> None:
+def _check_update(v2c: np.ndarray, c2v: np.ndarray, degree: int, lo: np.ndarray,
+                  hi: np.ndarray, tmp: np.ndarray, hit: np.ndarray) -> None:
     """Normalized min-sum check-to-variable messages, written into c2v.
 
     Each edge gets MINSUM_ALPHA times the smallest |v2c| of the other edges of its
     check, signed by their sign parity. Only the first minimum's edge sees
     the second minimum; on a tie both minima are equal. v2c holds no -0.0,
-    so a set sign bit means a negative message. v2c is overwritten.
+    so a set sign bit means a negative message, and its padding edges hold
+    +inf, which is never a minimum and has no sign. v2c: (B, E),
+    overwritten; lo, hi, tmp: (B, checks) and hit: (B, E) scratch.
     """
-    sign = c2v.view(np.uint64)
-    np.bitwise_and(v2c.view(np.uint64), _SIGN_BIT, out=sign)
-    mag = np.abs(v2c, out=v2c)
-    for e0, rows, d in groups:
-        shape = (rows, d) + v2c.shape[1:]
-        edges = slice(e0, e0 + rows * d)
-        x, s = mag[edges].reshape(shape), sign[edges].reshape(shape)
-        m1 = x[:, 0].copy()
-        m2 = np.full_like(m1, np.inf)
-        for j in range(1, d):
-            np.minimum(m2, np.maximum(m1, x[:, j]), out=m2)
-            np.minimum(m1, x[:, j], out=m1)
-        s ^= np.bitwise_xor.reduce(s, axis=1, keepdims=True)
-        # alpha*m2 on the edge whose |v2c| is m1, alpha*m1 elsewhere
-        # (m2 >= m1 >= 0, and m2 * 0.0 = +0.0); then the sign bit.
-        np.multiply(MINSUM_ALPHA * m2[:, None], x == m1[:, None], out=x)
-        np.maximum(x, MINSUM_ALPHA * m1[:, None], out=x)
-        s |= x.view(np.uint64)
+    B = len(v2c)
+    x = np.abs(v2c, out=c2v).reshape(B, degree, -1)     # one check per column
+    s = v2c.view(np.uint64).reshape(B, degree, -1)
+    eq = hit.reshape(B, degree, -1)
+    m1, m2, t = lo[:, None], hi[:, None], tmp[:, None]
+    np.copyto(m1, x[:, :1])
+    m2.fill(np.inf)
+    for j in range(1, degree):
+        xj = x[:, j:j + 1]
+        np.minimum(m2, np.maximum(m1, xj, out=t), out=m2)
+        np.minimum(m1, xj, out=m1)
+    # Each edge's sign bit XOR its check's sign parity: the others' parity.
+    s ^= np.bitwise_xor.reduce(s, axis=1, keepdims=True, out=t.view(np.uint64))
+    # alpha*m2 on the edge whose |v2c| is m1, alpha*m1 elsewhere
+    # (m2 >= m1 >= 0, and m2 * 0.0 = +0.0); then that sign.
+    np.equal(x, m1, out=eq)
+    np.multiply(np.multiply(m2, MINSUM_ALPHA, out=m2), eq, out=x)
+    np.maximum(x, np.multiply(m1, MINSUM_ALPHA, out=m1), out=x)
+    np.copysign(x, v2c.reshape(x.shape), out=x)
+
+
+def _flood(edges: _Edges, iters: int, idx: np.ndarray, bufs: list,
+           llr_post: np.ndarray, hard: np.ndarray, ok: np.ndarray) -> None:
+    """Decode codewords idx for up to iters iterations and write their results.
+
+    bufs: channel LLRs, bit totals, c2v, v2c and scratch, one row per
+    codeword. Converged codewords are written out and their rows compacted
+    away, so the live rows stay a contiguous prefix of each buffer.
+    """
+    chan, tot, c2v, v2c, hit, lo, hi, tmp = bufs
+    (_, first), *later = edges.layers
+    # Every index is in range; mode="wrap" lets take write straight into
+    # out, where the default mode would fill a copy of out first.
+    np.take(chan, edges.to_check, axis=1, out=v2c, mode="wrap")
+    for _ in range(iters):
+        # Variable-to-check: the bit total in edge order, less the edge's
+        # last check-to-variable message.
+        np.subtract(v2c, c2v, out=v2c)
+        for p in edges.pads:
+            v2c[:, p] = np.inf
+        _check_update(v2c, c2v, edges.degree, lo, hi, tmp, hit)
+
+        # Bit totals: a bit's messages in ascending base-row order, one
+        # column-degree layer at a time, then the channel LLR.
+        np.take(c2v, first, axis=1, out=tot, mode="wrap")
+        for bits, edge in later:
+            # v2c is free until the next gather: its head holds the layer.
+            msg = v2c.reshape(-1)[:len(v2c) * edge.size].reshape(len(v2c), -1)
+            np.add(tot[:, bits], np.take(c2v, edge, axis=1, out=msg, mode="wrap"),
+                   out=tot[:, bits])
+        np.add(tot, chan, out=tot)
+
+        np.take(tot, edges.to_check, axis=1, out=v2c, mode="wrap")
+        done = ~_unsatisfied(np.less(v2c, 0.0, out=hit), edges)
+        if done.any():
+            for j in np.flatnonzero(done):
+                llr_post[idx[j]] = tot[j]
+                hard[idx[j]] = tot[j] < 0
+                ok[idx[j]] = True
+            keep = np.flatnonzero(~done)
+            for dst, src in enumerate(keep):
+                if dst != src:
+                    for a in (chan, tot, c2v, v2c):
+                        a[dst] = a[src]
+            idx = idx[keep]
+            if not idx.size:
+                return
+            chan, tot, c2v, v2c, hit, lo, hi, tmp = (a[:idx.size] for a in bufs)
+    llr_post[idx] = tot
+    hard[idx] = tot < 0
 
 
 def decode(llr: np.ndarray, spec: CodeSpec, max_iters: int | None = None
@@ -226,78 +329,45 @@ def decode(llr: np.ndarray, spec: CodeSpec, max_iters: int | None = None
     Codewords whose input hard decisions already satisfy every parity check
     are returned unchanged; converged codewords stop iterating early.
 
-    Messages live in one (Z, batch) block per base-graph entry, indexed by
-    the check within the entry's block row. A bit's total sums its
+    Messages live in one row per codeword, in edge order (see _Edges), and
+    each step gathers through an index table. A bit's total sums its
     check-to-variable messages in ascending base-row order, then adds the
-    channel LLR.
+    channel LLR. Codewords are independent, so they run in contiguous
+    chunks over the trial's threads, each in tiles of up to _TILE codewords.
     """
     max_iters = MAX_BP_ITERS if max_iters is None else max_iters
     llr = np.asarray(llr, dtype=float)
+    if llr.shape[-1] != spec.n:
+        raise ValueError(f"expected {spec.n} LLRs per codeword, got {llr.shape[-1]}")
     lead = llr.shape[:-1]
     ch = llr.reshape(-1, spec.n)
-    entries = spec.qc_entries
-    Z, n = spec.qc_Z, spec.n
 
     llr_post = ch.copy()
     hard = (ch < 0).astype(np.uint8)
     ok = syndrome_ok(hard, spec)
 
-    active = np.nonzero(~ok)[0]
+    active = np.flatnonzero(~ok)
     if active.size and max_iters > 0:
-        groups = _row_groups(entries)
-        by_col = [[(e, s) for e, (_, c, s) in enumerate(entries) if c == col]
-                  for col in range(n // Z)]
+        edges = spec._edges
+        B, E, checks = active.size, edges.to_check.size, spec.qc_mb * spec.qc_Z
         # + 0.0 turns a -0.0 LLR into +0.0. Then no bit total, and so no
         # variable-to-check message, is -0.0: _check_update reads sign bits.
-        tot2 = _doubled_blocks(ch[active] + 0.0, Z)   # bit totals, each block twice
-        tot = tot2[:, :Z]
-        ch_blk = tot.copy()
-        c2v = np.zeros((len(entries), Z, active.size))
-        v2c = np.empty_like(c2v)
-        for _ in range(max_iters):
-            # Variable-to-check: the bit total, rotated into check order,
-            # less the entry's last check-to-variable message.
-            for e, (_, c, s) in enumerate(entries):
-                np.subtract(tot2[c, s:s + Z], c2v[e], out=v2c[e])
-            _check_update(v2c, c2v, groups)
+        chan = ch[active]
+        chan += 0.0
+        # Every buffer is allocated here, on the calling thread (see _threads).
+        bufs = [chan, np.empty((B, spec.n)), np.zeros((B, E)), np.empty((B, E)),
+                np.empty((B, E), dtype=bool), np.empty((B, checks)),
+                np.empty((B, checks)), np.empty((B, checks))]
 
-            # Bit totals: each message rotated back into bit order, in
-            # ascending base-row order, then the channel LLR.
-            for c, col in enumerate(by_col):
-                acc = tot[c]
-                for j, (e, s) in enumerate(col):
-                    head, tail = c2v[e, :Z - s], c2v[e, Z - s:]
-                    if j == 0:
-                        acc[s:], acc[:s] = head, tail
-                    else:
-                        acc[s:] += head
-                        acc[:s] += tail
-                acc += ch_blk[c]
-            tot2[:, Z:] = tot
+        def run(part: slice) -> None:
+            size = part.stop - part.start
+            for s in _threads.chunks(size, -(-size // _TILE)):
+                tile = slice(part.start + s.start, part.start + s.stop)
+                _flood(edges, max_iters, active[tile], [a[tile] for a in bufs],
+                       llr_post, hard, ok)
 
-            bits2 = tot2 < 0
-            ok_a = _checks_ok(bits2, entries, spec.qc_mb)
-            if ok_a.any():
-                idx = active[ok_a]
-                llr_post[idx] = tot[..., ok_a].reshape(n, -1).T
-                hard[idx] = bits2[:, :Z, ok_a].reshape(n, -1).T
-                ok[idx] = True
-                keep = ~ok_a
-                active = active[keep]
-                if active.size == 0:
-                    break
-                # Drop v2c and every view of the old arrays, then copy one
-                # array at a time, so each old array is freed as its copy lands.
-                del tot, acc, head, tail, v2c
-                tot2 = np.compress(keep, tot2, axis=-1)
-                ch_blk = np.compress(keep, ch_blk, axis=-1)
-                c2v = np.compress(keep, c2v, axis=-1)
-                tot = tot2[:, :Z]
-                v2c = np.empty_like(c2v)
-        if active.size:
-            llr_post[active] = tot.reshape(n, -1).T
-            hard[active] = (tot < 0).reshape(n, -1).T
+        _threads.split(run, B, work=B * E * max_iters * _EDGE_WORK)
 
-    return (llr_post.reshape(lead + (n,)),
-            hard.reshape(lead + (n,)),
+    return (llr_post.reshape(lead + (spec.n,)),
+            hard.reshape(lead + (spec.n,)),
             ok.reshape(lead))

@@ -40,7 +40,7 @@ def qpsk_demap_llr(y_hat: np.ndarray, g: np.ndarray, n_var) -> np.ndarray:
     LLR_I = 4 Re{conj(g) y} / (sqrt(2) n_var) and the Im{} twin.
     """
     n_var = np.asarray(n_var, dtype=float)
-    if np.any(n_var <= 0):
+    if not np.all(n_var > 0):                 # NaN fails too
         raise ValueError("n_var must be positive")
     z = np.conj(g) * y_hat * (4.0 / (_SQRT2 * n_var))
     llr = np.empty(y_hat.shape[:-1] + (2 * y_hat.shape[-1],))
@@ -57,7 +57,7 @@ def demap_llr_exact(y_hat: np.ndarray, g: np.ndarray, n_var) -> np.ndarray:
     shortcuts (the final clamp is still applied for comparability).
     """
     n_var = np.asarray(n_var, dtype=float)
-    if np.any(n_var <= 0):
+    if not np.all(n_var > 0):                 # NaN fails too
         raise ValueError("n_var must be positive")
     y = np.asarray(y_hat)[..., None]
     gs = (np.asarray(g)[..., None] if np.ndim(g) else g) * QPSK_SYMBOLS

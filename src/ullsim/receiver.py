@@ -195,9 +195,11 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
             g[:, l], n_var[:, l] = effective_stats(
                 V[:, l], h_hat[:, l], C[l], realization, l, mode, config,
                 sigma_in[l], cancelled=(it > 0))
-        if np.any(n_var <= 0):
-            # An indefinite error covariance or a zero combiner.
-            raise EstimationError(f"iteration {it}: effective noise variance is not positive")
+        if not (np.all(n_var > 0) and np.all(np.isfinite(n_var)) and np.all(np.isfinite(g))):
+            # An indefinite error covariance, a zero combiner or a NaN. A NaN
+            # would demap to all-zero bits: the all-zero codeword, which checks.
+            raise EstimationError(f"iteration {it}: effective noise variance is not "
+                                  "positive and finite, or the gain is not finite")
 
         # Per-slot LLRs with per-block gains, reassembled into codeword order.
         llr_blocks = qpsk_demap_llr(y_hat, g[..., None], n_var[..., None])

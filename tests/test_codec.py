@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ullsim import _threads
 from ullsim.codec import (LLR_CAP, decode, demap_llr_exact, encode,
-                          frame_codeword,
+                          frame_codeword, ldpc,
                           hard_decisions, make_code, qpsk_demap_llr, qpsk_map,
                           soft_symbols, syndrome_ok)
 from ullsim.codec.framing import make_frame
@@ -119,6 +120,12 @@ def test_llr_rejects_nonpositive_variance():
         qpsk_demap_llr(np.zeros(2, dtype=complex), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("demap", [qpsk_demap_llr, demap_llr_exact])
+def test_llr_rejects_nan_variance(demap):
+    with pytest.raises(ValueError):
+        demap(np.zeros(2, dtype=complex), 1.0, np.array([0.5, np.nan]))
+
+
 def test_soft_symbols_limits():
     # certain bits: exact symbols, sigma_sq = 1
     bits = np.array([0, 1, 1, 0, 0, 0, 1, 1])
@@ -185,6 +192,14 @@ def test_decode_all_zero_llr_does_not_converge(code_half):
     assert not ok2
 
 
+def test_decode_rejects_wrong_length(code_half):
+    # Two codewords flattened into one vector must not decode as one.
+    n = code_half.n
+    for llr in (np.ones(2 * n), np.ones((3, n + 1)), np.ones((2, n - 1))):
+        with pytest.raises(ValueError, match="LLRs per codeword"):
+            decode(llr, code_half)
+
+
 def test_decode_shapes_and_batching(code_half):
     rng = np.random.default_rng(7)
     info = rng.integers(0, 2, size=(2, 3, code_half.k), dtype=np.uint8)
@@ -213,16 +228,29 @@ def _snr_grid(lo, hi):
     return snr
 
 
-@pytest.mark.parametrize("rate, snr_db, seed, max_iters, digest", [
-    ("1/2", _snr_grid(1.0, 4.0), 11, None,
-     "cac0cdf40b5744aa5ffeea987e665bbd7ce20c04d07ab03d767e912e1900c271"),
-    ("3/4", _snr_grid(3.0, 6.0), 12, None,
-     "7fdc8f9ae9239aee80a9fb8bcd82517eb79f6364719a7902e8a4091eaf7039cb"),
-    ("3/4", _snr_grid(3.0, 6.0), 13, 3,
-     "166533e214f2bb48c4c0fca9757dc815df4c6a7d7b2ed1c7e9bdc97908a66f40"),
-    ("1/2", [[1.5, 2.5, 14.0], [3.5, 2.0, 0.5]], 14, None,
-     "f0fb82f333a59c787776b40355e81e00b6fd323124a1fdbf8c278dc70d8a5d26"),
-], ids=["half", "three-quarter", "three-quarter-3-iters", "half-shape-2x3"])
+# (rate, Es/N0 per codeword, seed, max_iters, digest) of each pinned batch.
+_PINNED = {
+    "half": ("1/2", _snr_grid(1.0, 4.0), 11, None,
+             "cac0cdf40b5744aa5ffeea987e665bbd7ce20c04d07ab03d767e912e1900c271"),
+    "three-quarter": ("3/4", _snr_grid(3.0, 6.0), 12, None,
+                      "7fdc8f9ae9239aee80a9fb8bcd82517eb79f6364719a7902e8a4091eaf7039cb"),
+    "three-quarter-3-iters": ("3/4", _snr_grid(3.0, 6.0), 13, 3,
+                              "166533e214f2bb48c4c0fca9757dc815df4c6a7d7b2ed1c7e9bdc97908a66f40"),
+    "half-shape-2x3": ("1/2", [[1.5, 2.5, 14.0], [3.5, 2.0, 0.5]], 14, None,
+                       "f0fb82f333a59c787776b40355e81e00b6fd323124a1fdbf8c278dc70d8a5d26"),
+}
+
+
+def _check_pinned(spec, snr_db, seed, max_iters, digest):
+    llr_post, hard, ok = decode(_awgn_llr(spec, snr_db, seed), spec, max_iters=max_iters)
+    assert llr_post.shape == hard.shape == np.shape(snr_db) + (spec.n,)
+    assert 0 < ok.sum() < ok.size
+    got = hashlib.sha256(llr_post.tobytes() + hard.tobytes() + ok.tobytes()).hexdigest()
+    assert got == digest
+
+
+@pytest.mark.parametrize("rate, snr_db, seed, max_iters, digest", _PINNED.values(),
+                         ids=_PINNED.keys())
 def test_decode_output_is_pinned(code_half, code_three_quarter, rate, snr_db, seed,
                                  max_iters, digest):
     """decode reproduces, bit for bit, the output recorded at commit d9b67ae.
@@ -234,11 +262,41 @@ def test_decode_output_is_pinned(code_half, code_three_quarter, rate, snr_db, se
     never converge.
     """
     spec = code_half if rate == "1/2" else code_three_quarter
-    llr_post, hard, ok = decode(_awgn_llr(spec, snr_db, seed), spec, max_iters=max_iters)
-    assert llr_post.shape == hard.shape == np.shape(snr_db) + (spec.n,)
-    assert 0 < ok.sum() < ok.size
-    got = hashlib.sha256(llr_post.tobytes() + hard.tobytes() + ok.tobytes()).hexdigest()
-    assert got == digest
+    _check_pinned(spec, snr_db, seed, max_iters, digest)
+
+
+@pytest.mark.parametrize("threads, tile", [(1, None), (2, None), (3, None), (3, 3)],
+                         ids=["1-thread", "2-threads", "3-threads", "3-threads-tiles-of-3"])
+@pytest.mark.parametrize("case", _PINNED)
+def test_split_decode_output_is_pinned(monkeypatch, code_half, code_three_quarter,
+                                       threads, tile, case):
+    """The pinned digests hold whatever the thread count and tile size."""
+    monkeypatch.setattr(_threads, "_MIN_WORK", 1)       # split even one codeword's work
+    monkeypatch.setattr(_threads, "_count", threads)
+    if tile:
+        monkeypatch.setattr(ldpc, "_TILE", tile)
+    rate, *rest = _PINNED[case]
+    _check_pinned(code_half if rate == "1/2" else code_three_quarter, *rest)
+
+
+def test_a_chunk_that_converges_early_leaves_the_other_unchanged(monkeypatch, code_half):
+    # Two threads, one chunk each: the first four codewords fail the check on
+    # input, then all converge, so their chunk returns early; the last four
+    # never converge and iterate to the end.
+    llr = _awgn_llr(code_half, [4.0] * 4 + [0.0] * 4, 21)
+    monkeypatch.setattr(_threads, "_MIN_WORK", 1)
+    monkeypatch.setattr(_threads, "_count", 1)
+    serial = decode(llr, code_half)
+    monkeypatch.setattr(_threads, "_count", 2)
+    ran, split = [], _threads.split
+    monkeypatch.setattr(_threads, "split", lambda fn, n, work: split(
+        lambda s: (ran.append((s.start, s.stop)), fn(s)), n, work))
+    threaded = decode(llr, code_half)
+    assert sorted(ran) == [(0, 4), (4, 8)]
+    assert not syndrome_ok(hard_decisions(llr[:4]), code_half).any()
+    assert serial[2].tolist() == [True] * 4 + [False] * 4
+    for a, b in zip(serial, threaded):
+        assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=20, deadline=None)

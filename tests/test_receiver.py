@@ -78,21 +78,33 @@ def test_clean_channel_decodes_immediately(code):
     assert np.array_equal(trace.final.soft.hard_bits, cw)
 
 
-def test_nonpositive_effective_noise_is_an_estimation_error(code, monkeypatch):
-    # LLRs scaled by a negative variance would have their signs flipped
+def _run_with_noise_variance(code, monkeypatch, noise):
+    """run_receiver with effective_stats' noise variances passed through noise."""
     config = ScenarioConfig(M=12, K=2, L=1, tau_c=200, tau_p=2,
                             noise_energy=0.01, rho_design=1.0, rho_max=10.0)
     net = manual_network(config, np.ones((1, 1, 2)))
     asg, frame, _, blocks = make_trial(config, net, "rp", code, np.random.default_rng(1))
     stats = receiver.effective_stats
 
-    def indefinite(*args, **kwargs):
+    def patched(*args, **kwargs):
         g, n_var = stats(*args, **kwargs)
-        return g, -n_var
+        return g, noise(n_var)
 
-    monkeypatch.setattr(receiver, "effective_stats", indefinite)
+    monkeypatch.setattr(receiver, "effective_stats", patched)
+    run_receiver(blocks, net, asg, config, code, frame, "rp", i_max=8)
+
+
+def test_nonpositive_effective_noise_is_an_estimation_error(code, monkeypatch):
+    # LLRs scaled by a negative variance would have their signs flipped
     with pytest.raises(EstimationError):
-        run_receiver(blocks, net, asg, config, code, frame, "rp", i_max=8)
+        _run_with_noise_variance(code, monkeypatch, lambda n_var: -n_var)
+
+
+def test_nan_effective_noise_is_an_estimation_error(code, monkeypatch):
+    # NaN LLRs slice to the all-zero codeword, which passes the parity check:
+    # unchecked, every UE would count as decoded.
+    with pytest.raises(EstimationError):
+        _run_with_noise_variance(code, monkeypatch, lambda n_var: n_var * np.nan)
 
 
 def test_imax_zero_is_the_pilot_only_pipeline(code):
