@@ -46,8 +46,10 @@ def pilot_observation(Y: np.ndarray, seqs: np.ndarray, q: np.ndarray,
                       mode: str, tau_p: int | None = None) -> np.ndarray:
     """De-spread received blocks against pilot sequences.
 
-    Y: (..., M, tau_c) received signal at one BS; seqs: (K, len) pilots of
-    the UEs to estimate; q: (K,) pilot energies. Returns z: (..., K, M).
+    Y: (..., M, tau_c) received signals; seqs: (..., K, len) pilots of the
+    UEs to estimate; q: (..., K) their pilot energies. The "..." of seqs and
+    q broadcast against that of Y, e.g. (B, L) blocks at every BS with
+    (L,) cells' pilots. Returns z: (..., K, M).
 
     rp: z_k = Y[:, :tau_p] conj(phi_k) / (tau_p sqrt(q_k))
     sp: z_k = Y conj(phi_k) / (tau_c sqrt(q_k))
@@ -65,7 +67,7 @@ def pilot_observation(Y: np.ndarray, seqs: np.ndarray, q: np.ndarray,
         norm = Y.shape[-1] * np.sqrt(q)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    z = np.einsum("...mt,kt->...km", Yp, np.conj(seqs))
+    z = np.einsum("...mt,...kt->...km", Yp, np.conj(seqs))
     return z / norm[..., :, None]
 
 
@@ -96,28 +98,6 @@ def data_aided_observation(Y: np.ndarray, Xhat: np.ndarray) -> np.ndarray:
 # Observation covariances (closed form)
 
 
-def _psi_pilot_single(realization: NetworkRealization, assignment: PilotAssignment,
-                      config: ScenarioConfig, mode: str, l: int, k: int) -> np.ndarray:
-    """Pilot-only observation covariance of UE (l, k)."""
-    R = realization.R
-    q, p = realization.energies(mode)
-    M = config.M
-    eye = np.eye(M)
-    qk = q[l, k]
-    psi = np.zeros((M, M), dtype=complex)
-    for (ll, kk) in assignment.sharing[l][k]:
-        psi += R[l, ll, kk] * (q[ll, kk] / qk)
-    if mode == "rp":
-        psi += (config.noise_energy / (qk * config.tau_p)) * eye
-    else:
-        data = np.zeros((M, M), dtype=complex)
-        for ll in range(config.L):
-            for kk in range(config.K):
-                data += R[l, ll, kk] * (p[ll, kk] / qk)
-        psi += (data + (config.noise_energy / qk) * eye) / config.tau_c
-    return psi
-
-
 def psi_pilot(realization: NetworkRealization, assignment: PilotAssignment,
               config: ScenarioConfig, mode: str) -> np.ndarray:
     """Covariance of the de-spread pilot observation, all UEs: (L, K, M, M).
@@ -127,11 +107,22 @@ def psi_pilot(realization: NetworkRealization, assignment: PilotAssignment,
     sp: same contamination term plus (1/tau_c) times the full data
         interference sum R * p'/q and noise sigma^2/q.
     """
+    R = realization.R
+    q, p = realization.energies(mode)
     L, K, M = config.L, config.K, config.M
-    psi = np.empty((L, K, M, M), dtype=complex)
-    for l in range(L):
-        for k in range(K):
-            psi[l, k] = _psi_pilot_single(realization, assignment, config, mode, l, k)
+    eye = np.eye(M)
+    psi = np.zeros((L, K, M, M), dtype=complex)
+    for l, k in np.ndindex(L, K):
+        qk = q[l, k]
+        for (ll, kk) in assignment.sharing[l][k]:
+            psi[l, k] += R[l, ll, kk] * (q[ll, kk] / qk)
+        if mode == "rp":
+            psi[l, k] += (config.noise_energy / (qk * config.tau_p)) * eye
+        else:
+            data = np.zeros((M, M), dtype=complex)
+            for ll, kk in np.ndindex(L, K):
+                data += R[l, ll, kk] * (p[ll, kk] / qk)
+            psi[l, k] += (data + (config.noise_energy / qk) * eye) / config.tau_c
     return psi
 
 
@@ -146,7 +137,7 @@ def psi_data_aided_bound(realization: NetworkRealization, assignment: PilotAssig
     The bound treats the projected observation under Gaussian symbols:
     the better the symbol estimates the smaller every interference term.
     For rp a vanishing own-sigma makes the projection denominators diverge,
-    so that UE's covariance is exactly the pilot-only one (explicit branch).
+    so that UE's covariance is exactly the pilot-only one, from psi_pilot.
     """
     R = realization.R
     q, p = realization.energies(mode)
@@ -159,21 +150,26 @@ def psi_data_aided_bound(realization: NetworkRealization, assignment: PilotAssig
     eye = np.eye(M)
     psi = np.empty((L, K, M, M), dtype=complex)
 
+    inter = realization.intercell(p)
+    pilot_only = (psi_pilot(realization, assignment, config, mode)
+                  if mode == "rp" and np.any(sig == 0.0) else None)
+    # The loops stay per UE: an einsum masked to the pilot-sharing sets would
+    # sum over all L*K UEs where a sharing set has at most L, in rp K = 10
+    # times the multiply-adds at the paper point.
     for l in range(L):
         # Interference sums reused across this cell's UEs.
         intra = [R[l, l, kk] * p[l, kk] * (1.0 - sig[l, kk]) for kk in range(K)]
-        inter = realization.intercell(l, p)
         for k in range(K):
             qk, pk, s2 = q[l, k], p[l, k], sig[l, k]
             if mode == "rp" and s2 == 0.0:
-                psi[l, k] = _psi_pilot_single(realization, assignment, config, mode, l, k)
+                psi[l, k] = pilot_only[l, k]
                 continue
             contam = np.zeros((M, M), dtype=complex)
             for (ll, kk) in assignment.sharing[l][k]:
                 if (ll, kk) == (l, k):
                     continue
                 contam += R[l, ll, kk] * q[ll, kk]
-            data_num = sum(intra[kk] for kk in range(K) if kk != k) + inter
+            data_num = sum(intra[kk] for kk in range(K) if kk != k) + inter[l]
 
             if mode == "rp":
                 if tau_d <= K:

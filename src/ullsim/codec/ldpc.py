@@ -7,9 +7,9 @@ forward-substitution encoder, and whose systematic columns carry weight-3
 pseudorandom circulant shifts screened against length-4 cycles.
 
 A base-graph entry (r, c, s) is a Z x Z circulant: check r*Z + i involves
-bit c*Z + (i + s) mod Z. Encoding works on these Z-blocks; the parity check
-and the decoder gather through index tables of the code's edges, built from
-the entries on first use. The parity-check matrix is never expanded.
+bit c*Z + (i + s) mod Z. The encoder, the parity check and the decoder
+gather through index tables of the code's edges, built from the entries on
+first use. The parity-check matrix is never expanded.
 """
 
 from __future__ import annotations
@@ -142,25 +142,20 @@ def make_code(rate: str) -> CodeSpec:
 def encode(info: np.ndarray, spec: CodeSpec) -> np.ndarray:
     """Systematic encoding. info: (..., k) bits -> codewords (..., n).
 
-    The parity bits follow by forward substitution through the lower
-    bidiagonal parity part of the base graph.
+    The checks' parities over [info, 0] are the partial syndromes; the
+    parity bits follow by forward substitution through the lower
+    bidiagonal parity part of the base graph, an XOR scan over base rows.
     """
     info = np.asarray(info, dtype=np.uint8)
     if info.shape[-1] != spec.k:
         raise ValueError(f"expected {spec.k} info bits, got {info.shape[-1]}")
-    Z, m_b, k_b = spec.qc_Z, spec.qc_mb, spec.qc_kb
     flat = info.reshape(-1, spec.k)
     B = flat.shape[0]
-    blocks = flat.reshape(B, k_b, Z)
-    syn = np.zeros((B, m_b, Z), dtype=np.uint8)
-    for (r, c, s) in spec.qc_entries:
-        if c < k_b:
-            syn[:, r] ^= np.roll(blocks[:, c], -s, axis=-1)
-    parity = np.zeros((B, m_b, Z), dtype=np.uint8)
-    parity[:, 0] = syn[:, 0]
-    for r in range(1, m_b):
-        parity[:, r] = syn[:, r] ^ parity[:, r - 1]
-    cw = np.concatenate([flat, parity.reshape(B, m_b * Z)], axis=1)
+    bits = np.zeros((B, spec.n), dtype=bool)
+    bits[:, :spec.k] = flat
+    syn = _check_parities(bits[:, spec._edges.to_check], spec._edges)
+    parity = np.logical_xor.accumulate(syn.reshape(B, spec.qc_mb, spec.qc_Z), axis=1)
+    cw = np.concatenate([flat, parity.reshape(B, -1)], axis=1)
     return cw.reshape(info.shape[:-1] + (spec.n,))
 
 
@@ -214,15 +209,19 @@ def _edge_tables(spec: CodeSpec) -> _Edges:
     return _Edges(degree=degree, to_check=to_check, pads=pads, layers=layers)
 
 
-def _unsatisfied(neg: np.ndarray, edges: _Edges) -> np.ndarray:
-    """Per codeword, whether some check fails.
+def _check_parities(bits: np.ndarray, edges: _Edges) -> np.ndarray:
+    """Each check's parity, (B, m_b*Z): the XOR of its bits over the slabs.
 
-    neg: (B, E) bits in edge order; its padding edges are cleared.
+    bits: (B, E) bools in edge order; its padding edges are cleared.
     """
     for p in edges.pads:
-        neg[:, p] = False
-    slabs = neg.reshape(len(neg), edges.degree, -1)
-    return np.logical_xor.reduce(slabs, axis=1).any(axis=1)
+        bits[:, p] = False
+    return np.logical_xor.reduce(bits.reshape(len(bits), edges.degree, -1), axis=1)
+
+
+def _unsatisfied(neg: np.ndarray, edges: _Edges) -> np.ndarray:
+    """Per codeword, whether some check fails. neg: as for _check_parities."""
+    return _check_parities(neg, edges).any(axis=1)
 
 
 def syndrome_ok(bits: np.ndarray, spec: CodeSpec) -> np.ndarray:
@@ -324,10 +323,11 @@ def decode(llr: np.ndarray, spec: CodeSpec, max_iters: int | None = None
     """Normalized min-sum belief propagation (flooding schedule).
 
     llr: (..., n) channel LLRs, positive = bit 0. Returns
-    (llr_post, hard_bits, decoded_ok) with matching leading shape. Posterior
-    LLRs include the channel term plus all check-to-variable messages.
-    Codewords whose input hard decisions already satisfy every parity check
-    are returned unchanged; converged codewords stop iterating early.
+    (llr_post, hard_bits, decoded_ok) with matching leading shape; hard_bits
+    is always llr_post < 0. Posterior LLRs include the channel term plus all
+    check-to-variable messages. Codewords whose input hard decisions
+    already satisfy every parity check are returned unchanged; converged
+    codewords stop iterating early.
 
     Messages live in one row per codeword, in edge order (see _Edges), and
     each step gathers through an index table. A bit's total sums its

@@ -1,10 +1,10 @@
 """Receive combining and per-UE effective channel statistics.
 
-All functions operate per serving cell: the BS combines its received block
-with v_k per UE, optionally after subtracting reconstructed co-UE
-contributions (iterative interference cancellation). The demapper then
-treats y_hat = g * s + effective noise, with (g, n_var) from
-effective_stats.
+Each BS combines its received block with v_k per UE, optionally after
+subtracting reconstructed co-UE contributions (iterative interference
+cancellation); the combining functions take one serving cell.
+effective_stats takes every cell at once. The demapper then treats
+y_hat = g * s + effective noise, with (g, n_var) from effective_stats.
 """
 
 from __future__ import annotations
@@ -100,15 +100,16 @@ def combine_iterative(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
 
 
 def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
-                    realization: NetworkRealization, l: int, mode: str,
+                    realization: NetworkRealization, mode: str,
                     config: ScenarioConfig, sigma_est: np.ndarray,
                     cancelled: bool) -> tuple[np.ndarray, np.ndarray]:
     """Effective gain and noise variance per UE for the demapper.
 
-    v, h_hat: (..., K, M) for serving cell l; C: (K, M, M); sigma_est: (K,)
-    in-cell soft-symbol qualities (0 before any decoding); cancelled: True
-    once reconstructed co-UE contributions are subtracted (iterations >= 1).
-    Returns (g, n_var), each (..., K).
+    v, h_hat: (..., L, K, M) at every serving BS, e.g. (B, L, K, M) over
+    the blocks; C: (L, K, M, M); sigma_est: (L, K) soft-symbol qualities
+    (0 before any decoding); cancelled: True once reconstructed co-UE
+    contributions are subtracted (iterations >= 1).
+    Returns (g, n_var), each (..., L, K).
 
     The variance conditions on the estimates: channel errors enter through
     C, co-UE symbol errors through 1 - sigma_est^2, intercell interference
@@ -117,35 +118,29 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
     error q_k v^H C_k v remains); co-UE pilots are removed only once
     cancellation is active.
     """
-    q_all, p_all = realization.energies(mode)
-    q, p = q_all[l], p_all[l]
-    K = config.K
+    q, p = realization.energies(mode)
+    full = p if mode == "rp" else p + q             # a UE's full energy, (L, K)
     sig = np.asarray(sigma_est, dtype=float)
 
     g = np.sqrt(p) * np.einsum("...km,...km->...k", v.conj(), h_hat)
 
     # v_k^H C_j v_k and |v_k^H h_hat_j|^2 for every in-cell pair (k, j).
-    vCv = _threads.einsum("...km,jmn,...kn->...kj", v.conj(), C, v).real
+    vCv = _threads.einsum("...km,...jmn,...kn->...kj", v.conj(), C, v).real
     vh2 = np.abs(np.einsum("...km,...jm->...kj", v.conj(), h_hat)) ** 2
 
     # Own-UE residual: channel-estimation error on data (and own pilot for sp).
-    own_energy = p if mode == "rp" else p + q
-    n_var = np.einsum("...kk,k->...k", vCv, own_energy)
+    n_var = np.einsum("...kk,...k->...k", vCv, full)
 
-    # In-cell co-UE residuals.
-    full = p if mode == "rp" else p + q
-    if cancelled:
-        est_part = p * (1.0 - sig)                  # residual data after subtraction
-    else:
-        est_part = full                             # nothing subtracted yet
-    off = ~np.eye(K, dtype=bool)
-    cross = vh2 * est_part[None, :] + vCv * full[None, :]
+    # In-cell co-UE residuals: after subtraction only the residual data,
+    # before it everything.
+    est_part = p * (1.0 - sig) if cancelled else full
+    off = ~np.eye(config.K, dtype=bool)
+    cross = vh2 * est_part[..., None, :] + vCv * full[..., None, :]
     n_var = n_var + np.einsum("...kj,kj->...k", cross, off.astype(float))
 
     # Intercell interference (never cancelled: symbols unknown at this BS).
-    inter = realization.intercell(l, p_all if mode == "rp" else p_all + q_all)
-    n_var = n_var + _threads.einsum("...km,mn,...kn->...k", v.conj(), inter, v).real
+    inter = realization.intercell(full)
+    n_var = n_var + _threads.einsum("...km,...mn,...kn->...k", v.conj(), inter, v).real
 
     n_var = n_var + config.noise_energy * np.einsum("...km,...km->...k", v.conj(), v).real
     return g, n_var
-

@@ -8,6 +8,7 @@ them in sorted order — so results are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -22,7 +23,7 @@ from .codec import PRESET_RATES, encode, frame_codeword, make_code, qpsk_map
 from .codec.framing import make_frame
 from .codec.ldpc import CodeSpec
 from .config import ConfigError, ScenarioConfig, require_integers
-from .metrics import bler, mse_channel_analytic, se_uatf_moments, se_uatf_samples
+from .metrics import mse_channel_analytic, se_uatf_moments, se_uatf_samples
 from .netgeom import NetworkRealization, make_network
 from .pilots import assign_pilots
 from .receiver import estimate_and_combine, run_receiver
@@ -124,13 +125,26 @@ def _drop_rng(campaign: Campaign, grid_index: int, trial_index: int) -> np.rando
     return np.random.default_rng(seq)
 
 
-_CODE_CACHE: dict[str, CodeSpec] = {}
-
-
+@functools.cache
 def get_code(rate: str) -> CodeSpec:
-    if rate not in _CODE_CACHE:
-        _CODE_CACHE[rate] = make_code(rate)
-    return _CODE_CACHE[rate]
+    """The preset code of a rate, made once per process."""
+    return make_code(rate)
+
+
+def _ue_rows(iteration: int, decoded_ok: np.ndarray | None = None,
+             **per_ue: np.ndarray) -> list[dict]:
+    """One row per UE class from (L, K) per-UE figures, averaged over the cells.
+
+    BLER is 1 - mean(decoded_ok) over the cells; a metric not given is NaN.
+    """
+    means = {m: np.mean(x, axis=0) for m, x in per_ue.items()}
+    if decoded_ok is not None:
+        means["bler"] = 1.0 - np.mean(decoded_ok, axis=0)
+    K = len(next(iter(means.values())))
+    return [dict(iteration=iteration, ue_index_class=k,
+                 **{m: float(means[m][k]) if m in means else float("nan")
+                    for m in _METRICS})
+            for k in range(K)]
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +178,8 @@ def run_coded_trial(campaign: Campaign, grid_index: int, trial_index: int) -> li
         # Per-block-hardened estimate: the gain's spread over blocks is noise.
         se_uatf = se_uatf_moments(np.mean(st.g, axis=0),
                                   np.mean(st.n_var, axis=0) + np.var(st.g, axis=0), prelog)
-        for k in range(K):
-            rows.append(dict(iteration=it, ue_index_class=k,
-                             mse_ch=float(np.mean(st.mse_emp[:, k])),
-                             se_uatf=float(np.mean(se_uatf[:, k])),
-                             se_mi=float(np.mean(st.se_mi[:, k])),
-                             bler=bler(st.soft.decoded_ok[:, k]),
-                             snr_eff_db=float(np.mean(st.snr_eff_db[:, k]))))
+        rows += _ue_rows(it, st.soft.decoded_ok, mse_ch=st.mse_emp, se_uatf=se_uatf,
+                         se_mi=st.se_mi, snr_eff_db=st.snr_eff_db)
     return rows
 
 
@@ -219,20 +228,14 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     stage = (blocks, realization, assignment, config, mode, campaign.combiner)
     h_pilot, C0, _, y0, _ = estimate_and_combine(*stage)
     _, C1, _, y1, _ = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig, h_pilot=h_pilot)
-    mse = {0: mse_channel_analytic(C0), 1: mse_channel_analytic(C1)}
     prelog = n_data / config.tau_c
-    se = {it: np.array([[se_uatf_samples(y[:, l, k], s[:, l, k], prelog, min_samples=1)
-                         for k in range(K)] for l in range(L)])
-          for it, y in ((0, y0), (1, y1))}
-
+    # se_uatf_samples stays per UE: batched means keep the bits only over
+    # contiguous per-UE copies of y and s, about 20 MB at the paper point.
     rows = []
-    for it in (0, 1):
-        for k in range(K):
-            rows.append(dict(iteration=it, ue_index_class=k,
-                             mse_ch=float(np.mean(mse[it][:, k])),
-                             se_uatf=float(np.mean(se[it][:, k])),
-                             se_mi=float("nan"), bler=float("nan"),
-                             snr_eff_db=float("nan")))
+    for it, C, y in ((0, C0, y0), (1, C1, y1)):
+        se = np.array([[se_uatf_samples(y[:, l, k], s[:, l, k], prelog, min_samples=1)
+                        for k in range(K)] for l in range(L)])
+        rows += _ue_rows(it, mse_ch=mse_channel_analytic(C), se_uatf=se)
     return rows
 
 
@@ -363,16 +366,22 @@ def gaussian_symbol_study(campaign: Campaign, out_dir: str | Path | None = None)
     """MSE/SE curves vs the sweep parameter for rp (reuse 1 and 3) and sp.
 
     Runs the gaussian pipeline for each mode variant (pilot reuse 3 uses
-    tau_p = 3K, and runs only if that leaves tau_d > K) with the campaign's
-    combiner, and returns the union of the aggregated rows (mode column
-    distinguishes the variants). Each (grid point, trial) pair draws one
-    drop for all variants, and one pool runs the pairs. When out_dir is
-    given, writes results.csv plus per-figure long-format files.
+    tau_p = 3K, and runs only if that leaves tau_d > K at every grid point)
+    with the campaign's combiner, and returns the union of the aggregated
+    rows (mode column distinguishes the variants). The variants set tau_p,
+    so a tau_p or K sweep is a ConfigError. Each (grid point, trial) pair
+    draws one drop for all variants, and one pool runs the pairs. When
+    out_dir is given, writes results.csv plus per-figure long-format files.
     """
+    if campaign.grid_param in ("tau_p", "K"):
+        raise ConfigError(f"a study cannot sweep {campaign.grid_param}: it sets tau_p "
+                          "to K (rp, sp) and 3K (rp3) per variant")
     cfg = campaign.config
     variants = [("rp", replace(campaign, pipeline="gaussian", mode="rp",
                                config=cfg.replace(tau_p=cfg.K)))]
-    if cfg.tau_c - 3 * cfg.K > cfg.K:                  # its data-aided bound needs tau_d > K
+    # rp3's data-aided bound needs tau_d = tau_c - 3K > K at every grid point.
+    points = [apply_grid_point(cfg, campaign.grid_param, v)[0] for v in campaign.grid_values]
+    if all(c.tau_c - 3 * c.K > c.K for c in points):
         variants.append(("rp3", replace(campaign, pipeline="gaussian", mode="rp",
                                         config=cfg.replace(tau_p=3 * cfg.K))))
     variants.append(("sp", replace(campaign, pipeline="gaussian", mode="sp",

@@ -48,17 +48,19 @@ def se_uatf_samples(y_hat: np.ndarray, s: np.ndarray, prelog: float,
 
 
 def se_mutual_info(bit_posteriors: np.ndarray, prelog: float, n_bits_per_symbol: int,
-                   code_rate: float) -> float:
+                   code_rate: float):
     """Decoder-aware SE from per-bit posterior probabilities.
 
-    bit_posteriors: probabilities of one hypothesis per coded bit (either
-    convention; the entropy is symmetric). Each bit contributes
-    1 - H2(posterior) recovered information; scaling by the modulation
-    order and code rate converts to information symbols per data sample.
+    bit_posteriors: (..., n) probabilities of one hypothesis per coded bit
+    (either convention; the entropy is symmetric), one codeword per row.
+    Each bit contributes 1 - H2(posterior) recovered information; scaling
+    by the modulation order and code rate converts to information symbols
+    per data sample. Returns a float for 1-D input, else (...).
     """
     p = np.clip(np.asarray(bit_posteriors, dtype=float), 0.0, 1.0)
     ent = binary_entropy(p)
-    return prelog * n_bits_per_symbol * code_rate * float(np.mean(1.0 - ent))
+    se = prelog * n_bits_per_symbol * code_rate * np.mean(1.0 - ent, axis=-1)
+    return float(se) if se.ndim == 0 else se
 
 
 def binary_entropy(p: np.ndarray) -> np.ndarray:

@@ -114,15 +114,16 @@ class NetworkRealization:
             return self.delta * self.rho, (1.0 - self.delta) * self.rho
         raise ValueError(f"unknown mode {mode!r}")
 
-    def intercell(self, l: int, energy: np.ndarray) -> np.ndarray:
-        """Intercell interference sum_{ll != l, kk} R[l, ll, kk] energy[ll, kk] at BS l."""
+    def intercell(self, energy: np.ndarray) -> np.ndarray:
+        """Intercell interference at every BS, (L, M, M).
+
+        [l] = sum_{ll != l, kk} R[l, ll, kk] energy[ll, kk], summed in that order.
+        """
         L, K = energy.shape
-        inter = np.zeros(self.R.shape[-2:], dtype=complex)
-        for ll in range(L):
-            if ll == l:
-                continue
-            for kk in range(K):
-                inter += self.R[l, ll, kk] * energy[ll, kk]
+        inter = np.zeros((L,) + self.R.shape[-2:], dtype=complex)
+        for l, ll, kk in np.ndindex(L, L, K):
+            if ll != l:
+                inter[l] += self.R[l, ll, kk] * energy[ll, kk]
         return inter
 
 

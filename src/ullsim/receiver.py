@@ -96,7 +96,6 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     that kept h_pilot. psi and the filters are freed once used, so the
     caller holds one set of channel statistics, C.
     """
-    L = config.L
     if s_blocks is None:
         psi = psi_pilot(realization, assignment, config, mode)
     else:
@@ -110,8 +109,7 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     seqs = assignment.seqs
     failed = []
     if s_blocks is None:
-        z = np.stack([pilot_observation(Y[:, l], seqs[l], q[l], mode, tau_p=config.tau_p)
-                      for l in range(L)], axis=1)
+        z = pilot_observation(Y, seqs, q, mode, tau_p=config.tau_p)
     else:
         Xh = np.swapaxes(build_transmit(mode, assignment, s_blocks, realization, config),
                          -1, -2)                           # (B, L, tau_c, K)
@@ -131,9 +129,13 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     for b, l in failed:
         h_hat[b, l] = h_pilot[b, l]                        # pilot-only fallback
 
+    # Combining stays one cell at a time: stacked over the cells it gives the
+    # same bits, but combine_iterative's (B, L, M, tau_c) residual raised a
+    # coded rp trial's traced peak from 71.3 to 90.7 MB and its ru_maxrss
+    # from 120 to 148 MB (paper point, seed 1), over the benchmark's 10 % bound.
     V = np.empty_like(h_hat)
     y = []
-    for l in range(L):
+    for l in range(config.L):
         V[:, l] = build_combiner(h_hat[:, l], C[l], realization.rho[l],
                                  config.noise_energy, combiner_kind)
         if s_blocks is None:
@@ -189,12 +191,8 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
             blocks, realization, assignment, config, mode, combiner_kind,
             s_blocks=s_blocks, sigma=sigma_in, h_pilot=h0)
 
-        g = np.empty((B, L, K), dtype=complex)
-        n_var = np.empty((B, L, K))
-        for l in range(L):
-            g[:, l], n_var[:, l] = effective_stats(
-                V[:, l], h_hat[:, l], C[l], realization, l, mode, config,
-                sigma_in[l], cancelled=(it > 0))
+        g, n_var = effective_stats(V, h_hat, C, realization, mode, config, sigma_in,
+                                   cancelled=(it > 0))
         if not (np.all(n_var > 0) and np.all(np.isfinite(n_var)) and np.all(np.isfinite(g))):
             # An indefinite error covariance, a zero combiner or a NaN. A NaN
             # would demap to all-zero bits: the all-zero codeword, which checks.
@@ -214,15 +212,13 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
             prev_ok = soft_prev.decoded_ok
             llr_post = np.where(prev_ok[..., None], soft_prev.llr_post, llr_cw)
             soft_prev.llr_post = None
-        hard = hard_decisions(llr_post)
         ok = prev_ok.copy()
         todo = np.nonzero(~prev_ok.ravel())[0]
         if todo.size:
-            flat_llr = llr_cw.reshape(L * K, code.n)[todo]
-            post, bits, good = decode(flat_llr, code)
+            post, _, good = decode(llr_cw.reshape(L * K, code.n)[todo], code)
             llr_post.reshape(L * K, code.n)[todo] = post
-            hard.reshape(L * K, code.n)[todo] = bits
             ok.reshape(L * K)[todo] = good
+        hard = hard_decisions(llr_post)             # decode's bits are post < 0
 
         s_hat, sig = soft_symbols(llr_post)
         # Decoded UEs transmit-side symbols are known exactly from here on.
@@ -233,11 +229,10 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
                              decoded_ok=ok, hard_bits=hard)
 
         p0 = 1.0 / (1.0 + np.exp(-llr_post))
-        se_mi = np.array([[se_mutual_info(p0[l, k], prelog, 2, code.rate)
-                           for k in range(K)] for l in range(L)])
         states.append(IterationState(index=it, soft=soft, g=g, n_var=n_var,
                                      mse_emp=mse_channel_empirical(h_true, h_hat),
-                                     se_mi=se_mi, snr_eff_db=effective_snr_db(g, n_var),
+                                     se_mi=se_mutual_info(p0, prelog, 2, code.rate),
+                                     snr_eff_db=effective_snr_db(g, n_var),
                                      bler=bler(ok), fallback_blocks=fallbacks))
         return ChannelEstimateSet(h_hat=h_hat, C=C)
 

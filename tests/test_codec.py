@@ -47,6 +47,7 @@ def test_encoder_output_is_in_the_code(code_half, code_three_quarter):
     for spec in (code_half, code_three_quarter):
         info = rng.integers(0, 2, size=(8, spec.k), dtype=np.uint8)
         cw = encode(info, spec)
+        assert cw.dtype == np.uint8
         assert np.all(syndrome_ok(cw, spec))
         # systematic: info bits appear untouched
         assert np.array_equal(cw[:, :spec.k], info)
@@ -245,6 +246,7 @@ def _check_pinned(spec, snr_db, seed, max_iters, digest):
     llr_post, hard, ok = decode(_awgn_llr(spec, snr_db, seed), spec, max_iters=max_iters)
     assert llr_post.shape == hard.shape == np.shape(snr_db) + (spec.n,)
     assert 0 < ok.sum() < ok.size
+    assert np.array_equal(hard, llr_post < 0)      # the receiver relies on it
     got = hashlib.sha256(llr_post.tobytes() + hard.tobytes() + ok.tobytes()).hexdigest()
     assert got == digest
 

@@ -202,11 +202,11 @@ def test_effective_stats_clean_receiver():
     rng = np.random.default_rng(9)
     h = crandn(rng, (1, 3))
     v = h / np.linalg.norm(h)
-    g, n_var = effective_stats(v, h, np.zeros((1, 3, 3)), net, 0, "rp",
-                               config, np.zeros(1), cancelled=False)
+    g, n_var = effective_stats(v[None], h[None], np.zeros((1, 1, 3, 3)), net, "rp",
+                               config, np.zeros((1, 1)), cancelled=False)
     q, p = net.energies("rp")
-    assert np.isclose(g[0], np.sqrt(p[0, 0]) * np.linalg.norm(h))
-    assert np.isclose(n_var[0], config.noise_energy)
+    assert np.isclose(g[0, 0], np.sqrt(p[0, 0]) * np.linalg.norm(h))
+    assert np.isclose(n_var[0, 0], config.noise_energy)
 
 
 def test_effective_stats_mr_gain():
@@ -214,24 +214,24 @@ def test_effective_stats_mr_gain():
     net = manual_network(config, np.ones((1, 1, 1)), R=np.zeros((1, 1, 1, 4, 4)))
     rng = np.random.default_rng(10)
     h = crandn(rng, (1, 4))
-    g, _ = effective_stats(h, h, np.zeros((1, 4, 4)), net, 0, "rp",
-                           config, np.zeros(1), cancelled=False)
+    g, _ = effective_stats(h[None], h[None], np.zeros((1, 1, 4, 4)), net, "rp",
+                           config, np.zeros((1, 1)), cancelled=False)
     _, p = net.energies("rp")
-    assert np.isclose(g[0], np.sqrt(p[0, 0]) * np.linalg.norm(h[0]) ** 2)
+    assert np.isclose(g[0, 0], np.sqrt(p[0, 0]) * np.linalg.norm(h[0]) ** 2)
 
 
 def test_effective_stats_cancellation_reduces_variance():
     config = cfg(M=4, K=2, tau_p=2, noise_energy=0.2)
     net = manual_network(config, np.array([[[1.0, 1.0]]]))
     rng = np.random.default_rng(11)
-    h = crandn(rng, (2, 4))
-    C = np.zeros((2, 4, 4))
-    before = effective_stats(h, h, C, net, 0, "rp", config,
-                             np.zeros(2), cancelled=False)[1]
-    after = effective_stats(h, h, C, net, 0, "rp", config,
-                            np.full(2, 0.9), cancelled=True)[1]
-    perfect = effective_stats(h, h, C, net, 0, "rp", config,
-                              np.ones(2), cancelled=True)[1]
+    h = crandn(rng, (1, 2, 4))
+    C = np.zeros((1, 2, 4, 4))
+    before = effective_stats(h, h, C, net, "rp", config,
+                             np.zeros((1, 2)), cancelled=False)[1]
+    after = effective_stats(h, h, C, net, "rp", config,
+                            np.full((1, 2), 0.9), cancelled=True)[1]
+    perfect = effective_stats(h, h, C, net, "rp", config,
+                              np.ones((1, 2)), cancelled=True)[1]
     assert np.all(after < before)
     assert np.all(perfect <= after)
     # perfect cancellation with perfect CSI leaves thermal noise only
@@ -256,14 +256,56 @@ def test_effective_stats_match_simulation():
     s = crandn(rng, (n_blocks, 3, 2, config.tau_d))
     blocks = simulate_blocks(mode, asg, s, net, config, rng)
     l = 0
-    z = pilot_observation(blocks.Y[:, l], seqs[l], q[l], mode, tau_p=config.tau_p)
-    h_hat = np.einsum("kmn,bkn->bkm", W[l], z)
+    z = pilot_observation(blocks.Y, seqs, q, mode, tau_p=config.tau_p)
+    h_hat = np.einsum("lkmn,blkn->blkm", W, z)
     v = h_hat                                                   # mr
-    y_hat = combine_initial(blocks.Y[:, l], v, mode, config)
-    g, n_var = effective_stats(v, h_hat, C[l], net, l, mode, config,
-                               np.zeros(2), cancelled=False)
+    y_hat = combine_initial(blocks.Y[:, l], v[:, l], mode, config)
+    g, n_var = effective_stats(v, h_hat, C, net, mode, config,
+                               np.zeros((3, 2)), cancelled=False)
+    g, n_var = g[:, l], n_var[:, l]
     resid = y_hat - g[..., None] * s[:, l]
     emp = np.mean(np.abs(resid) ** 2, axis=(0, 2))
     ana = np.mean(n_var, axis=0)
     assert np.all(np.abs(emp - ana) <= 0.05 * ana), (emp, ana)
 
+
+@pytest.mark.parametrize("mode", ["rp", "sp"])
+@pytest.mark.parametrize("cancelled", [False, True])
+def test_stacked_effective_stats_equal_their_defining_sums(mode, cancelled):
+    # Every (block, cell, UE) of one stacked call against its sum, term by term,
+    # with gains, correlations and errors of one order, so every term counts.
+    config = cfg(M=3, K=2, L=3, tau_c=12, tau_p=2, noise_energy=0.5)
+    B, L, K, M = 4, config.L, config.K, config.M
+    rng = np.random.default_rng(13)
+
+    def psd(shape, scale):
+        A = crandn(rng, shape + (M, M))
+        return scale * A @ np.swapaxes(A.conj(), -1, -2) / M
+
+    net = manual_network(config, rng.uniform(0.2, 1.0, (L, L, K)), R=psd((L, L, K), 1.0))
+    v = crandn(rng, (B, L, K, M))
+    h_hat = crandn(rng, (B, L, K, M))
+    C = psd((L, K), 0.1)
+    sig = rng.uniform(size=(L, K))
+    g, n_var = effective_stats(v, h_hat, C, net, mode, config, sig, cancelled)
+
+    q, p = net.energies(mode)
+    full = p if mode == "rp" else p + q
+    assert g.shape == n_var.shape == (B, L, K)
+    for b, l, k in np.ndindex(B, L, K):
+        vk = v[b, l, k]
+
+        def quad(X):
+            return np.vdot(vk, X @ vk).real
+
+        want = full[l, k] * quad(C[l, k]) + config.noise_energy * np.vdot(vk, vk).real
+        for j in range(K):
+            if j != k:
+                data = p[l, j] * (1.0 - sig[l, j]) if cancelled else full[l, j]
+                want += data * abs(np.vdot(vk, h_hat[b, l, j])) ** 2 + full[l, j] * quad(C[l, j])
+        for ll, kk in np.ndindex(L, K):
+            if ll != l:
+                want += full[ll, kk] * quad(net.R[l, ll, kk])
+        assert np.isclose(g[b, l, k], np.sqrt(p[l, k]) * np.vdot(vk, h_hat[b, l, k]),
+                          rtol=1e-12, atol=0)
+        assert np.isclose(n_var[b, l, k], want, rtol=1e-12, atol=0)

@@ -276,6 +276,38 @@ def test_study_skips_rp3_when_its_data_is_too_short():
     assert all(np.isfinite(r["mse_ch"]) for r in rows)
 
 
+def test_study_skips_rp3_when_any_grid_point_is_too_short():
+    # At tau_c = 8, rp3 would have tau_d = 2 = K; at 24 it would run. The base
+    # tau_c (24) alone would admit rp3, whose campaign then rejects tau_c = 8.
+    config = ScenarioConfig(M=8, K=2, L=3, tau_c=24, tau_p=2)
+    rows = gaussian_symbol_study(gaussian_campaign(config=config, grid_param="tau_c",
+                                                   grid_values=(8.0, 24.0), trials=1))
+    assert {(r["mode"], r["grid_value"]) for r in rows} == {
+        (mode, value) for mode in ("rp", "sp") for value in (8.0, 24.0)}
+    assert all(np.isfinite(r["mse_ch"]) for r in rows)
+
+
+@pytest.mark.parametrize("param", ["tau_p", "K"])
+def test_study_rejects_sweeps_of_tau_p_and_k(monkeypatch, tmp_path, config_file, capsys,
+                                             param):
+    # The variants set tau_p to K and 3K: a tau_p sweep would overwrite it and
+    # make the rp3 rows rp rows, and a K sweep would leave rp's tau_p at the
+    # base K.
+    ran = []
+    monkeypatch.setattr(harness, "_run_pairs", lambda *args: ran.append(args))
+    values = (2.0, 6.0) if param == "tau_p" else (1.0, 2.0)
+    campaign = gaussian_campaign(config=ScenarioConfig(M=8, K=2, L=3, tau_p=2),
+                                 grid_param=param, grid_values=values, trials=1)
+    with pytest.raises(ConfigError, match=param):
+        gaussian_symbol_study(campaign)
+    assert not ran                                 # before any trial
+    assert cli.main(["sweep", str(config_file), "--study", "--param", param,
+                     "--values", ",".join(map(str, values)), "--trials", "1",
+                     "--out", str(tmp_path / "study.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not ran
+
+
 # ---------------------------------------------------------------------------
 # Package surface
 

@@ -89,6 +89,17 @@ def test_mi_partial_posteriors():
     assert np.isclose(se, 1.0 * (1.0 - 0.8112781244591328), atol=1e-12)
 
 
+def test_mi_of_stacked_codewords_equals_one_call_per_codeword():
+    # The receiver passes every (cell, UE) codeword at once; each reads as alone.
+    rng = np.random.default_rng(3)
+    post = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 4.0, size=(4, 10, 3840))))
+    se = se_mutual_info(post, 0.95, 2, 0.5)
+    assert se.shape == (4, 10)
+    single = [[se_mutual_info(post[l, k], 0.95, 2, 0.5) for k in range(10)] for l in range(4)]
+    assert isinstance(single[0][0], float)
+    assert np.array_equal(se, single)
+
+
 def test_binary_entropy_endpoints():
     assert binary_entropy(np.array([0.0, 1.0, 0.5])).tolist() == [0.0, 0.0, 1.0]
 

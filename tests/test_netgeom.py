@@ -172,3 +172,16 @@ def test_make_network_shapes_and_energy_split():
     assert np.allclose(q_sp, 0.3 * net.rho)
     assert np.allclose(p_sp, 0.7 * net.rho)
     assert np.allclose(q_sp + p_sp, net.rho)                 # total budget kept
+
+
+def test_intercell_sums_every_other_cell_at_every_bs():
+    cfg = small_config(L=3)
+    rng = np.random.default_rng(10)
+    net = make_network(cfg, rng)
+    energy = rng.uniform(0.5, 2.0, size=(cfg.L, cfg.K))
+    inter = net.intercell(energy)
+    assert inter.shape == (cfg.L, cfg.M, cfg.M)
+    for l in range(cfg.L):
+        want = sum(net.R[l, ll, kk] * energy[ll, kk]
+                   for ll in range(cfg.L) for kk in range(cfg.K) if ll != l)
+        assert np.array_equal(inter[l], want)              # the same order, the same bits

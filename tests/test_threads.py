@@ -128,6 +128,8 @@ _EINSUM_FORMS = {
     "leading-1": ("...km,...mt->...kt", [(1, 3, 2, 4), (1, 3, 4, 6)], []),
     "unstacked": ("...km,...mt->...kt", [(2, 4), (4, 6)], []),
     "W-z": ("lkmn,...lkn->...lkm", [(3, 2, 4, 4), (5, 3, 2, 4)], [3]),
+    "vCv": ("...km,...jmn,...kn->...kj", [(5, 3, 2, 4), (3, 2, 4, 4), (5, 3, 2, 4)], [3]),
+    "v-inter-v": ("...km,...mn,...kn->...k", [(5, 3, 2, 4), (3, 4, 4), (5, 3, 2, 4)], [3]),
 }
 
 

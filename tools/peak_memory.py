@@ -48,6 +48,10 @@ STAGES = (
     ("psi", "ullsim.chest", "psi_data_aided_bound"),
     ("LMMSE", "ullsim.chest", "lmmse_filter"),
     ("estimate-and-combine", "ullsim.receiver", "estimate_and_combine"),
+    # One call per cell: combining stays per cell for its memory.
+    ("combiner", "ullsim.combine", "build_combiner"),
+    ("combine", "ullsim.combine", "combine_initial"),
+    ("combine", "ullsim.combine", "combine_iterative"),
     ("effective_stats", "ullsim.combine", "effective_stats"),
     ("decode", "ullsim.codec.ldpc", "decode"),
 )
