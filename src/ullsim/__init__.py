@@ -23,7 +23,7 @@ from .combine import build_combiner, combine_initial, combine_iterative, effecti
 from .config import ConfigError, ScenarioConfig, dbm_to_joules, load_config, save_config
 from .harness import (Campaign, emit_figure_data, gaussian_symbol_study,
                       run_campaign, write_csv)
-from .metrics import (binary_entropy, bler, effective_snr_db,
+from .metrics import (binary_entropy, effective_snr_db,
                       mse_channel_analytic, mse_channel_empirical,
                       se_mutual_info, se_uatf_moments, se_uatf_samples)
 from .netgeom import (HexGrid, NetworkRealization, apply_power_control,
@@ -39,7 +39,7 @@ __all__ = [
     "FeasibilityResult", "HexGrid", "IterationState", "IterationTrace",
     "NetworkRealization", "PilotAssignment", "PilotBook", "ProjectionError",
     "ScenarioConfig", "SoftDataState", "apply_power_control", "assign_pilots",
-    "binary_entropy", "bler", "build_combiner", "build_geometry",
+    "binary_entropy", "build_combiner", "build_geometry",
     "combine_initial", "combine_iterative", "correlation_sqrt", "crandn",
     "data_aided_feasibility", "data_aided_observation", "dbm_to_joules",
     "decode", "draw_channels", "effective_snr_db", "effective_stats",

@@ -65,16 +65,13 @@ def correlation_sqrt(R: np.ndarray) -> np.ndarray:
 
 
 def draw_channels(R_sqrt: np.ndarray, rng: np.random.Generator,
-                  n_blocks: int | None = None) -> np.ndarray:
-    """Channel realizations h = R^(1/2) w, w ~ CN(0, I).
+                  n_blocks: int) -> np.ndarray:
+    """Channel realizations h = R^(1/2) w, w ~ CN(0, I), one per block.
 
     R_sqrt: (L, L, K, M, M) factors from correlation_sqrt.
-    Returns (L, L, K, M), or (n_blocks, L, L, K, M) when n_blocks is given.
+    Returns (n_blocks, L, L, K, M).
     """
-    shape = R_sqrt.shape[:-1]                       # (L, L, K, M)
-    if n_blocks is not None:
-        shape = (n_blocks,) + shape
-    w = crandn(rng, shape)
+    w = crandn(rng, (n_blocks,) + R_sqrt.shape[:-1])
     # Blocks are split over the trial's threads, R^(1/2) shared.
     return _threads.einsum("...mn,...n->...m", R_sqrt, w)
 

@@ -48,11 +48,10 @@ class CodeSpec:
     n: int                    # codeword length
     k: int                    # information bits, the first k of a codeword
     # QC structure: base-graph entries (row, col, shift) sorted by row, then
-    # column; lift size, base rows and systematic base columns.
+    # column; lift size and base rows.
     qc_entries: list
     qc_Z: int
     qc_mb: int
-    qc_kb: int
 
     @property
     def rate(self) -> float:
@@ -109,13 +108,11 @@ def _make_base(m_b: int, n_b: int, Z: int, seed: int) -> list[tuple[int, int, in
             entries.append((rr, col, 0))
         placed.append((rows, [0] * len(rows)))
 
-    # Systematic part: weight-3 columns with spread row positions.
-    step = max(1, m_b // 3)
+    # Systematic part: weight-3 columns with spread row positions, three
+    # distinct rows for any m_b >= 3 (the presets have 12 and 6).
+    step = m_b // 3
     for j in range(k_b):
-        rows = sorted({(j + t * step) % m_b for t in range(3)})
-        while len(rows) < 3:  # tiny m_b could collide; fill greedily
-            rows.append((rows[-1] + 1) % m_b)
-            rows = sorted(set(rows))
+        rows = sorted((j + t * step) % m_b for t in range(3))
         shifts = _screen_shifts(rng, rows, Z, placed)
         for rr, ss in zip(rows, shifts):
             entries.append((rr, j, ss))
@@ -132,7 +129,7 @@ def make_code(rate: str) -> CodeSpec:
     return CodeSpec(name=f"qc-ldpc-{rate.replace('/', '')}-n{n_b * Z}",
                     n=n_b * Z, k=(n_b - m_b) * Z,
                     qc_entries=sorted(_make_base(m_b, n_b, Z, p["seed"])),
-                    qc_Z=Z, qc_mb=m_b, qc_kb=n_b - m_b)
+                    qc_Z=Z, qc_mb=m_b)
 
 
 # ---------------------------------------------------------------------------

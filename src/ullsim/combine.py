@@ -1,9 +1,11 @@
 """Receive combining and per-UE effective channel statistics.
 
-Each BS combines its received block with v_k per UE, optionally after
-subtracting reconstructed co-UE contributions (iterative interference
-cancellation); the combining functions take one serving cell.
-effective_stats takes every cell at once. The demapper then treats
+Each BS combines the data slots of its received block with v_k per UE,
+after subtracting reconstructed signals (its own pilot, and from the
+second iteration every in-cell UE's, the iterative interference
+cancellation). The signals come from airlink.build_transmit, so the
+combining functions do not know the pilot format; they take one serving
+cell. effective_stats takes every cell at once. The demapper then treats
 y_hat = g * s + effective noise, with (g, n_var) from effective_stats.
 """
 
@@ -41,62 +43,40 @@ def build_combiner(h_hat: np.ndarray, C: np.ndarray, rho: np.ndarray,
     return np.swapaxes(V.conj(), -1, -2) * rho[..., :, None]
 
 
-def combine_initial(Y: np.ndarray, v: np.ndarray, mode: str,
-                    config: ScenarioConfig, h_hat: np.ndarray | None = None,
-                    seqs: np.ndarray | None = None,
-                    q: np.ndarray | None = None) -> np.ndarray:
+def combine_initial(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
+                    pilots: np.ndarray) -> np.ndarray:
     """First-pass combined data observations (no co-UE cancellation).
 
-    Y: (..., M, tau_c); v, h_hat: (..., K, M); seqs: (K, tau_c) pilots and
-    q: (K,) pilot energies (sp only). Returns y_hat: (..., K, n_data).
+    Y: (..., M, n_data) the cell's data slots; v, h_hat: (..., K, M);
+    pilots: (K, n_data) each UE's own pilot signal in those slots, from
+    build_transmit (zero for rp, sqrt(q) phi for sp). Returns (..., K, n_data):
 
-    rp: y_hat_k = v_k^H Y[:, tau_p:]
-    sp: y_hat_k = v_k^H Y - (v_k^H h_hat_k) sqrt(q_k) phi_k^T, i.e. the
-        BS removes its own reconstructed pilot component (it knows both the
-        pilot and the channel estimate) before demapping.
+    y_hat_k = v_k^H Y - (v_k^H h_hat_k) pilots_k, i.e. the BS removes its
+    own reconstructed pilot component (it knows both the pilot and the
+    channel estimate) before demapping.
     """
-    if mode == "rp":
-        return _threads.einsum("...km,...mt->...kt", v.conj(), Y[..., :, config.tau_p:])
-    if mode != "sp":
-        raise ValueError(f"unknown mode {mode!r}")
     y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Y)
-    if h_hat is not None:
-        gain = np.einsum("...km,...km->...k", v.conj(), h_hat)
-        y_hat = y_hat - gain[..., None] * (np.sqrt(q)[:, None] * seqs)
-    return y_hat
+    gain = np.einsum("...km,...km->...k", v.conj(), h_hat)
+    return y_hat - gain[..., None] * pilots
 
 
 def combine_iterative(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
-                      s_hat: np.ndarray, mode: str, config: ScenarioConfig,
-                      p: np.ndarray, seqs: np.ndarray | None = None,
-                      q: np.ndarray | None = None) -> np.ndarray:
+                      x_hat: np.ndarray, own: np.ndarray) -> np.ndarray:
     """Combined data observations after subtracting reconstructed co-UEs.
 
-    s_hat: (..., K, n_data) soft symbol estimates of the in-cell UEs;
-    h_hat are current-iteration channel estimates. For each UE k the BS
-    subtracts every other in-cell UE's reconstructed signal (data and, for
-    sp, pilot) as well as its own reconstructed pilot (sp), then combines.
+    Y: (..., M, n_data) the cell's data slots; x_hat: (..., K, n_data) the
+    in-cell rows of the estimated transmit matrix (build_transmit of the
+    soft symbols) in those slots; own: (..., K, n_data) each UE's own
+    reconstructed data sqrt(p) s_hat. h_hat are current-iteration channel
+    estimates. For each UE k the BS subtracts every reconstructed in-cell
+    signal, then adds back UE k's own data, so only its pilot stays removed:
 
-    rp: y_hat_k = v_k^H (Y_data - sum_{j != k} h_hat_j sqrt(p_j) s_hat_j^T)
-    sp: y_hat_k = v_k^H (Y - sum_j h_hat_j x_hat_j^T) + (v_k^H h_hat_k) sqrt(p_k) s_hat_k^T
-        with x_hat_j = sqrt(q_j) phi_j + sqrt(p_j) s_hat_j.
+    y_hat_k = v_k^H (Y - sum_j h_hat_j x_hat_j^T) + (v_k^H h_hat_k) own_k
     """
-    p = np.asarray(p, dtype=float)
-    if mode == "rp":
-        Yd = Y[..., :, config.tau_p:]
-        recon = np.sqrt(p)[..., :, None] * s_hat                   # (..., K, tau_d)
-    elif mode == "sp":
-        Yd = Y
-        recon = np.sqrt(q)[:, None] * seqs + np.sqrt(p)[..., :, None] * s_hat
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    # Subtract every reconstructed in-cell signal, then add back UE k's own
-    # reconstructed data (scalar gain v_k^H h_hat_k); for sp its pilot stays
-    # removed.
-    total = _threads.einsum("...km,...kt->...mt", h_hat, recon)
-    y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Yd - total)
+    total = _threads.einsum("...km,...kt->...mt", h_hat, x_hat)
+    y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Y - total)
     gain = np.einsum("...km,...km->...k", v.conj(), h_hat)
-    return y_hat + gain[..., None] * (np.sqrt(p)[..., :, None] * s_hat)
+    return y_hat + gain[..., None] * own
 
 
 def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,

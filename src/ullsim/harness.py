@@ -81,35 +81,34 @@ class Campaign:
         # Where the data-aided bound runs, rp needs more data samples than UEs.
         bound_runs = self.pipeline == "gaussian" or self.i_max >= 1
         for v in self.grid_values:
-            config, _ = apply_grid_point(self.config, self.grid_param, v)  # validates
+            config = apply_grid_point(self.config, self.grid_param, v)  # validates
             if bound_runs and self.mode == "rp" and config.tau_d <= config.K:
                 raise ConfigError(f"rp data-aided estimation needs tau_d > K (grid value "
                                   f"{v}: tau_d={config.tau_d}, K={config.K})")
 
 
-def apply_grid_point(config: ScenarioConfig, param: str, value) -> tuple[ScenarioConfig, dict]:
-    """Resolve one sweep value into a concrete config plus extras.
+def apply_grid_point(config: ScenarioConfig, param: str, value) -> ScenarioConfig:
+    """Resolve one sweep value into a concrete config.
 
     Supported parameters: none, snr_db, sigma_est, and the integer config
     fields tau_c, tau_p, M, K, L (plus delta). sigma_est is exogenous symbol
-    quality for the gaussian pipeline and is passed through as an extra.
+    quality for the gaussian pipeline, which reads it from the grid value;
+    here it is only checked to lie in [0, 1], and the config is unchanged.
     """
-    extra: dict = {}
     if param == "none":
-        return config, extra
+        return config
     if param == "snr_db":
-        return config.replace(rho_design=config.noise_energy * 10.0 ** (value / 10.0)), extra
+        return config.replace(rho_design=config.noise_energy * 10.0 ** (value / 10.0))
     if param == "sigma_est":
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"sigma_est grid value {value} outside [0, 1]")
-        extra["sigma_est"] = float(value)
-        return config, extra
+        return config
     if param in ("tau_c", "tau_p", "M", "K", "L"):
         if not float(value).is_integer():
             raise ConfigError(f"{param} grid value {value} is not an integer")
-        return config.replace(**{param: int(value)}), extra
+        return config.replace(**{param: int(value)})
     if param == "delta":
-        return config.replace(delta=float(value)), extra
+        return config.replace(delta=float(value))
     raise ConfigError(f"unknown sweep parameter {param!r}")
 
 
@@ -153,8 +152,8 @@ def _ue_rows(iteration: int, decoded_ok: np.ndarray | None = None,
 
 def run_coded_trial(campaign: Campaign, grid_index: int, trial_index: int) -> list[dict]:
     """One coded end-to-end trial: one codeword per UE through the receiver."""
-    config, _ = apply_grid_point(campaign.config, campaign.grid_param,
-                                 campaign.grid_values[grid_index])
+    config = apply_grid_point(campaign.config, campaign.grid_param,
+                              campaign.grid_values[grid_index])
     rng = _trial_rng(campaign, grid_index, trial_index)
     realization = make_network(config, _drop_rng(campaign, grid_index, trial_index))
     assignment = assign_pilots(config, campaign.mode)
@@ -190,8 +189,8 @@ def _shared_drop(campaign: Campaign, grid_index: int,
     The drop reads neither tau_p nor the mode, so every variant of a
     Gaussian-symbol study shares it.
     """
-    config, _ = apply_grid_point(campaign.config, campaign.grid_param,
-                                 campaign.grid_values[grid_index])
+    config = apply_grid_point(campaign.config, campaign.grid_param,
+                              campaign.grid_values[grid_index])
     realization = make_network(config, _drop_rng(campaign, grid_index, trial_index))
     return realization, correlation_sqrt(realization.R)
 
@@ -208,8 +207,8 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     drop is the pair's `_shared_drop` when a study shares it.
     """
     value = campaign.grid_values[grid_index]
-    config, extra = apply_grid_point(campaign.config, campaign.grid_param, value)
-    sigma_est = extra.get("sigma_est", 1.0)
+    config = apply_grid_point(campaign.config, campaign.grid_param, value)
+    sigma_est = float(value) if campaign.grid_param == "sigma_est" else 1.0
     rng = _trial_rng(campaign, grid_index, trial_index)
     if drop is None:                    # R^(1/2) is then made and freed in simulate_blocks
         drop = make_network(config, _drop_rng(campaign, grid_index, trial_index)), None
@@ -366,7 +365,8 @@ def gaussian_symbol_study(campaign: Campaign, out_dir: str | Path | None = None)
     """MSE/SE curves vs the sweep parameter for rp (reuse 1 and 3) and sp.
 
     Runs the gaussian pipeline for each mode variant (pilot reuse 3 uses
-    tau_p = 3K, and runs only if that leaves tau_d > K at every grid point)
+    tau_p = 3K, and runs only if its own Campaign accepts every grid point,
+    i.e. rp's data-aided bound gets tau_d > K)
     with the campaign's combiner, and returns the union of the aggregated
     rows (mode column distinguishes the variants). The variants set tau_p,
     so a tau_p or K sweep is a ConfigError. Each (grid point, trial) pair
@@ -379,11 +379,11 @@ def gaussian_symbol_study(campaign: Campaign, out_dir: str | Path | None = None)
     cfg = campaign.config
     variants = [("rp", replace(campaign, pipeline="gaussian", mode="rp",
                                config=cfg.replace(tau_p=cfg.K)))]
-    # rp3's data-aided bound needs tau_d = tau_c - 3K > K at every grid point.
-    points = [apply_grid_point(cfg, campaign.grid_param, v)[0] for v in campaign.grid_values]
-    if all(c.tau_c - 3 * c.K > c.K for c in points):
+    try:
         variants.append(("rp3", replace(campaign, pipeline="gaussian", mode="rp",
                                         config=cfg.replace(tau_p=3 * cfg.K))))
+    except ConfigError:
+        pass
     variants.append(("sp", replace(campaign, pipeline="gaussian", mode="sp",
                                    config=cfg.replace(tau_p=cfg.K))))
     results = _run_pairs(_run_variants, campaign, [sub for _, sub in variants])

@@ -1,4 +1,4 @@
-"""Performance metrics: spectral efficiencies, channel MSE, BLER, effective SNR."""
+"""Performance metrics: spectral efficiencies, channel MSE, effective SNR."""
 
 from __future__ import annotations
 
@@ -88,14 +88,6 @@ def mse_channel_empirical(h: np.ndarray, h_hat: np.ndarray):
     err = np.asarray(h) - np.asarray(h_hat)
     mse = np.mean(np.abs(err) ** 2, axis=(0, err.ndim - 1) if err.ndim > 1 else None)
     return float(mse) if mse.ndim == 0 else mse
-
-
-def bler(decoded_ok: np.ndarray) -> float:
-    """Fraction of codewords that failed to decode."""
-    ok = np.asarray(decoded_ok, dtype=bool)
-    if ok.size == 0:
-        raise ValueError("no codewords")
-    return float(1.0 - ok.mean())
 
 
 def effective_snr_db(g: np.ndarray, n_var: np.ndarray):

@@ -28,7 +28,7 @@ from .codec import (CodewordFrame, SoftDataState, decode, frame_codeword,
 from .codec.ldpc import CodeSpec
 from .combine import build_combiner, combine_initial, combine_iterative, effective_stats
 from .config import ConfigError, ScenarioConfig
-from .metrics import bler, effective_snr_db, mse_channel_empirical, se_mutual_info
+from .metrics import effective_snr_db, mse_channel_empirical, se_mutual_info
 from .netgeom import NetworkRealization
 from .pilots import PilotAssignment
 
@@ -37,19 +37,19 @@ from .pilots import PilotAssignment
 class IterationState:
     """What one iteration produced (arrays indexed [block, cell, ue]).
 
+    Its iteration is its position in IterationTrace.states.
+
     soft is complete in the newest state only. Once the next iteration has
     read it, its llr_post and s_hat become None; sigma_sq, decoded_ok and
     hard_bits stay, so a state costs L*K*n bytes of bits, not its soft state.
     """
 
-    index: int
     soft: SoftDataState
     g: np.ndarray             # (B, L, K) effective gains
     n_var: np.ndarray         # (B, L, K) effective noise variances
     mse_emp: np.ndarray       # (L, K) empirical channel MSE vs the true draws
     se_mi: np.ndarray         # (L, K) decoder-aware SE
     snr_eff_db: np.ndarray    # (L, K)
-    bler: float
     fallback_blocks: int = 0
 
 
@@ -82,14 +82,15 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
 
     Without s_blocks the LMMSE filters of the serving channels come from
     the pilot-only statistics (psi_pilot) and act on the de-spread pilots,
-    and the combiner removes no co-UE signal. With s_blocks (B, L, K, slots),
-    estimated data symbols of quality sigma (L, K), they come from the
-    closed-form data-aided statistics (psi_data_aided_bound) and act on the
-    projection of each block onto its estimated transmit matrix, and the
-    combiner cancels the reconstructed in-cell signals. The projection runs
-    on all blocks at once; only if that fails are the blocks redone one at a
-    time, and a block whose symbol matrix is still rank deficient keeps its
-    h_pilot estimate (or raises ProjectionError without one).
+    and the combiner removes each UE's own pilot only. With s_blocks
+    (B, L, K, slots), estimated data symbols of quality sigma (L, K), they
+    come from the closed-form data-aided statistics (psi_data_aided_bound)
+    and act on the projection of each block onto its estimated transmit
+    matrix X, and the combiner cancels the in-cell signals of the same X.
+    The projection runs on all blocks at once; only if that fails are the
+    blocks redone one at a time, and a block whose symbol matrix is still
+    rank deficient keeps its h_pilot estimate (or raises ProjectionError
+    without one).
 
     Returns (h_hat, C, V, y, fallbacks): h_hat and V (B, L, K, M), the error
     covariances C (L, K, M, M), y (B, L, K, slots), and the number of blocks
@@ -106,13 +107,18 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     del psi
     Y = blocks.Y
     q, p = realization.energies(mode)
-    seqs = assignment.seqs
+    n_data = config.data_slots(mode)
+    data = slice(config.tau_c - n_data, None)
     failed = []
     if s_blocks is None:
-        z = pilot_observation(Y, seqs, q, mode, tau_p=config.tau_p)
+        z = pilot_observation(Y, assignment.seqs, q, mode, tau_p=config.tau_p)
+        # The pilots alone, (L, K, tau_c): what combine_initial removes.
+        X = build_transmit(mode, assignment, np.zeros((config.L, config.K, n_data)),
+                           realization, config)
     else:
-        Xh = np.swapaxes(build_transmit(mode, assignment, s_blocks, realization, config),
-                         -1, -2)                           # (B, L, tau_c, K)
+        # One estimated transmit matrix serves the projection and the cancellation.
+        X = build_transmit(mode, assignment, s_blocks, realization, config)
+        Xh = np.swapaxes(X, -1, -2)                        # (B, L, tau_c, K)
         try:
             z = data_aided_observation(Y, Xh)
         except ProjectionError:
@@ -139,11 +145,11 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
         V[:, l] = build_combiner(h_hat[:, l], C[l], realization.rho[l],
                                  config.noise_energy, combiner_kind)
         if s_blocks is None:
-            y.append(combine_initial(Y[:, l], V[:, l], mode, config,
-                                     h_hat=h_hat[:, l], seqs=seqs[l], q=q[l]))
-        else:
-            y.append(combine_iterative(Y[:, l], V[:, l], h_hat[:, l], s_blocks[:, l],
-                                       mode, config, p=p[l], seqs=seqs[l], q=q[l]))
+            y.append(combine_initial(Y[:, l, :, data], V[:, l], h_hat[:, l], X[l, :, data]))
+        else:                     # own, sqrt(p) s_hat, lives for the call only
+            y.append(combine_iterative(Y[:, l, :, data], V[:, l], h_hat[:, l],
+                                       X[:, l, :, data],
+                                       np.sqrt(p[l])[:, None] * s_blocks[:, l]))
     return h_hat, C, V, np.stack(y, axis=1), len(failed)
 
 
@@ -229,17 +235,17 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
                              decoded_ok=ok, hard_bits=hard)
 
         p0 = 1.0 / (1.0 + np.exp(-llr_post))
-        states.append(IterationState(index=it, soft=soft, g=g, n_var=n_var,
+        states.append(IterationState(soft=soft, g=g, n_var=n_var,
                                      mse_emp=mse_channel_empirical(h_true, h_hat),
                                      se_mi=se_mutual_info(p0, prelog, 2, code.rate),
                                      snr_eff_db=effective_snr_db(g, n_var),
-                                     bler=bler(ok), fallback_blocks=fallbacks))
+                                     fallback_blocks=fallbacks))
         return ChannelEstimateSet(h_hat=h_hat, C=C)
 
     estimates = iterate()
     h0 = estimates.h_hat
-    while len(states) <= i_max and states[-1].bler > 0.0:
+    while len(states) <= i_max and not states[-1].soft.decoded_ok.all():
         del estimates                 # the next pass needs none of them
         estimates = iterate()
-    termination = "all_decoded" if states[-1].bler == 0.0 else "i_max"
+    termination = "all_decoded" if states[-1].soft.decoded_ok.all() else "i_max"
     return IterationTrace(states=states, termination=termination, estimates=estimates)

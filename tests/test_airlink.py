@@ -20,7 +20,7 @@ def cfg(**kw):
 
 def test_null_correlation_gives_null_channel():
     R = np.zeros((1, 1, 1, 4, 4), dtype=complex)
-    h = draw_channels(correlation_sqrt(R), np.random.default_rng(0))
+    h = draw_channels(correlation_sqrt(R), np.random.default_rng(0), n_blocks=1)
     assert np.all(h == 0)
 
 

@@ -5,7 +5,7 @@ import pytest
 from conftest import manual_network
 
 from ullsim import ScenarioConfig
-from ullsim.airlink import crandn, simulate_blocks
+from ullsim.airlink import build_transmit, crandn, simulate_blocks
 from ullsim.chest import lmmse_filter, pilot_observation, psi_pilot
 from ullsim.combine import (build_combiner, combine_initial, combine_iterative,
                             effective_stats)
@@ -77,13 +77,29 @@ def test_initial_shapes_by_mode():
     rng = np.random.default_rng(2)
     Y = crandn(rng, (5, config.M, config.tau_c))
     v = crandn(rng, (5, config.K, config.M))
-    out_rp = combine_initial(Y, v, "rp", config)
+    out_rp = combine_initial(Y[..., config.tau_p:], v, v, np.zeros((config.K, config.tau_d)))
     assert out_rp.shape == (5, config.K, config.tau_d)
     book = assign_pilots(config, "sp")
-    seqs = book.book.seqs[book.indices][0]
-    out_sp = combine_initial(Y, v, "sp", config, h_hat=v, seqs=seqs,
-                             q=np.ones(config.K))
+    seqs = book.book.seqs[book.indices][0]                     # q = 1
+    out_sp = combine_initial(Y, v, v, seqs)
     assert out_sp.shape == (5, config.K, config.tau_c)
+
+
+def test_initial_rp_zero_pilots_move_no_bit():
+    # rp's pilots are zero in the data slots; subtracting them changes no bit
+    config = cfg()
+    net = manual_network(config, np.array([[[1.0, 0.5]]]))
+    asg = assign_pilots(config, "rp")
+    rng = np.random.default_rng(14)
+    Y = crandn(rng, (5, config.M, config.tau_c))
+    v = crandn(rng, (5, config.K, config.M))
+    h_hat = crandn(rng, (5, config.K, config.M))
+    X = build_transmit("rp", asg, np.zeros((1, config.K, config.tau_d)), net, config)
+    pilots = X[0, :, config.tau_p:]
+    assert not pilots.any()
+    out = combine_initial(Y[..., config.tau_p:], v, h_hat, pilots)
+    assert np.array_equal(out, np.einsum("...km,...mt->...kt", v.conj(),
+                                         Y[..., config.tau_p:]))
 
 
 def test_initial_selector_row():
@@ -93,7 +109,7 @@ def test_initial_selector_row():
     Y = crandn(rng, (config.M, config.tau_c))
     v = np.zeros((1, config.M), dtype=complex)
     v[0, 2] = 1.0
-    out = combine_initial(Y, v, "rp", config)
+    out = combine_initial(Y[:, config.tau_p:], v, v, np.zeros((1, config.tau_d)))
     assert np.array_equal(out[0], Y[2, config.tau_p:])
 
 
@@ -106,7 +122,8 @@ def test_initial_noiseless_equalization_rp():
     p = 1.7
     Y = np.zeros((config.M, config.tau_c), dtype=complex)
     Y[:, config.tau_p:] = np.sqrt(p) * h[:, None] * s[None, :]
-    out = combine_initial(Y, h[None, :], "rp", config)
+    out = combine_initial(Y[:, config.tau_p:], h[None, :], h[None, :],
+                          np.zeros((1, config.tau_d)))
     gain = np.vdot(h, h)
     assert np.allclose(out[0] / gain, np.sqrt(p) * s, atol=1e-12)
 
@@ -120,11 +137,11 @@ def test_initial_sp_removes_own_pilot():
     seqs = asg.book.seqs[asg.indices][0]                       # (K, tau_c)
     q = np.array([1.3])
     Y = np.sqrt(q[0]) * h[:, None] * seqs[0][None, :]
-    out = combine_initial(Y, h[None, :], "sp", config, h_hat=h[None, :],
-                          seqs=seqs, q=q)
+    pilots = np.sqrt(q)[:, None] * seqs
+    out = combine_initial(Y, h[None, :], h[None, :], pilots)
     assert np.allclose(out, 0.0, atol=1e-12)
-    # without the estimate the pilot leaks through at full strength
-    raw = combine_initial(Y, h[None, :], "sp", config)
+    # with zero pilots the sp pilot leaks through at full strength
+    raw = combine_initial(Y, h[None, :], h[None, :], np.zeros_like(pilots))
     assert np.linalg.norm(raw) > 1.0
 
 
@@ -138,17 +155,18 @@ def test_iterative_zero_soft_symbols_matches_initial():
     Y = crandn(rng, (3, config.M, config.tau_c))
     v = crandn(rng, (3, config.K, config.M))
     h_hat = crandn(rng, (3, config.K, config.M))
-    p = np.array([1.0, 2.0])
-    out = combine_iterative(Y, v, h_hat, np.zeros((3, config.K, config.tau_d)),
-                            "rp", config, p)
-    assert np.allclose(out, combine_initial(Y, v, "rp", config), atol=1e-13)
+    Yd = Y[..., config.tau_p:]
+    zero = np.zeros((3, config.K, config.tau_d))               # sqrt(p) * 0 in rp
+    out = combine_iterative(Yd, v, h_hat, zero, zero)
+    assert np.allclose(out, combine_initial(Yd, v, h_hat, zero[0]), atol=1e-13)
     # sp with zero soft symbols leaves exactly the own-pilot-removed initial pass
     asg = assign_pilots(config, "sp")
     seqs = asg.book.seqs[asg.indices][0]
     q = np.array([0.5, 0.8])
-    out_sp = combine_iterative(Y, v, h_hat, np.zeros((3, config.K, config.tau_c)),
-                               "sp", config, p, seqs=seqs, q=q)
-    ref = combine_initial(Y, v, "sp", config, h_hat=h_hat, seqs=seqs, q=q)
+    pilots = np.sqrt(q)[:, None] * seqs
+    out_sp = combine_iterative(Y, v, h_hat, np.broadcast_to(pilots, (3,) + pilots.shape),
+                               np.zeros((3, config.K, config.tau_c)))
+    ref = combine_initial(Y, v, h_hat, pilots)
     # zero soft symbols still subtract *co-UE* pilots, unlike the initial pass
     gain = np.einsum("bkm,bjm->bkj", v.conj(), h_hat)
     for k in range(config.K):
@@ -168,11 +186,11 @@ def test_iterative_perfect_cancellation_single_cell():
     # rebuild the noiseless received block to isolate cancellation quality
     q, p = net.energies("rp")
     H = blocks.H[0, 0, 0]                                      # (K, M)
-    Yd = np.einsum("km,kt->mt", H, np.sqrt(p[0])[:, None] * s[0, 0])
-    Y = np.zeros((config.M, config.tau_c), dtype=complex)
-    Y[:, config.tau_p:] = Yd
+    own = np.sqrt(p[0])[:, None] * s[0, 0]
+    Yd = np.einsum("km,kt->mt", H, own)
+    x_hat = build_transmit("rp", asg, s, net, config)[0, 0, :, config.tau_p:]
     v = H.copy()
-    out = combine_iterative(Y, v, H, s[0, 0], "rp", config, p[0])
+    out = combine_iterative(Yd, v, H, x_hat, own)
     for k in range(3):
         gain = np.vdot(H[k], H[k])
         assert np.allclose(out[k] / gain, np.sqrt(p[0, k]) * s[0, 0, k], atol=1e-10)
@@ -185,9 +203,11 @@ def test_iterative_single_ue_equals_initial():
     v = crandn(rng, (4, 1, config.M))
     h_hat = crandn(rng, (4, 1, config.M))
     s_hat = crandn(rng, (4, 1, config.tau_d))
-    out = combine_iterative(Y, v, h_hat, s_hat, "rp", config, np.ones(1))
+    Yd = Y[..., config.tau_p:]
+    out = combine_iterative(Yd, v, h_hat, s_hat, s_hat)       # p = 1
     # the own reconstruction is subtracted then added back: identical output
-    assert np.allclose(out, combine_initial(Y, v, "rp", config), atol=1e-12)
+    assert np.allclose(out, combine_initial(Yd, v, h_hat, np.zeros((1, config.tau_d))),
+                       atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +279,8 @@ def test_effective_stats_match_simulation():
     z = pilot_observation(blocks.Y, seqs, q, mode, tau_p=config.tau_p)
     h_hat = np.einsum("lkmn,blkn->blkm", W, z)
     v = h_hat                                                   # mr
-    y_hat = combine_initial(blocks.Y[:, l], v[:, l], mode, config)
+    y_hat = combine_initial(blocks.Y[:, l, :, config.tau_p:], v[:, l], h_hat[:, l],
+                            np.zeros((config.K, config.tau_d)))
     g, n_var = effective_stats(v, h_hat, C, net, mode, config,
                                np.zeros((3, 2)), cancelled=False)
     g, n_var = g[:, l], n_var[:, l]

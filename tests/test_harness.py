@@ -30,30 +30,27 @@ def small_config(**kw):
 
 def test_apply_grid_point_none_is_identity():
     config = small_config()
-    out, extra = apply_grid_point(config, "none", 0.0)
-    assert out is config
-    assert extra == {}
+    assert apply_grid_point(config, "none", 0.0) is config
 
 
 def test_apply_grid_point_snr():
     config = small_config()
-    out, _ = apply_grid_point(config, "snr_db", 7.0)
+    out = apply_grid_point(config, "snr_db", 7.0)
     assert np.isclose(out.rho_design, config.noise_energy * 10 ** 0.7)
     assert out.M == config.M
 
 
-def test_apply_grid_point_sigma_est_is_an_extra():
+def test_apply_grid_point_sigma_est_leaves_the_config():
+    # the gaussian pipeline reads sigma_est from the grid value itself
     config = small_config()
-    out, extra = apply_grid_point(config, "sigma_est", 0.4)
-    assert out is config
-    assert extra == {"sigma_est": 0.4}
+    assert apply_grid_point(config, "sigma_est", 0.4) is config
     with pytest.raises(ConfigError):
         apply_grid_point(config, "sigma_est", 1.5)
 
 
 def test_apply_grid_point_config_fields_revalidate():
     config = small_config()
-    out, _ = apply_grid_point(config, "tau_p", 4)
+    out = apply_grid_point(config, "tau_p", 4)
     assert out.tau_p == 4
     with pytest.raises(ConfigError):
         apply_grid_point(config, "tau_p", 1)       # tau_p < K

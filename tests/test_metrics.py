@@ -1,10 +1,10 @@
-"""Metric definitions: achievable rates, channel MSE, BLER, effective SNR."""
+"""Metric definitions: achievable rates, channel MSE, effective SNR."""
 
 import numpy as np
 import pytest
 
 from ullsim.airlink import crandn
-from ullsim.metrics import (SINR_CAP, binary_entropy, bler, effective_snr_db,
+from ullsim.metrics import (SINR_CAP, binary_entropy, effective_snr_db,
                             mse_channel_analytic, mse_channel_empirical,
                             se_mutual_info, se_uatf_moments, se_uatf_samples)
 
@@ -132,15 +132,7 @@ def test_mse_empirical_limits():
 
 
 # ---------------------------------------------------------------------------
-# BLER and effective SNR
-
-
-def test_bler_counts_failures():
-    assert bler(np.array([True, True, False, False])) == 0.5
-    assert bler(np.ones(10, dtype=bool)) == 0.0
-    assert bler(np.zeros(3, dtype=bool)) == 1.0
-    with pytest.raises(ValueError):
-        bler(np.array([]))
+# Effective SNR
 
 
 def test_effective_snr_exact_ratio():

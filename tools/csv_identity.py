@@ -11,9 +11,9 @@ failed call, 2 when BASE_REV cannot be exported.
 The list covers the three perfbench workloads on the paper scenario at
 seeds 1 and 2, and the M=8, K=2, L=3 scenario through both modes and
 combiners, the gaussian pipeline in both modes, rate 3/4, a 2-worker
-sweep, an integer (tau_c) sweep, a 2-worker study and a study at
-sigma_est = 0. The paper-scale calls take a few minutes per tree on a
-2-core machine.
+sweep, an integer (tau_c) sweep, an sp pilot-share (delta) sweep, a
+2-worker study, a study at sigma_est = 0 and an S-MMSE study. The
+paper-scale calls take a few minutes per tree on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -70,6 +70,14 @@ def _calls() -> list[tuple[str, str, tuple]]:
         ("tiny-study-sigma0", "tiny",
          ("sweep", "--study", "--param", "sigma_est", "--values", "0.0,0.5",
           "--trials", "2")),
+        # delta, the sp pilot share, through the reconstructed pilots
+        ("tiny-sweep-delta", "tiny",
+         ("sweep", "--mode", "sp", "--param", "delta", "--values", "0.2,0.5",
+          "--trials", "2")),
+        # S-MMSE at both study iterations
+        ("tiny-study-smmse", "tiny",
+         ("sweep", "--study", "--combiner", "smmse", "--param", "sigma_est",
+          "--values", "0.2,1.0", "--trials", "2")),
     ]
     return calls
 
