@@ -9,9 +9,8 @@ Monte Carlo campaign harness.
 
 from .airlink import (BlockSignals, correlation_sqrt, crandn, draw_channels,
                       gaussian_symbols, simulate_blocks)
-from .chest import (ChannelEstimateSet, EstimationError, FeasibilityResult,
-                    ProjectionError, data_aided_feasibility,
-                    data_aided_observation, lmmse_filter,
+from .chest import (EstimationError, FeasibilityResult, ProjectionError,
+                    data_aided_feasibility, data_aided_observation, lmmse_filter,
                     pilot_observation, psi_data_aided_bound,
                     psi_data_aided_empirical, psi_pilot,
                     simulate_data_aided_observations)
@@ -20,7 +19,7 @@ from .codec import (CodeSpec, CodewordFrame, SoftDataState, decode, encode,
                     qpsk_map, soft_symbols)
 from .codec.framing import make_frame
 from .combine import build_combiner, combine_initial, combine_iterative, effective_stats
-from .config import ConfigError, ScenarioConfig, dbm_to_joules, load_config, save_config
+from .config import ConfigError, ScenarioConfig, dbm_to_joules, load_config
 from .harness import (Campaign, emit_figure_data, gaussian_symbol_study,
                       run_campaign, write_csv)
 from .metrics import (binary_entropy, effective_snr_db,
@@ -34,7 +33,7 @@ from .receiver import IterationState, IterationTrace, estimate_and_combine, run_
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSignals", "Campaign", "ChannelEstimateSet", "CodeSpec",
+    "BlockSignals", "Campaign", "CodeSpec",
     "CodewordFrame", "ConfigError", "EstimationError",
     "FeasibilityResult", "HexGrid", "IterationState", "IterationTrace",
     "NetworkRealization", "PilotAssignment", "PilotBook", "ProjectionError",
@@ -49,7 +48,7 @@ __all__ = [
     "make_network", "make_pilot_book", "mse_channel_analytic",
     "mse_channel_empirical", "pilot_observation", "psi_data_aided_bound",
     "psi_data_aided_empirical", "psi_pilot", "qpsk_demap_llr", "qpsk_map",
-    "run_campaign", "run_receiver", "save_config",
+    "run_campaign", "run_receiver",
     "se_mutual_info", "se_uatf_moments", "se_uatf_samples",
     "simulate_blocks", "simulate_data_aided_observations", "soft_symbols",
     "sp_reuse_factor", "write_csv",

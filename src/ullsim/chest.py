@@ -30,14 +30,6 @@ class ProjectionError(RuntimeError):
     """Rank-deficient symbol matrix in the data-aided projection."""
 
 
-@dataclass
-class ChannelEstimateSet:
-    """Estimates of one iteration: per-block h_hat plus shared statistics."""
-
-    h_hat: np.ndarray         # (B, L, K, M) per-block serving-channel estimates
-    C: np.ndarray             # (L, K, M, M) error covariances
-
-
 # ---------------------------------------------------------------------------
 # Observations
 

@@ -173,9 +173,3 @@ def load_config(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
     return ScenarioConfig(**overrides)
 
-
-def save_config(config: ScenarioConfig, path: str | Path) -> None:
-    """Write a config as a key = value file readable by load_config."""
-    lines = [f"{f.name} = {getattr(config, f.name)}"
-             for f in dataclasses.fields(config)]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -82,6 +82,7 @@ class Campaign:
         bound_runs = self.pipeline == "gaussian" or self.i_max >= 1
         for v in self.grid_values:
             config = apply_grid_point(self.config, self.grid_param, v)  # validates
+            assign_pilots(config, self.mode)        # the pilot plan's own rules
             if bound_runs and self.mode == "rp" and config.tau_d <= config.K:
                 raise ConfigError(f"rp data-aided estimation needs tau_d > K (grid value "
                                   f"{v}: tau_d={config.tau_d}, K={config.K})")
@@ -366,9 +367,9 @@ def gaussian_symbol_study(campaign: Campaign, out_dir: str | Path | None = None)
 
     Runs the gaussian pipeline for each mode variant (pilot reuse 3 uses
     tau_p = 3K, and runs only if its own Campaign accepts every grid point,
-    i.e. rp's data-aided bound gets tau_d > K)
-    with the campaign's combiner, and returns the union of the aggregated
-    rows (mode column distinguishes the variants). The variants set tau_p,
+    i.e. rp's data-aided bound gets tau_d > K at each) with the campaign's
+    combiner, and returns the union of the aggregated rows (mode column
+    distinguishes the variants). The variants set tau_p,
     so a tau_p or K sweep is a ConfigError. Each (grid point, trial) pair
     draws one drop for all variants, and one pool runs the pairs. When
     out_dir is given, writes results.csv plus per-figure long-format files.
@@ -376,7 +377,9 @@ def gaussian_symbol_study(campaign: Campaign, out_dir: str | Path | None = None)
     if campaign.grid_param in ("tau_p", "K"):
         raise ConfigError(f"a study cannot sweep {campaign.grid_param}: it sets tau_p "
                           "to K (rp, sp) and 3K (rp3) per variant")
-    cfg = campaign.config
+    # The variants' configs start from grid point 0, so rp3 is judged at the
+    # grid points; every trial applies its own grid point again.
+    cfg = apply_grid_point(campaign.config, campaign.grid_param, campaign.grid_values[0])
     variants = [("rp", replace(campaign, pipeline="gaussian", mode="rp",
                                config=cfg.replace(tau_p=cfg.K)))]
     try:

@@ -8,7 +8,7 @@ estimation iff they share a pilot (their "sharing set").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +19,7 @@ from .config import ConfigError, ScenarioConfig, hex_cluster_values
 class PilotBook:
     """n_seq orthogonal unit-modulus sequences of a given length."""
 
-    length: int
     seqs: np.ndarray          # (n_seq, length) complex
-
-    def __post_init__(self):
-        if self.seqs.shape != (self.seqs.shape[0], self.length):
-            raise ValueError("sequence array shape mismatch")
 
 
 def make_pilot_book(length: int, n_seq: int | None = None) -> PilotBook:
@@ -41,23 +36,20 @@ def make_pilot_book(length: int, n_seq: int | None = None) -> PilotBook:
     j = np.arange(length)[None, :]
     # Reduce the phase index mod length before multiplying to keep angles small.
     phase = -2.0 * np.pi * ((a * j) % length) / length
-    return PilotBook(length=length, seqs=np.exp(1j * phase))
+    return PilotBook(seqs=np.exp(1j * phase))
 
 
 @dataclass
 class PilotAssignment:
-    """Pilot index per UE plus derived reuse structure.
+    """Pilot index per UE and the sharing sets it implies.
 
     indices[l, k] points into book.seqs; sharing[l][k] lists every (cell, ue)
     pair using the same sequence, always including (l, k) itself.
     """
 
-    mode: str                 # 'rp' or 'sp'
     book: PilotBook
     indices: np.ndarray       # (L, K) int
-    reuse_factor: int         # nominal reuse f
-    n_classes: int            # distinct cell colors actually used
-    sharing: list = field(default_factory=list)
+    sharing: list             # sharing[l][k]: list of (cell, ue)
 
     @property
     def seqs(self) -> np.ndarray:
@@ -110,11 +102,8 @@ def assign_pilots(config: ScenarioConfig, mode: str) -> PilotAssignment:
     else:
         raise ConfigError(f"unknown pilot mode {mode!r}")
 
-    n_classes = min(f, L)
-    book = make_pilot_book(length, n_seq=n_classes * K)
-    color = np.arange(L) % n_classes
+    n_colors = min(f, L)
+    book = make_pilot_book(length, n_seq=n_colors * K)
+    color = np.arange(L) % n_colors
     indices = color[:, None] * K + np.arange(K)[None, :]
-    assignment = PilotAssignment(mode=mode, book=book, indices=indices,
-                                 reuse_factor=f, n_classes=n_classes)
-    assignment.sharing = _sharing_sets(indices)
-    return assignment
+    return PilotAssignment(book=book, indices=indices, sharing=_sharing_sets(indices))

@@ -20,9 +20,8 @@ import numpy as np
 
 from . import _threads
 from .airlink import BlockSignals, build_transmit
-from .chest import (ChannelEstimateSet, EstimationError, ProjectionError,
-                    data_aided_observation, lmmse_filter, psi_data_aided_bound,
-                    psi_pilot, pilot_observation)
+from .chest import (EstimationError, ProjectionError, data_aided_observation,
+                    lmmse_filter, psi_data_aided_bound, psi_pilot, pilot_observation)
 from .codec import (CodewordFrame, SoftDataState, decode, frame_codeword,
                     hard_decisions, qpsk_demap_llr, qpsk_map, soft_symbols)
 from .codec.ldpc import CodeSpec
@@ -55,18 +54,17 @@ class IterationState:
 
 @dataclass
 class IterationTrace:
-    """Every iteration's state, and the final iteration's channel estimates.
+    """Every iteration's state, and why the receiver stopped.
 
-    Earlier iterations' estimates and error covariances are not kept: they
+    No iteration's channel estimates or error covariances are kept: they
     are L*K*M^2 numbers per iteration, the bulk of the receiver's memory.
-    Nor are their LLRs and soft symbols: final.soft is the one complete
-    soft state (see IterationState), so the trace does not grow with i_max
-    beyond each state's hard bits and per-UE figures.
+    Nor are earlier iterations' LLRs and soft symbols: final.soft is the one
+    complete soft state (see IterationState), so the trace does not grow
+    with i_max beyond each state's hard bits and per-UE figures.
     """
 
     states: list
     termination: str
-    estimates: ChannelEstimateSet
 
     @property
     def final(self) -> IterationState:
@@ -176,11 +174,11 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
     states: list[IterationState] = []
     h0 = None                         # pilot-only estimates, the projection fallback
 
-    def iterate() -> ChannelEstimateSet:
+    def iterate() -> np.ndarray:
         """One estimate -> combine -> demap -> decode pass.
 
-        Appends the pass's state and returns its estimates. The caller drops
-        the previous pass's estimates first, so one iteration's channel
+        Appends the pass's state and returns its channel estimates h_hat.
+        Its error covariances die with the call, so one iteration's channel
         statistics are live.
         """
         it = len(states)
@@ -240,12 +238,10 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
                                      se_mi=se_mutual_info(p0, prelog, 2, code.rate),
                                      snr_eff_db=effective_snr_db(g, n_var),
                                      fallback_blocks=fallbacks))
-        return ChannelEstimateSet(h_hat=h_hat, C=C)
+        return h_hat
 
-    estimates = iterate()
-    h0 = estimates.h_hat
+    h0 = iterate()
     while len(states) <= i_max and not states[-1].soft.decoded_ok.all():
-        del estimates                 # the next pass needs none of them
-        estimates = iterate()
+        iterate()
     termination = "all_decoded" if states[-1].soft.decoded_ok.all() else "i_max"
-    return IterationTrace(states=states, termination=termination, estimates=estimates)
+    return IterationTrace(states=states, termination=termination)

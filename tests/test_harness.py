@@ -1,5 +1,7 @@
 """Campaign runner: grids, aggregation, CSV output, CLI entry points."""
 
+import csv
+import dataclasses
 import logging
 import os
 import subprocess
@@ -13,7 +15,7 @@ import ullsim
 import ullsim.codec
 from ullsim import ScenarioConfig, cli, harness
 from ullsim.chest import ProjectionError
-from ullsim.config import ConfigError, load_config, save_config
+from ullsim.config import ConfigError, load_config
 from ullsim.harness import (CSV_COLUMNS, Campaign, apply_grid_point,
                             gaussian_symbol_study, run_campaign, write_csv)
 
@@ -88,6 +90,11 @@ def test_campaign_validation():
                  id="grid_param-tau_c-rp_short_tau_d"),
     # an integer field would silently run M=8 and label the rows 8.5
     pytest.param("grid_param", "M", {"grid_values": (8.5,)}, id="grid_param-M-fractional"),
+    # rp needs tau_p to be a multiple of K: once raised only inside the first
+    # trial, after its drop (or inside a pool worker)
+    pytest.param("config", small_config(tau_p=3), {}, id="config-rp_tau_p_not_multiple_of_k"),
+    pytest.param("grid_param", "tau_p", {"grid_values": (2, 3)},
+                 id="grid_param-tau_p-rp_not_multiple_of_k"),
 ])
 def test_campaign_rejects_bad_field_at_construction(field, value, extra):
     with pytest.raises(ConfigError):
@@ -97,6 +104,18 @@ def test_campaign_rejects_bad_field_at_construction(field, value, extra):
 def test_short_rp_data_is_fine_where_no_data_aided_bound_runs():
     Campaign(config=small_config(tau_c=4), i_max=0)
     Campaign(config=small_config(tau_c=4), mode="sp")
+
+
+def test_rp_tau_p_sweep_with_a_bad_value_fails_before_any_trial(monkeypatch, tmp_path,
+                                                                config_file, capsys):
+    Campaign(config=small_config(tau_p=3), mode="sp")   # sp pilots span the block
+    ran = []
+    monkeypatch.setattr(harness, "_run_pairs", lambda *args: ran.append(args))
+    assert cli.main(["sweep", str(config_file), "--param", "tau_p", "--values", "2,3",
+                     "--trials", "1", "--out", str(tmp_path / "tau_p.csv")]) == 2
+    assert "multiple of K" in capsys.readouterr().err
+    assert not ran
+    assert not (tmp_path / "tau_p.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +303,21 @@ def test_study_skips_rp3_when_any_grid_point_is_too_short():
     assert all(np.isfinite(r["mse_ch"]) for r in rows)
 
 
+def test_study_judges_rp3_at_the_grid_points_not_the_base_tau_c(tmp_path):
+    # tau_c = 5 is below 3K = 6, but every grid point admits rp3 (tau_c - 3K
+    # = 18 and 24 > K): rp3 runs at both.
+    config = tmp_path / "scenario.cfg"
+    config.write_text("M = 8\nK = 2\nL = 3\ntau_c = 5\ntau_p = 2\n")
+    assert cli.main(["sweep", str(config), "--study", "--param", "tau_c",
+                     "--values", "24,30", "--trials", "1",
+                     "--out", str(tmp_path / "study.csv")]) == 0
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {(r["mode"], r["grid_value"]) for r in rows} == {
+        (mode, value) for mode in ("rp", "rp3", "sp") for value in ("24", "30")}
+    assert sum(r["mode"] == "rp3" for r in rows) == 8   # 2 grid x 2 iterations x 2 UEs
+
+
 @pytest.mark.parametrize("param", ["tau_p", "K"])
 def test_study_rejects_sweeps_of_tau_p_and_k(monkeypatch, tmp_path, config_file, capsys,
                                              param):
@@ -316,14 +350,27 @@ def test_exported_names_resolve(package):
 
 
 # ---------------------------------------------------------------------------
-# Config file round trip
+# Config files
 
 
-def test_config_save_load_round_trip(tmp_path):
-    config = small_config(delta=0.45, shadow_std_db=6.0)
+def test_config_load_reads_every_field(tmp_path):
     path = tmp_path / "scenario.cfg"
-    save_config(config, path)
-    assert load_config(path) == config
+    path.write_text("# every field away from its default\n"
+                    "M = 3\nK = 2\nL = 3\ntau_c = 24\ntau_p = 2\ndelta = 0.45\n"
+                    "\n"
+                    "noise_energy = 2e-13\nrho_design = 3.5e-13   # design target\n"
+                    "rho_max = 1e-9\ninter_bs_km = 0.2\npathloss_exponent = 3.5\n"
+                    "pathloss_ref_db = 140.5\nshadow_std_db = 6\nmin_dist_km = 0.02\n"
+                    "angular_std_deg = 15\nantenna_spacing = 0.25\n")
+    expected = ScenarioConfig(M=3, K=2, L=3, tau_c=24, tau_p=2, delta=0.45,
+                              noise_energy=2e-13, rho_design=3.5e-13, rho_max=1e-9,
+                              inter_bs_km=0.2, pathloss_exponent=3.5,
+                              pathloss_ref_db=140.5, shadow_std_db=6.0, min_dist_km=0.02,
+                              angular_std_deg=15.0, antenna_spacing=0.25)
+    default = ScenarioConfig()
+    assert all(getattr(expected, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(ScenarioConfig))
+    assert load_config(path) == expected
 
 
 def test_config_load_rejects_unknown_keys(tmp_path):
@@ -393,7 +440,7 @@ def run_cli(args, cwd):
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "scenario.cfg"
-    save_config(ScenarioConfig(M=2, K=2, L=3, tau_c=12, tau_p=2), path)
+    path.write_text("M = 2\nK = 2\nL = 3\ntau_c = 12\ntau_p = 2\n")
     return path
 
 
@@ -419,7 +466,7 @@ def test_cli_study_runs_as_the_study_does(tmp_path):
     # The study forces the gaussian pipeline and its own tau_p per variant,
     # so neither --pipeline nor a tau_p leaving tau_d = K may reject it.
     config = tmp_path / "scenario.cfg"
-    save_config(ScenarioConfig(M=2, K=2, L=3, tau_c=12, tau_p=10), config)
+    config.write_text("M = 2\nK = 2\nL = 3\ntau_c = 12\ntau_p = 10\n")
     proc = run_cli(["sweep", str(config), "--study", "--param", "sigma_est",
                     "--values", "0.5", "--trials", "1",
                     "--out", str(tmp_path / "study.csv")], tmp_path)

@@ -39,6 +39,20 @@ def make_trial(config, net, mode, code, rng):
     return asg, frame, cw, blocks
 
 
+def spy_stage(monkeypatch):
+    """Record run_receiver's estimate_and_combine calls: sigma, h_hat and C of each."""
+    calls = []
+    stage = receiver.estimate_and_combine
+
+    def spy(*args, **kwargs):
+        out = stage(*args, **kwargs)
+        calls.append(dict(sigma=kwargs["sigma"], h_hat=out[0], C=out[1]))
+        return out
+
+    monkeypatch.setattr(receiver, "estimate_and_combine", spy)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # Argument guards
 
@@ -107,15 +121,16 @@ def test_nan_effective_noise_is_an_estimation_error(code, monkeypatch):
         _run_with_noise_variance(code, monkeypatch, lambda n_var: n_var * np.nan)
 
 
-def test_imax_zero_is_the_pilot_only_pipeline(code):
+def test_imax_zero_is_the_pilot_only_pipeline(code, monkeypatch):
     config = ScenarioConfig(M=8, K=2, L=1, tau_c=200, tau_p=2,
                             noise_energy=1.0, rho_design=1.0, rho_max=10.0,
                             delta=0.3)
     net = manual_network(config, np.array([[[4.0, 0.5]]]))
     rng = np.random.default_rng(2)
     asg, frame, _, blocks = make_trial(config, net, "sp", code, rng)
+    calls = spy_stage(monkeypatch)
     trace = run_receiver(blocks, net, asg, config, code, frame, "sp", i_max=0)
-    assert len(trace.states) == 1
+    assert len(trace.states) == len(calls) == 1
     state = trace.final
     assert state is trace.states[0]
     # the estimates must be exactly LMMSE on the de-spread pilot observation
@@ -125,8 +140,8 @@ def test_imax_zero_is_the_pilot_only_pipeline(code):
     seqs = asg.book.seqs[asg.indices]
     z0 = pilot_observation(blocks.Y[:, 0], seqs[0], q[0], "sp")
     h0 = np.einsum("kmn,bkn->bkm", W0[0], z0)
-    assert np.allclose(trace.estimates.h_hat[:, 0], h0, atol=1e-13)
-    assert np.allclose(trace.estimates.C, C0, atol=1e-14)
+    assert np.allclose(calls[0]["h_hat"][:, 0], h0, atol=1e-13)
+    assert np.allclose(calls[0]["C"], C0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +322,7 @@ def test_receiver_is_deterministic(code):
 # Memory
 
 
-def test_receiver_memory_does_not_grow_with_imax(code):
+def test_receiver_memory_does_not_grow_with_imax(code, monkeypatch):
     # Error covariances (L*K*M^2 complex) dominate an iteration's state at
     # M=128; at -25 dB per antenna no UE ever decodes, so every iteration runs.
     config = ScenarioConfig(M=128, K=2, L=3, tau_c=200, tau_p=2,
@@ -337,11 +352,17 @@ def test_receiver_memory_does_not_grow_with_imax(code):
     hard_bytes = config.L * config.K * code.n
     assert peak - short_peak < 4 * 2 * hard_bytes
 
-    # The trace keeps the final iteration's estimates.
-    final = trace.estimates
+    # The final iteration estimates on the bound at the previous iteration's
+    # symbol qualities. A spied rerun holds every call's C, so it runs untraced.
+    calls = spy_stage(monkeypatch)
+    spied = run_receiver(blocks, net, asg, config, code, frame, "sp", i_max=6)
+    assert len(calls) == len(spied.states) == 7
+    assert np.array_equal(spied.final.mse_emp, trace.final.mse_emp)
+    final = calls[-1]
     h_true = blocks.H[:, np.arange(3), np.arange(3)]
-    assert np.array_equal(mse_channel_empirical(h_true, final.h_hat), trace.final.mse_emp)
-    prev = trace.states[-2].soft
+    assert np.array_equal(mse_channel_empirical(h_true, final["h_hat"]), trace.final.mse_emp)
+    prev = spied.states[-2].soft
+    assert np.array_equal(final["sigma"], prev.sigma_sq)
     psi = psi_data_aided_bound(net, asg, config, "sp", prev.sigma_sq)
     _, C = lmmse_filter(net.R[np.arange(3), np.arange(3)], psi)
-    assert np.array_equal(final.C, C)
+    assert np.array_equal(final["C"], C)

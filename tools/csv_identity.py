@@ -11,8 +11,8 @@ failed call, 2 when BASE_REV cannot be exported.
 The list covers the three perfbench workloads on the paper scenario at
 seeds 1 and 2, and the M=8, K=2, L=3 scenario through both modes and
 combiners, the gaussian pipeline in both modes, rate 3/4, a 2-worker
-sweep, an integer (tau_c) sweep, an sp pilot-share (delta) sweep, a
-2-worker study, a study at sigma_est = 0 and an S-MMSE study. The
+sweep, integer (tau_c and rp tau_p) sweeps, an sp pilot-share (delta)
+sweep, a 2-worker study, a study at sigma_est = 0 and an S-MMSE study. The
 paper-scale calls take a few minutes per tree on a 2-core machine.
 """
 
@@ -63,6 +63,9 @@ def _calls() -> list[tuple[str, str, tuple]]:
           "--workers", "2")),
         ("tiny-sweep-tau_c", "tiny",
          ("sweep", "--param", "tau_c", "--values", "24,30", "--trials", "2")),
+        # tau_p sets the rp pilot book, which Campaign checks per grid point
+        ("tiny-sweep-tau_p", "tiny",
+         ("sweep", "--param", "tau_p", "--values", "2,4", "--trials", "2")),
         ("tiny-study-workers2", "tiny",
          ("sweep", "--study", "--param", "sigma_est", "--values", "0.2,1.0",
           "--trials", "2", "--workers", "2")),
