@@ -14,9 +14,8 @@ from .chest import (EstimationError, FeasibilityResult, ProjectionError,
                     pilot_observation, psi_data_aided_bound,
                     psi_data_aided_empirical, psi_pilot,
                     simulate_data_aided_observations)
-from .codec import (CodeSpec, CodewordFrame, SoftDataState, decode, encode,
-                    frame_codeword, hard_decisions, make_code, qpsk_demap_llr,
-                    qpsk_map, soft_symbols)
+from .codec import (CodeSpec, CodewordFrame, decode, encode, frame_codeword,
+                    hard_decisions, make_code, qpsk_demap_llr, qpsk_map, soft_symbols)
 from .codec.framing import make_frame
 from .combine import build_combiner, combine_initial, combine_iterative, effective_stats
 from .config import ConfigError, ScenarioConfig, dbm_to_joules, load_config
@@ -28,7 +27,8 @@ from .metrics import (binary_entropy, effective_snr_db,
 from .netgeom import (HexGrid, NetworkRealization, apply_power_control,
                       build_geometry, local_scattering_correlation, make_network)
 from .pilots import PilotAssignment, PilotBook, assign_pilots, make_pilot_book, sp_reuse_factor
-from .receiver import IterationState, IterationTrace, estimate_and_combine, run_receiver
+from .receiver import (IterationState, IterationTrace, SoftDataState, estimate_and_combine,
+                       run_receiver)
 
 __version__ = "0.1.0"
 

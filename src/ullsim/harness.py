@@ -23,7 +23,7 @@ from .codec import PRESET_RATES, encode, frame_codeword, make_code, qpsk_map
 from .codec.framing import make_frame
 from .codec.ldpc import CodeSpec
 from .config import ConfigError, ScenarioConfig, require_integers
-from .metrics import mse_channel_analytic, se_uatf_moments, se_uatf_samples
+from .metrics import mse_channel_analytic, se_uatf_samples
 from .netgeom import NetworkRealization, make_network
 from .pilots import assign_pilots
 from .receiver import estimate_and_combine, run_receiver
@@ -86,6 +86,8 @@ class Campaign:
             if bound_runs and self.mode == "rp" and config.tau_d <= config.K:
                 raise ConfigError(f"rp data-aided estimation needs tau_d > K (grid value "
                                   f"{v}: tau_d={config.tau_d}, K={config.K})")
+            if self.mode == "sp" and config.delta == 0:
+                raise ConfigError(f"sp needs pilot energy, delta > 0 (grid value {v})")
 
 
 def apply_grid_point(config: ScenarioConfig, param: str, value) -> ScenarioConfig:
@@ -99,7 +101,11 @@ def apply_grid_point(config: ScenarioConfig, param: str, value) -> ScenarioConfi
     if param == "none":
         return config
     if param == "snr_db":
-        return config.replace(rho_design=config.noise_energy * 10.0 ** (value / 10.0))
+        try:
+            gain = 10.0 ** (value / 10.0)
+        except OverflowError:
+            raise ConfigError(f"snr_db grid value {value} overflows the design SNR") from None
+        return config.replace(rho_design=config.noise_energy * gain)
     if param == "sigma_est":
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"sigma_est grid value {value} outside [0, 1]")
@@ -159,8 +165,7 @@ def run_coded_trial(campaign: Campaign, grid_index: int, trial_index: int) -> li
     realization = make_network(config, _drop_rng(campaign, grid_index, trial_index))
     assignment = assign_pilots(config, campaign.mode)
     code = get_code(campaign.code_rate)
-    slots = config.data_slots(campaign.mode)
-    frame = make_frame(code.n // 2, slots)
+    frame = make_frame(code.n // 2, config.data_slots(campaign.mode))
 
     L, K = config.L, config.K
     info = rng.integers(0, 2, size=(L, K, code.k), dtype=np.uint8)
@@ -171,14 +176,10 @@ def run_coded_trial(campaign: Campaign, grid_index: int, trial_index: int) -> li
                          campaign.mode, combiner_kind=campaign.combiner,
                          i_max=campaign.i_max)
 
-    prelog = slots / config.tau_c
     rows = []
-    for it in range(campaign.i_max + 1):
+    for it in range(campaign.i_max + 1):     # a receiver that stopped repeats its last state
         st = trace.states[min(it, len(trace.states) - 1)]
-        # Per-block-hardened estimate: the gain's spread over blocks is noise.
-        se_uatf = se_uatf_moments(np.mean(st.g, axis=0),
-                                  np.mean(st.n_var, axis=0) + np.var(st.g, axis=0), prelog)
-        rows += _ue_rows(it, st.soft.decoded_ok, mse_ch=st.mse_emp, se_uatf=se_uatf,
+        rows += _ue_rows(it, st.soft.decoded_ok, mse_ch=st.mse_emp, se_uatf=st.se_uatf,
                          se_mi=st.se_mi, snr_eff_db=st.snr_eff_db)
     return rows
 

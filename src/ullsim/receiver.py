@@ -6,7 +6,8 @@ estimates from the full-block projection onto the estimated symbol
 matrices (soft symbols of the previous iteration, exact symbols for UEs
 that already decoded), cancels reconstructed in-cell interference, and
 decodes again. UEs whose parity checks pass are frozen: their symbols are
-the exact remodulated codeword and their quality is pinned to 1.
+the exact remodulated codeword and their quality is pinned to 1. The
+receiver is one loop; each iteration leaves only its per-UE results.
 
 Estimation and combining are one stage, estimate_and_combine, which the
 Gaussian-symbol study also runs, on surrogate instead of decoded symbols.
@@ -22,33 +23,42 @@ from . import _threads
 from .airlink import BlockSignals, build_transmit
 from .chest import (EstimationError, ProjectionError, data_aided_observation,
                     lmmse_filter, psi_data_aided_bound, psi_pilot, pilot_observation)
-from .codec import (CodewordFrame, SoftDataState, decode, frame_codeword,
-                    hard_decisions, qpsk_demap_llr, qpsk_map, soft_symbols)
+from .codec import (CodewordFrame, decode, frame_codeword, hard_decisions,
+                    qpsk_demap_llr, qpsk_map, soft_symbols)
 from .codec.ldpc import CodeSpec
 from .combine import build_combiner, combine_initial, combine_iterative, effective_stats
 from .config import ConfigError, ScenarioConfig
-from .metrics import effective_snr_db, mse_channel_empirical, se_mutual_info
+from .metrics import (effective_snr_db, mse_channel_empirical, se_mutual_info,
+                      se_uatf_moments)
 from .netgeom import NetworkRealization
 from .pilots import PilotAssignment
 
 
 @dataclass
+class SoftDataState:
+    """What decoding left of one iteration's codewords, arrays over (L, K).
+
+    The posterior LLRs and soft symbols are the receiver's loop state: the
+    next pass reads them and no state keeps them.
+    """
+
+    sigma_sq: np.ndarray          # (L, K) symbol quality, mean |s_hat|^2; 1 once decoded
+    decoded_ok: np.ndarray        # (L, K) parity-check success flags
+    hard_bits: np.ndarray         # (L, K, n) hard decisions
+
+
+@dataclass
 class IterationState:
-    """What one iteration produced (arrays indexed [block, cell, ue]).
+    """One iteration's per-UE results, arrays over (L, K).
 
     Its iteration is its position in IterationTrace.states.
-
-    soft is complete in the newest state only. Once the next iteration has
-    read it, its llr_post and s_hat become None; sigma_sq, decoded_ok and
-    hard_bits stay, so a state costs L*K*n bytes of bits, not its soft state.
     """
 
     soft: SoftDataState
-    g: np.ndarray             # (B, L, K) effective gains
-    n_var: np.ndarray         # (B, L, K) effective noise variances
-    mse_emp: np.ndarray       # (L, K) empirical channel MSE vs the true draws
-    se_mi: np.ndarray         # (L, K) decoder-aware SE
-    snr_eff_db: np.ndarray    # (L, K)
+    mse_emp: np.ndarray       # empirical channel MSE vs the true draws
+    se_uatf: np.ndarray       # hardening SE from the per-block effective gains
+    se_mi: np.ndarray         # decoder-aware SE
+    snr_eff_db: np.ndarray
     fallback_blocks: int = 0
 
 
@@ -56,11 +66,10 @@ class IterationState:
 class IterationTrace:
     """Every iteration's state, and why the receiver stopped.
 
-    No iteration's channel estimates or error covariances are kept: they
-    are L*K*M^2 numbers per iteration, the bulk of the receiver's memory.
-    Nor are earlier iterations' LLRs and soft symbols: final.soft is the one
-    complete soft state (see IterationState), so the trace does not grow
-    with i_max beyond each state's hard bits and per-UE figures.
+    A state holds per-UE figures and hard bits only: no channel estimates,
+    error covariances (L*K*M^2 numbers, the bulk of an iteration's memory),
+    LLRs or soft symbols, so the trace grows with i_max by each state's
+    L*K*n bytes of hard bits and its per-UE figures.
     """
 
     states: list
@@ -158,9 +167,10 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
     """Run the full iterative receiver on one batch of coherence blocks.
 
     blocks must span exactly one codeword per UE (frame.n_blocks blocks).
-    Iteration 0 runs LMMSE on the pilot-only observation covariance, every
-    later iteration on the closed-form data-aided one (psi_data_aided_bound)
-    at the previous iteration's symbol qualities.
+    Each pass decodes the UEs still to do. The first knows no symbols
+    (sigma = 0) and estimates on the pilot-only statistics, every later one
+    on the data-aided bound at the previous pass's symbol qualities, with
+    the first pass's estimates h0 as the projection fallback.
     """
     if i_max >= 1 and mode == "rp" and config.tau_d <= config.K:
         raise ConfigError("data-aided iterations in rp mode need tau_d > K")
@@ -172,31 +182,16 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
     h_true = blocks.H[:, np.arange(L), np.arange(L)]       # (B, L, K, M)
     prelog = config.data_slots(mode) / config.tau_c
     states: list[IterationState] = []
-    h0 = None                         # pilot-only estimates, the projection fallback
-
-    def iterate() -> np.ndarray:
-        """One estimate -> combine -> demap -> decode pass.
-
-        Appends the pass's state and returns its channel estimates h_hat.
-        Its error covariances die with the call, so one iteration's channel
-        statistics are live.
-        """
-        it = len(states)
-        if it == 0:
-            # Iteration 0: pilot-only estimation.
-            soft_prev, s_blocks = None, None
-            sigma_in = np.zeros((L, K))
-        else:
-            soft_prev = states[-1].soft
-            sigma_in = soft_prev.sigma_sq
-            s_blocks = np.moveaxis(frame_codeword(soft_prev.s_hat, frame), 2, 0)
-            soft_prev.s_hat = None        # only the newest state keeps its full soft state
+    ok = np.zeros((L, K), dtype=bool)
+    sigma = np.zeros((L, K))
+    llr_post = np.empty((L, K, code.n))   # a frozen UE keeps its decoding pass's LLRs
+    s_blocks = h0 = None
+    for it in range(i_max + 1):
         h_hat, C, V, y_hat, fallbacks = estimate_and_combine(
             blocks, realization, assignment, config, mode, combiner_kind,
-            s_blocks=s_blocks, sigma=sigma_in, h_pilot=h0)
-
-        g, n_var = effective_stats(V, h_hat, C, realization, mode, config, sigma_in,
-                                   cancelled=(it > 0))
+            s_blocks=s_blocks, sigma=sigma, h_pilot=h0)
+        g, n_var = effective_stats(V, h_hat, C, realization, mode, config, sigma,
+                                   cancelled=s_blocks is not None)
         if not (np.all(n_var > 0) and np.all(np.isfinite(n_var)) and np.all(np.isfinite(g))):
             # An indefinite error covariance, a zero combiner or a NaN. A NaN
             # would demap to all-zero bits: the all-zero codeword, which checks.
@@ -207,41 +202,32 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
         llr_blocks = qpsk_demap_llr(y_hat, g[..., None], n_var[..., None])
         llr_cw = (llr_blocks.transpose(1, 2, 0, 3)
                   .reshape(L, K, -1)[:, :, :code.n])       # drop pad-slot bits
-        del s_blocks, V, y_hat, llr_blocks                 # the decoder needs none of them
+        del C, V, y_hat, llr_blocks, s_blocks              # the decoder needs none of them
 
-        if soft_prev is None:
-            prev_ok = np.zeros((L, K), dtype=bool)
-            llr_post = llr_cw.copy()
-        else:
-            prev_ok = soft_prev.decoded_ok
-            llr_post = np.where(prev_ok[..., None], soft_prev.llr_post, llr_cw)
-            soft_prev.llr_post = None
-        ok = prev_ok.copy()
-        todo = np.nonzero(~prev_ok.ravel())[0]
-        if todo.size:
-            post, _, good = decode(llr_cw.reshape(L * K, code.n)[todo], code)
-            llr_post.reshape(L * K, code.n)[todo] = post
-            ok.reshape(L * K)[todo] = good
+        todo = np.flatnonzero(~ok)                         # the UEs still to decode
+        ok = ok.copy()                                     # each state keeps its own flags
+        llr_post.reshape(L * K, -1)[todo], _, ok.reshape(-1)[todo] = decode(
+            llr_cw.reshape(L * K, -1)[todo], code)
+        del llr_cw
         hard = hard_decisions(llr_post)             # decode's bits are post < 0
-
         s_hat, sig = soft_symbols(llr_post)
-        # Decoded UEs transmit-side symbols are known exactly from here on.
-        s_exact = qpsk_map(hard)
-        s_hat = np.where(ok[..., None], s_exact, s_hat)
-        sig = np.where(ok, 1.0, sig)
-        soft = SoftDataState(llr_post=llr_post, s_hat=s_hat, sigma_sq=sig,
-                             decoded_ok=ok, hard_bits=hard)
+        # Decoded UEs' transmit-side symbols are known exactly from here on.
+        s_hat = np.where(ok[..., None], qpsk_map(hard), s_hat)
+        sigma = np.where(ok, 1.0, sig)
 
-        p0 = 1.0 / (1.0 + np.exp(-llr_post))
-        states.append(IterationState(soft=soft, g=g, n_var=n_var,
-                                     mse_emp=mse_channel_empirical(h_true, h_hat),
-                                     se_mi=se_mutual_info(p0, prelog, 2, code.rate),
-                                     snr_eff_db=effective_snr_db(g, n_var),
-                                     fallback_blocks=fallbacks))
-        return h_hat
-
-    h0 = iterate()
-    while len(states) <= i_max and not states[-1].soft.decoded_ok.all():
-        iterate()
-    termination = "all_decoded" if states[-1].soft.decoded_ok.all() else "i_max"
-    return IterationTrace(states=states, termination=termination)
+        states.append(IterationState(
+            soft=SoftDataState(sigma_sq=sigma, decoded_ok=ok, hard_bits=hard),
+            mse_emp=mse_channel_empirical(h_true, h_hat),
+            # Per-block-hardened estimate: the gain's spread over blocks is noise.
+            se_uatf=se_uatf_moments(np.mean(g, axis=0),
+                                    np.mean(n_var, axis=0) + np.var(g, axis=0), prelog),
+            se_mi=se_mutual_info(1.0 / (1.0 + np.exp(-llr_post)), prelog, 2, code.rate),
+            snr_eff_db=effective_snr_db(g, n_var), fallback_blocks=fallbacks))
+        if h0 is None:
+            h0 = h_hat
+        del h_hat
+        if ok.all() or it == i_max:
+            break
+        s_blocks = np.moveaxis(frame_codeword(s_hat, frame), 2, 0)
+        del s_hat
+    return IterationTrace(states=states, termination="all_decoded" if ok.all() else "i_max")

@@ -95,6 +95,14 @@ def test_campaign_validation():
     pytest.param("config", small_config(tau_p=3), {}, id="config-rp_tau_p_not_multiple_of_k"),
     pytest.param("grid_param", "tau_p", {"grid_values": (2, 3)},
                  id="grid_param-tau_p-rp_not_multiple_of_k"),
+    # 10 ** 400 overflows a float: once an OverflowError traceback, exit 1
+    pytest.param("grid_param", "snr_db", {"grid_values": (4000,)},
+                 id="grid_param-snr_db-overflow"),
+    # sp with no pilot energy once ran every trial into a singular covariance
+    pytest.param("config", small_config(delta=0.0), {"mode": "sp"},
+                 id="config-sp_no_pilot_energy"),
+    pytest.param("grid_param", "delta", {"mode": "sp", "grid_values": (0.5, 0.0)},
+                 id="grid_param-delta-sp_no_pilot_energy"),
 ])
 def test_campaign_rejects_bad_field_at_construction(field, value, extra):
     with pytest.raises(ConfigError):
@@ -491,6 +499,10 @@ def test_cli_config_error_exits_2(tmp_path, config_file, capsys):
                  ["sweep", "--param", "snr_db", "--values", "0,nan"],
                  ["sweep", "--param", "snr_db", "--values", "inf"],
                  ["sweep", "--param", "M", "--values", "8.5"],
+                 ["sweep", "--param", "snr_db", "--values", "4000"],
+                 ["sweep", "--mode", "sp", "--param", "delta", "--values", "0,0.5"],
+                 # the study's sp variant is a Campaign too
+                 ["sweep", "--study", "--param", "delta", "--values", "0,0.5"],
                  ["run", "--seed", "-1"]):
         assert cli.main([args[0], str(config_file), *args[1:]]) == 2, args
         assert "config error" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Iterative receiver behavior: termination, freezing, determinism."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,12 @@ from ullsim import ScenarioConfig, receiver
 from ullsim.airlink import gaussian_symbols, simulate_blocks
 from ullsim.chest import (EstimationError, ProjectionError, lmmse_filter, pilot_observation,
                           psi_data_aided_bound, psi_pilot)
-from ullsim.codec import encode, make_code, qpsk_map
+from ullsim.codec import encode, frame_codeword, make_code, qpsk_map
 from ullsim.codec.framing import make_frame
 from ullsim.config import ConfigError
 from ullsim.netgeom import make_network
 from ullsim.pilots import assign_pilots
-from ullsim.metrics import mse_channel_empirical
+from ullsim.metrics import mse_channel_empirical, se_uatf_moments
 from ullsim.receiver import estimate_and_combine, run_receiver
 
 
@@ -40,13 +41,14 @@ def make_trial(config, net, mode, code, rng):
 
 
 def spy_stage(monkeypatch):
-    """Record run_receiver's estimate_and_combine calls: sigma, h_hat and C of each."""
+    """Record run_receiver's estimate_and_combine calls: s_blocks, sigma, h_hat and C."""
     calls = []
     stage = receiver.estimate_and_combine
 
     def spy(*args, **kwargs):
         out = stage(*args, **kwargs)
-        calls.append(dict(sigma=kwargs["sigma"], h_hat=out[0], C=out[1]))
+        calls.append(dict(s_blocks=kwargs["s_blocks"], sigma=kwargs["sigma"],
+                          h_hat=out[0], C=out[1]))
         return out
 
     monkeypatch.setattr(receiver, "estimate_and_combine", spy)
@@ -213,11 +215,10 @@ def test_rank_deficient_block_keeps_its_pilot_estimate():
 
 
 @pytest.fixture(scope="module")
-def helper_traces(code):
+def helper_trial(code):
     """Scenario where one UE decodes at i = 0 and the other never does.
 
-    Receivers at i_max = 0..3 on the same blocks: only a trace's final state
-    keeps its full soft state, so per-iteration soft checks read final.soft.
+    Returns run_receiver's sp arguments up to the code, and the codewords.
     """
     config = ScenarioConfig(M=8, K=2, L=1, tau_c=200, tau_p=2,
                             noise_energy=1.0, rho_design=1.0, rho_max=10.0,
@@ -226,8 +227,18 @@ def helper_traces(code):
                          rho=np.ones((1, 2)))
     rng = np.random.default_rng(3)
     asg, frame, cw, blocks = make_trial(config, net, "sp", code, rng)
-    traces = [run_receiver(blocks, net, asg, config, code, frame, "sp", i_max=i_max)
-              for i_max in range(4)]
+    return (blocks, net, asg, config), frame, cw
+
+
+@pytest.fixture(scope="module")
+def helper_traces(helper_trial, code):
+    """Receivers at i_max = 0..3 on the helper scenario's blocks.
+
+    A state holds its iteration's per-UE results and hard bits; the LLRs and
+    soft symbols a pass hands to the next are not kept.
+    """
+    args, frame, cw = helper_trial
+    traces = [run_receiver(*args, code, frame, "sp", i_max=i_max) for i_max in range(4)]
     return traces, cw
 
 
@@ -244,35 +255,60 @@ def test_unequal_ues_split_at_iteration_zero(helper_trace):
     assert np.array_equal(trace.states[0].soft.hard_bits[0, 0], cw[0, 0])
 
 
-def test_decoded_ue_stays_frozen(helper_traces):
+def test_decoded_ue_stays_frozen(helper_trial, helper_traces, code, monkeypatch):
     traces, cw = helper_traces
-    expect = qpsk_map(cw[0, 0])
     for trace in traces:
         soft = trace.final.soft
         assert bool(soft.decoded_ok[0, 0])
         assert np.array_equal(soft.hard_bits[0, 0], cw[0, 0])
         assert soft.sigma_sq[0, 0] == 1.0
-        # frozen soft symbols are the exact remodulated codeword
-        assert np.allclose(soft.s_hat[0, 0], expect, atol=1e-14)
+    # Where the frozen UE's symbols are used, in every data-aided pass's
+    # estimate and cancellation, they are its exact remodulated codeword.
+    args, frame, _ = helper_trial
+    calls = spy_stage(monkeypatch)
+    run_receiver(*args, code, frame, "sp", i_max=3)
+    aided = [c["s_blocks"] for c in calls if c["s_blocks"] is not None]
+    assert len(aided) == len(calls) - 1 == 3
+    expect = frame_codeword(qpsk_map(cw[0, 0]), frame)     # (blocks, slots)
+    for s_blocks in aided:
+        assert np.array_equal(s_blocks[:, 0, 0], expect)
 
 
-def test_only_the_final_state_keeps_its_soft_state(helper_traces):
+def test_a_stopped_run_reproduces_the_longer_runs_states(helper_traces):
     traces, _ = helper_traces
     longest = traces[-1]
     assert len(longest.states) == len(traces)
     for t, trace in enumerate(traces):
-        final = trace.final
-        assert final.soft.llr_post is not None and final.soft.s_hat is not None
-        kept = longest.states[t]
-        if t < len(traces) - 1:
-            assert kept.soft.llr_post is None and kept.soft.s_hat is None
         # A run stopped at i_max = t reproduces state t of a longer run.
         assert len(trace.states) == t + 1
-        for name in ("sigma_sq", "decoded_ok", "hard_bits"):
-            assert np.array_equal(getattr(final.soft, name), getattr(kept.soft, name))
-        for name in ("g", "n_var", "mse_emp", "se_mi", "snr_eff_db"):
-            assert np.array_equal(getattr(final, name), getattr(kept, name))
-        assert final.fallback_blocks == kept.fallback_blocks
+        final, kept = trace.final, longest.states[t]
+        for f in dataclasses.fields(final.soft):
+            assert np.array_equal(getattr(final.soft, f.name), getattr(kept.soft, f.name))
+        for f in dataclasses.fields(final):
+            if f.name != "soft":
+                assert np.array_equal(getattr(final, f.name), getattr(kept, f.name)), f.name
+
+
+def test_se_uatf_is_the_hardening_bound_of_each_iterations_stats(helper_trial, code,
+                                                                   monkeypatch):
+    stats = []
+    effective_stats = receiver.effective_stats
+
+    def spy(*args, **kwargs):
+        stats.append(effective_stats(*args, **kwargs))
+        return stats[-1]
+
+    monkeypatch.setattr(receiver, "effective_stats", spy)
+    args, frame, _ = helper_trial
+    trace = run_receiver(*args, code, frame, "sp", i_max=3)
+    assert len(stats) == len(trace.states) == 4
+    config = args[3]
+    prelog = config.data_slots("sp") / config.tau_c
+    for (g, n_var), state in zip(stats, trace.states):
+        # the gain's spread over the blocks counts as noise
+        want = se_uatf_moments(np.mean(g, axis=0), np.mean(n_var, axis=0) + np.var(g, axis=0),
+                               prelog)
+        assert np.array_equal(state.se_uatf, want)
 
 
 def test_bler_never_increases_across_iterations(helper_trace):
@@ -306,16 +342,16 @@ def test_receiver_is_deterministic(code):
         asg, frame, _, blocks = make_trial(config, net, "rp", code, rng)
         return run_receiver(blocks, net, asg, config, code, frame, "rp", i_max=i_max)
 
-    # Iteration i's LLRs survive only as final.soft of a run stopped at i_max = i.
     for i_max in range(3):
         a, b = run(i_max), run(i_max)
         assert len(a.states) == len(b.states) == i_max + 1
         assert a.termination == b.termination
         for sa, sb in zip(a.states, b.states):
             assert np.array_equal(sa.soft.decoded_ok, sb.soft.decoded_ok)
+            assert np.array_equal(sa.soft.hard_bits, sb.soft.hard_bits)
             assert np.array_equal(sa.mse_emp, sb.mse_emp)
-            assert np.array_equal(sa.g, sb.g)
-        assert np.array_equal(a.final.soft.llr_post, b.final.soft.llr_post)
+            assert np.array_equal(sa.se_uatf, sb.se_uatf)
+            assert np.array_equal(sa.se_mi, sb.se_mi)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +381,10 @@ def test_receiver_memory_does_not_grow_with_imax(code, monkeypatch):
     short, short_peak = traced(2)
     trace, peak = traced(6)
     assert len(short.states) == 3 and len(trace.states) == 7
-    # Four more iterations may add their trimmed states, each its hard bits
-    # (L*K*n bytes) plus per-UE figures, never their error covariances (a C
-    # is 1.6 MB here) or their soft states (LLRs and symbols, 17 bytes a bit:
-    # keeping all four would add 1.6 MB).
+    # Four more iterations may add their states, each its hard bits (L*K*n
+    # bytes) plus per-UE figures, never their error covariances (a C is 1.6
+    # MB here) or their LLRs and soft symbols (17 bytes a bit: keeping all
+    # four would add 1.6 MB).
     hard_bytes = config.L * config.K * code.n
     assert peak - short_peak < 4 * 2 * hard_bytes
 

@@ -10,10 +10,11 @@ failed call, 2 when BASE_REV cannot be exported.
 
 The list covers the three perfbench workloads on the paper scenario at
 seeds 1 and 2, and the M=8, K=2, L=3 scenario through both modes and
-combiners, the gaussian pipeline in both modes, rate 3/4, a 2-worker
-sweep, integer (tau_c and rp tau_p) sweeps, an sp pilot-share (delta)
-sweep, a 2-worker study, a study at sigma_est = 0 and an S-MMSE study. The
-paper-scale calls take a few minutes per tree on a 2-core machine.
+combiners, the gaussian pipeline in both modes, rate 3/4, i_max = 0, a
+2-worker sweep, integer (tau_c and rp tau_p) sweeps, an sp pilot-share
+(delta) sweep, a 2-worker study, a study at sigma_est = 0 and an S-MMSE
+study. The paper-scale calls take a few minutes per tree on a 2-core
+machine.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ def _calls() -> list[tuple[str, str, tuple]]:
         ("tiny-gaussian-sp", "tiny",
          ("run", "--pipeline", "gaussian", "--mode", "sp", "--trials", "3")),
         ("tiny-rate34", "tiny", ("run", "--rate", "3/4", "--trials", "2")),
+        # the receiver loop's exit after its first pass
+        ("tiny-imax0", "tiny", ("run", "--imax", "0", "--trials", "2")),
         ("tiny-sweep-workers2", "tiny",
          ("sweep", "--param", "snr_db", "--values", "0,10", "--trials", "2",
           "--workers", "2")),
