@@ -9,7 +9,7 @@ Monte Carlo campaign harness.
 
 from .airlink import (BlockSignals, correlation_sqrt, crandn, draw_channels,
                       gaussian_symbols, simulate_blocks)
-from .chest import (EstimationError, FeasibilityResult, ProjectionError,
+from .chest import (EstimationError, FeasibilityResult,
                     data_aided_feasibility, data_aided_observation, lmmse_filter,
                     pilot_observation, psi_data_aided_bound,
                     psi_data_aided_empirical, psi_pilot,
@@ -36,7 +36,7 @@ __all__ = [
     "BlockSignals", "Campaign", "CodeSpec",
     "CodewordFrame", "ConfigError", "EstimationError",
     "FeasibilityResult", "HexGrid", "IterationState", "IterationTrace",
-    "NetworkRealization", "PilotAssignment", "PilotBook", "ProjectionError",
+    "NetworkRealization", "PilotAssignment", "PilotBook",
     "ScenarioConfig", "SoftDataState", "apply_power_control", "assign_pilots",
     "binary_entropy", "build_combiner", "build_geometry",
     "combine_initial", "combine_iterative", "correlation_sqrt", "crandn",

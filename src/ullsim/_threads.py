@@ -1,9 +1,10 @@
 """Split a trial's stacked numpy kernels over threads, with the same bits.
 
-Kernels call `einsum`, which infers the split from its subscripts, and
-`per_matrix` as they call numpy. Each thread writes its own slice of one
-output with the call the whole stack makes, so no result depends on the
-thread count. With one thread, or too little work for two, nothing splits.
+Kernels call `einsum`, which infers the split from its subscripts,
+`per_matrix` and `solve` as they call numpy. Each thread writes its own
+slice of one output with the call the whole stack makes, so no result
+depends on the thread count. With one thread, or too little work for two,
+nothing splits.
 
 Helper threads write only into arrays the calling thread allocated, and
 keep their own temporaries small. glibc gives each thread its own malloc
@@ -99,12 +100,36 @@ def einsum(subscripts: str, *operands) -> np.ndarray:
     return out
 
 
-def per_matrix(fn, A: np.ndarray) -> None:
-    """fn(idx) for each (M, M) matrix A[idx] of the stack A, split over threads."""
+def per_matrix(fn, A: np.ndarray, *more: np.ndarray) -> None:
+    """fn(idx) for each (M, M) matrix A[idx] of the stack A, split over threads.
+
+    The work is M multiply-adds per element of A and of the stacks in more.
+    """
     stack = list(np.ndindex(A.shape[:-2]))
 
     def part(s):
         for idx in stack[s]:
             fn(idx)
 
-    split(part, len(stack), work=A.size * A.shape[-1])
+    split(part, len(stack), work=(A.size + sum(m.size for m in more)) * A.shape[-1])
+
+
+def solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.solve(A, B) on stacks of one shape, split over threads.
+
+    One LAPACK call per matrix, the call the stacked solve makes for it.
+    Returns (X, ok): ok, over the stack, is False where A's matrix is
+    singular or its solution is not finite, and X is zero there.
+    """
+    X = np.empty(B.shape, dtype=np.result_type(A, B, float))
+
+    def solve_one(idx):
+        try:
+            X[idx] = np.linalg.solve(A[idx], B[idx])
+        except np.linalg.LinAlgError:
+            X[idx] = np.nan
+
+    per_matrix(solve_one, A, B)
+    ok = np.all(np.isfinite(X), axis=(-2, -1))
+    X[~ok] = 0
+    return X, ok

@@ -26,10 +26,6 @@ class EstimationError(RuntimeError):
     """Numerical failure inside an estimator (singular statistics)."""
 
 
-class ProjectionError(RuntimeError):
-    """Rank-deficient symbol matrix in the data-aided projection."""
-
-
 # ---------------------------------------------------------------------------
 # Observations
 
@@ -63,27 +59,21 @@ def pilot_observation(Y: np.ndarray, seqs: np.ndarray, q: np.ndarray,
     return z / norm[..., :, None]
 
 
-def data_aided_observation(Y: np.ndarray, Xhat: np.ndarray) -> np.ndarray:
+def data_aided_observation(Y: np.ndarray, Xhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project received blocks onto the estimated symbol matrix.
 
     Y: (..., M, tau_c); Xhat: (..., tau_c, K) estimated transmit matrix of
     the serving cell (pilot part exact, data part from soft symbols).
-    Returns z: (..., K, M) with z_k = Y conj(u_k), u = Xhat (Xhat^H Xhat)^-1,
-    so that Xhat^H u_k = e_k (interference from the other in-cell columns is
-    projected out exactly to the extent the estimates are exact).
-
-    Raises ProjectionError when the Gram matrix is singular.
+    Returns (z, ok): z (..., K, M) with z_k = Y conj(u_k),
+    u = Xhat (Xhat^H Xhat)^-1, so that Xhat^H u_k = e_k (interference from
+    the other in-cell columns is projected out exactly to the extent the
+    estimates are exact); ok (...) is False, and z zero, where the Gram
+    matrix is singular (a rank-deficient Xhat).
     """
     XhH = np.swapaxes(Xhat.conj(), -1, -2)
-    G = XhH @ Xhat                                    # (..., K, K)
-    try:
-        A = np.linalg.solve(G, XhH)                   # G^{-1} Xhat^H
-    except np.linalg.LinAlgError as exc:
-        raise ProjectionError("estimated symbol matrix is rank deficient") from exc
-    if not np.all(np.isfinite(A)):
-        raise ProjectionError("estimated symbol matrix is numerically rank deficient")
+    A, ok = _threads.solve(XhH @ Xhat, XhH)           # G^{-1} Xhat^H, G = Xhat^H Xhat
     U = np.swapaxes(A.conj(), -1, -2)                 # Xhat G^{-1}
-    return _threads.einsum("...mt,...tk->...km", Y, np.conj(U))
+    return _threads.einsum("...mt,...tk->...km", Y, np.conj(U)), ok
 
 
 # ---------------------------------------------------------------------------
@@ -215,36 +205,15 @@ def psi_data_aided_empirical(draws: np.ndarray) -> np.ndarray:
 # LMMSE
 
 
-def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """np.linalg.solve on stacks of one shape, split over the trial's threads.
-
-    One LAPACK call per matrix, the call the stacked solve makes for it.
-    """
-    X = np.empty(B.shape, dtype=np.result_type(A, B, float))
-
-    def solve_one(idx):
-        X[idx] = np.linalg.solve(A[idx], B[idx])
-
-    _threads.per_matrix(solve_one, B)
-    return X
-
-
 def _solve_psd(Psi: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve Psi X = B for stacks of Hermitian Psi, with one-shot regularization."""
-    try:
-        X = _solve(Psi, B)
-        if np.all(np.isfinite(X)):
-            return X
-    except np.linalg.LinAlgError:
-        pass
+    """Solve Psi X = B for stacks of Hermitian Psi; one failure regularizes them all."""
+    X, ok = _threads.solve(Psi, B)
+    if ok.all():
+        return X
     M = Psi.shape[-1]
     tr = np.einsum("...ii->...", Psi).real
-    reg = Psi + (1e-12 * tr / M)[..., None, None] * np.eye(M)
-    try:
-        X = _solve(reg, B)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError("observation covariance is singular") from exc
-    if not np.all(np.isfinite(X)):
+    X, ok = _threads.solve(Psi + (1e-12 * tr / M)[..., None, None] * np.eye(M), B)
+    if not ok.all():
         raise EstimationError("observation covariance is singular")
     return X
 
@@ -346,7 +315,9 @@ def simulate_data_aided_observations(realization: NetworkRealization,
         X = build_transmit(mode, assignment, s, realization, config)
         Y = receive(H, X, config.noise_energy, rng)        # (c, L, M, tau_c)
         Xh = np.swapaxes(build_transmit(mode, assignment, s_hat, realization, config), -1, -2)
-        out[done:done + c] = data_aided_observation(Y, Xh)
+        out[done:done + c], ok = data_aided_observation(Y, Xh)
+        if not ok.all():
+            raise EstimationError("estimated symbol matrix is rank deficient")
         if chans is not None:
             chans[done:done + c] = H[:, serving, serving]
         done += c

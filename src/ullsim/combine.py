@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _threads
+from .chest import EstimationError
 from .config import ScenarioConfig
 from .netgeom import NetworkRealization
 
@@ -29,6 +30,7 @@ def build_combiner(h_hat: np.ndarray, C: np.ndarray, rho: np.ndarray,
     mr:    v_k = h_hat_k
     smmse: v_k = rho_k * (sum_j rho_j (h_hat_j h_hat_j^H + C_j) + sigma^2 I)^-1 h_hat_k
            using only serving-cell statistics (no cross-BS CSI exchange).
+    Raises EstimationError where the smmse matrix is singular.
     """
     if kind == "mr":
         return h_hat.copy()
@@ -39,7 +41,9 @@ def build_combiner(h_hat: np.ndarray, C: np.ndarray, rho: np.ndarray,
     A = np.einsum("...km,...kn->...mn", rho[:, None] * h_hat, h_hat.conj())
     A = A + np.einsum("k,kmn->mn", rho, C) + noise_energy * np.eye(M)
     # Solve A V^H = h_hat^H for all K right-hand sides at once.
-    V = np.linalg.solve(A, np.swapaxes(h_hat.conj(), -1, -2))
+    V, ok = _threads.solve(A, np.swapaxes(h_hat.conj(), -1, -2))
+    if not ok.all():
+        raise EstimationError("S-MMSE combining matrix is singular")
     return np.swapaxes(V.conj(), -1, -2) * rho[..., :, None]
 
 

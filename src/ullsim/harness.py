@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _threads
 from .airlink import correlation_sqrt, gaussian_symbols, simulate_blocks
-from .chest import EstimationError, ProjectionError
+from .chest import EstimationError
 from .codec import PRESET_RATES, encode, frame_codeword, make_code, qpsk_map
 from .codec.framing import make_frame
 from .codec.ldpc import CodeSpec
@@ -88,6 +88,8 @@ class Campaign:
                                   f"{v}: tau_d={config.tau_d}, K={config.K})")
             if self.mode == "sp" and config.delta == 0:
                 raise ConfigError(f"sp needs pilot energy, delta > 0 (grid value {v})")
+            if self.mode == "sp" and self.pipeline == "coded" and config.delta == 1:
+                raise ConfigError(f"coded sp needs data energy, delta < 1 (grid value {v})")
 
 
 def apply_grid_point(config: ScenarioConfig, param: str, value) -> ScenarioConfig:
@@ -119,15 +121,10 @@ def apply_grid_point(config: ScenarioConfig, param: str, value) -> ScenarioConfi
     raise ConfigError(f"unknown sweep parameter {param!r}")
 
 
-def _trial_rng(campaign: Campaign, grid_index: int, trial_index: int) -> np.random.Generator:
+def _rng(campaign: Campaign, grid_index: int, trial_index: int, *tag) -> np.random.Generator:
+    """A (grid point, trial) pair's stream; the drop's is tagged 0xD0."""
     seq = np.random.SeedSequence(entropy=campaign.seed,
-                                 spawn_key=(grid_index, trial_index))
-    return np.random.default_rng(seq)
-
-
-def _drop_rng(campaign: Campaign, grid_index: int, trial_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=campaign.seed,
-                                 spawn_key=(grid_index, trial_index, 0xD0))
+                                 spawn_key=(grid_index, trial_index, *tag))
     return np.random.default_rng(seq)
 
 
@@ -161,8 +158,8 @@ def run_coded_trial(campaign: Campaign, grid_index: int, trial_index: int) -> li
     """One coded end-to-end trial: one codeword per UE through the receiver."""
     config = apply_grid_point(campaign.config, campaign.grid_param,
                               campaign.grid_values[grid_index])
-    rng = _trial_rng(campaign, grid_index, trial_index)
-    realization = make_network(config, _drop_rng(campaign, grid_index, trial_index))
+    rng = _rng(campaign, grid_index, trial_index)
+    realization = make_network(config, _rng(campaign, grid_index, trial_index, 0xD0))
     assignment = assign_pilots(config, campaign.mode)
     code = get_code(campaign.code_rate)
     frame = make_frame(code.n // 2, config.data_slots(campaign.mode))
@@ -193,7 +190,7 @@ def _shared_drop(campaign: Campaign, grid_index: int,
     """
     config = apply_grid_point(campaign.config, campaign.grid_param,
                               campaign.grid_values[grid_index])
-    realization = make_network(config, _drop_rng(campaign, grid_index, trial_index))
+    realization = make_network(config, _rng(campaign, grid_index, trial_index, 0xD0))
     return realization, correlation_sqrt(realization.R)
 
 
@@ -211,9 +208,9 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     value = campaign.grid_values[grid_index]
     config = apply_grid_point(campaign.config, campaign.grid_param, value)
     sigma_est = float(value) if campaign.grid_param == "sigma_est" else 1.0
-    rng = _trial_rng(campaign, grid_index, trial_index)
+    rng = _rng(campaign, grid_index, trial_index)
     if drop is None:                    # R^(1/2) is then made and freed in simulate_blocks
-        drop = make_network(config, _drop_rng(campaign, grid_index, trial_index)), None
+        drop = make_network(config, _rng(campaign, grid_index, trial_index, 0xD0)), None
     realization, R_sqrt = drop
     mode = campaign.mode
     assignment = assign_pilots(config, mode)
@@ -227,8 +224,8 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     blocks = simulate_blocks(mode, assignment, s, realization, config, rng, R_sqrt)
 
     stage = (blocks, realization, assignment, config, mode, campaign.combiner)
-    h_pilot, C0, _, y0, _ = estimate_and_combine(*stage)
-    _, C1, _, y1, _ = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig, h_pilot=h_pilot)
+    _, C0, _, y0, _ = estimate_and_combine(*stage)
+    _, C1, _, y1, _ = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig)
     prelog = n_data / config.tau_c
     # se_uatf_samples stays per UE: batched means keep the bits only over
     # contiguous per-UE copies of y and s, about 20 MB at the paper point.
@@ -240,7 +237,7 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     return rows
 
 
-_TRIAL_ERRORS = (EstimationError, ProjectionError, np.linalg.LinAlgError)
+_TRIAL_ERRORS = (EstimationError, np.linalg.LinAlgError)
 
 
 def _run_pair(args) -> tuple[int, int, list[dict]]:

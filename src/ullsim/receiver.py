@@ -21,8 +21,8 @@ import numpy as np
 
 from . import _threads
 from .airlink import BlockSignals, build_transmit
-from .chest import (EstimationError, ProjectionError, data_aided_observation,
-                    lmmse_filter, psi_data_aided_bound, psi_pilot, pilot_observation)
+from .chest import (EstimationError, data_aided_observation, lmmse_filter,
+                    psi_data_aided_bound, psi_pilot, pilot_observation)
 from .codec import (CodewordFrame, decode, frame_codeword, hard_decisions,
                     qpsk_demap_llr, qpsk_map, soft_symbols)
 from .codec.ldpc import CodeSpec
@@ -83,7 +83,7 @@ class IterationTrace:
 def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
                          assignment: PilotAssignment, config: ScenarioConfig, mode: str,
                          combiner_kind: str, s_blocks: np.ndarray | None = None,
-                         sigma: np.ndarray | None = None, h_pilot: np.ndarray | None = None
+                         sigma: np.ndarray | None = None
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """LMMSE channel estimates and combined data observations, every cell and block.
 
@@ -94,15 +94,14 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     come from the closed-form data-aided statistics (psi_data_aided_bound)
     and act on the projection of each block onto its estimated transmit
     matrix X, and the combiner cancels the in-cell signals of the same X.
-    The projection runs on all blocks at once; only if that fails are the
-    blocks redone one at a time, and a block whose symbol matrix is still
-    rank deficient keeps its h_pilot estimate (or raises ProjectionError
-    without one).
+    The projection marks each block whose symbol matrix is rank deficient,
+    and that block keeps the stage's pilot-only estimate, computed only
+    when some block needs it.
 
     Returns (h_hat, C, V, y, fallbacks): h_hat and V (B, L, K, M), the error
     covariances C (L, K, M, M), y (B, L, K, slots), and the number of blocks
-    that kept h_pilot. psi and the filters are freed once used, so the
-    caller holds one set of channel statistics, C.
+    that kept their pilot-only estimate. psi and the filters are freed once
+    used, so the caller holds one set of channel statistics, C.
     """
     if s_blocks is None:
         psi = psi_pilot(realization, assignment, config, mode)
@@ -116,31 +115,22 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     q, p = realization.energies(mode)
     n_data = config.data_slots(mode)
     data = slice(config.tau_c - n_data, None)
-    failed = []
     if s_blocks is None:
         z = pilot_observation(Y, assignment.seqs, q, mode, tau_p=config.tau_p)
+        ok = np.ones(Y.shape[:2], dtype=bool)
         # The pilots alone, (L, K, tau_c): what combine_initial removes.
         X = build_transmit(mode, assignment, np.zeros((config.L, config.K, n_data)),
                            realization, config)
     else:
         # One estimated transmit matrix serves the projection and the cancellation.
         X = build_transmit(mode, assignment, s_blocks, realization, config)
-        Xh = np.swapaxes(X, -1, -2)                        # (B, L, tau_c, K)
-        try:
-            z = data_aided_observation(Y, Xh)
-        except ProjectionError:
-            z = np.zeros(Xh.shape[:2] + (config.K, config.M), dtype=complex)
-            for b, l in np.ndindex(*Xh.shape[:2]):
-                try:
-                    z[b, l] = data_aided_observation(Y[b, l], Xh[b, l])
-                except ProjectionError:
-                    if h_pilot is None:
-                        raise
-                    failed.append((b, l))
+        z, ok = data_aided_observation(Y, np.swapaxes(X, -1, -2))
     h_hat = _threads.einsum("lkmn,...lkn->...lkm", W, z)
     del W
-    for b, l in failed:
-        h_hat[b, l] = h_pilot[b, l]                        # pilot-only fallback
+    failed = ~ok                                           # (B, L)
+    if failed.any():                                       # the pilot-only fallback
+        h_hat[failed] = estimate_and_combine(blocks, realization, assignment, config,
+                                             mode, combiner_kind)[0][failed]
 
     # Combining stays one cell at a time: stacked over the cells it gives the
     # same bits, but combine_iterative's (B, L, M, tau_c) residual raised a
@@ -157,7 +147,7 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
             y.append(combine_iterative(Y[:, l, :, data], V[:, l], h_hat[:, l],
                                        X[:, l, :, data],
                                        np.sqrt(p[l])[:, None] * s_blocks[:, l]))
-    return h_hat, C, V, np.stack(y, axis=1), len(failed)
+    return h_hat, C, V, np.stack(y, axis=1), int(failed.sum())
 
 
 def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
@@ -169,8 +159,7 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
     blocks must span exactly one codeword per UE (frame.n_blocks blocks).
     Each pass decodes the UEs still to do. The first knows no symbols
     (sigma = 0) and estimates on the pilot-only statistics, every later one
-    on the data-aided bound at the previous pass's symbol qualities, with
-    the first pass's estimates h0 as the projection fallback.
+    on the data-aided bound at the previous pass's symbol qualities.
     """
     if i_max >= 1 and mode == "rp" and config.tau_d <= config.K:
         raise ConfigError("data-aided iterations in rp mode need tau_d > K")
@@ -185,18 +174,18 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
     ok = np.zeros((L, K), dtype=bool)
     sigma = np.zeros((L, K))
     llr_post = np.empty((L, K, code.n))   # a frozen UE keeps its decoding pass's LLRs
-    s_blocks = h0 = None
+    s_blocks = None
     for it in range(i_max + 1):
         h_hat, C, V, y_hat, fallbacks = estimate_and_combine(
             blocks, realization, assignment, config, mode, combiner_kind,
-            s_blocks=s_blocks, sigma=sigma, h_pilot=h0)
+            s_blocks=s_blocks, sigma=sigma)
         g, n_var = effective_stats(V, h_hat, C, realization, mode, config, sigma,
                                    cancelled=s_blocks is not None)
-        if not (np.all(n_var > 0) and np.all(np.isfinite(n_var)) and np.all(np.isfinite(g))):
-            # An indefinite error covariance, a zero combiner or a NaN. A NaN
-            # would demap to all-zero bits: the all-zero codeword, which checks.
+        if not (np.all(np.isfinite(n_var) & (n_var > 0)) and np.all(np.isfinite(g) & (g != 0))):
+            # An indefinite error covariance, a zero combiner, no data energy
+            # or a NaN. A zero gain or a NaN demaps to the all-zero codeword, which checks.
             raise EstimationError(f"iteration {it}: effective noise variance is not "
-                                  "positive and finite, or the gain is not finite")
+                                  "positive and finite, or the gain is zero or not finite")
 
         # Per-slot LLRs with per-block gains, reassembled into codeword order.
         llr_blocks = qpsk_demap_llr(y_hat, g[..., None], n_var[..., None])
@@ -223,8 +212,6 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
                                     np.mean(n_var, axis=0) + np.var(g, axis=0), prelog),
             se_mi=se_mutual_info(1.0 / (1.0 + np.exp(-llr_post)), prelog, 2, code.rate),
             snr_eff_db=effective_snr_db(g, n_var), fallback_blocks=fallbacks))
-        if h0 is None:
-            h0 = h_hat
         del h_hat
         if ok.all() or it == i_max:
             break

@@ -14,7 +14,7 @@ import pytest
 import ullsim
 import ullsim.codec
 from ullsim import ScenarioConfig, cli, harness
-from ullsim.chest import ProjectionError
+from ullsim.chest import EstimationError
 from ullsim.config import ConfigError, load_config
 from ullsim.harness import (CSV_COLUMNS, Campaign, apply_grid_point,
                             gaussian_symbol_study, run_campaign, write_csv)
@@ -103,6 +103,12 @@ def test_campaign_validation():
                  id="config-sp_no_pilot_energy"),
     pytest.param("grid_param", "delta", {"mode": "sp", "grid_values": (0.5, 0.0)},
                  id="grid_param-delta-sp_no_pilot_energy"),
+    # coded sp with no data energy once wrote bler 0: every LLR is 0, and the
+    # all-zero codeword passes the check
+    pytest.param("config", small_config(delta=1.0), {"mode": "sp"},
+                 id="config-coded_sp_no_data_energy"),
+    pytest.param("grid_param", "delta", {"mode": "sp", "grid_values": (0.5, 1.0)},
+                 id="grid_param-delta-coded_sp_no_data_energy"),
 ])
 def test_campaign_rejects_bad_field_at_construction(field, value, extra):
     with pytest.raises(ConfigError):
@@ -182,7 +188,7 @@ def test_failed_trials_are_counted_and_logged(monkeypatch, caplog):
 
     def flaky(campaign, grid_index, trial_index):
         if trial_index == 1:
-            raise ProjectionError("rank deficient")
+            raise EstimationError("observation covariance is singular")
         return trial(campaign, grid_index, trial_index)
 
     monkeypatch.setattr(harness, "run_gaussian_trial", flaky)

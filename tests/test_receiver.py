@@ -9,7 +9,7 @@ from conftest import manual_network
 
 from ullsim import ScenarioConfig, receiver
 from ullsim.airlink import gaussian_symbols, simulate_blocks
-from ullsim.chest import (EstimationError, ProjectionError, lmmse_filter, pilot_observation,
+from ullsim.chest import (EstimationError, lmmse_filter, pilot_observation,
                           psi_data_aided_bound, psi_pilot)
 from ullsim.codec import encode, frame_codeword, make_code, qpsk_map
 from ullsim.codec.framing import make_frame
@@ -123,6 +123,17 @@ def test_nan_effective_noise_is_an_estimation_error(code, monkeypatch):
         _run_with_noise_variance(code, monkeypatch, lambda n_var: n_var * np.nan)
 
 
+def test_sp_without_data_energy_is_an_estimation_error(code):
+    # delta = 1 leaves p = 0, so every gain and LLR is 0: unchecked, the
+    # all-zero codeword would pass the parity check for every UE.
+    config = ScenarioConfig(M=12, K=2, L=1, tau_c=200, tau_p=2, noise_energy=0.01,
+                            rho_design=1.0, rho_max=10.0, delta=1.0)
+    net = manual_network(config, np.ones((1, 1, 2)))
+    asg, frame, _, blocks = make_trial(config, net, "sp", code, np.random.default_rng(1))
+    with pytest.raises(EstimationError):
+        run_receiver(blocks, net, asg, config, code, frame, "sp", i_max=8)
+
+
 def test_imax_zero_is_the_pilot_only_pipeline(code, monkeypatch):
     config = ScenarioConfig(M=8, K=2, L=1, tau_c=200, tau_p=2,
                             noise_energy=1.0, rho_design=1.0, rho_max=10.0,
@@ -183,7 +194,7 @@ def test_stage_picks_pilot_or_data_aided_statistics(drop):
     assert np.array_equal(h_hat, np.einsum("lkmn,blkn->blkm", W0, z0))
 
     _, C, _, _, _ = estimate_and_combine(blocks, net, asg, config, "sp", "mr",
-                                         s_blocks=s_hat, sigma=sig, h_pilot=h_hat)
+                                         s_blocks=s_hat, sigma=sig)
     assert np.array_equal(C, C1)
 
 
@@ -192,13 +203,11 @@ def test_rank_deficient_block_keeps_its_pilot_estimate():
     net = make_network(config, np.random.default_rng(5))
     asg, blocks, s_hat, sig = _stage_inputs(net, config)
     stage = (blocks, net, asg, config, "sp", "mr")
-    h_pilot, _, _, _, _ = estimate_and_combine(*stage)
-    clean, _, _, _, clean_fallbacks = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig,
-                                                           h_pilot=h_pilot)
+    h_pilot, _, _, _, _ = estimate_and_combine(*stage)     # the stage's own pilot pass
+    clean, _, _, _, clean_fallbacks = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig)
     broken = s_hat.copy()
     broken[2, 1] = np.nan                  # no Gram matrix to invert in block 2, cell 1
-    h_hat, _, _, _, fallbacks = estimate_and_combine(*stage, s_blocks=broken, sigma=sig,
-                                                     h_pilot=h_pilot)
+    h_hat, _, _, _, fallbacks = estimate_and_combine(*stage, s_blocks=broken, sigma=sig)
 
     assert clean_fallbacks == 0
     assert fallbacks == 1
@@ -206,8 +215,6 @@ def test_rank_deficient_block_keeps_its_pilot_estimate():
     others = np.ones((4, 3), dtype=bool)
     others[2, 1] = False
     assert np.array_equal(h_hat[others], clean[others])
-    with pytest.raises(ProjectionError):   # nothing to fall back on
-        estimate_and_combine(*stage, s_blocks=broken, sigma=sig)
 
 
 # ---------------------------------------------------------------------------

@@ -166,3 +166,21 @@ def test_a_singular_psi_in_one_chunk_regularizes_the_whole_stack(monkeypatch, sp
     reg = Psi + (1e-12 * tr / 4)[..., None, None] * np.eye(4)
     W_reg = np.swapaxes(np.linalg.solve(reg, R).conj(), -1, -2)
     assert np.array_equal(W2, W_reg)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("bad", [0, 5])              # in the first or the last chunk
+def test_solve_marks_only_its_singular_member(monkeypatch, split_small, count, bad):
+    rng = np.random.default_rng(41)
+    A, B = crandn(rng, (6, 4, 4)), crandn(rng, (6, 4, 3))
+    A[bad] = np.diag([1.0, 1.0, 1.0, 0.0])             # exact zero pivot
+    A, B = A.reshape(2, 3, 4, 4), B.reshape(2, 3, 4, 3)
+    monkeypatch.setattr(_threads, "_count", count)
+    chunks_per_split = _count_chunks(monkeypatch)
+    X, ok = _threads.solve(A, B)
+    assert chunks_per_split == [count]
+    want = np.ones(6, dtype=bool)
+    want[bad] = False
+    assert np.array_equal(ok, want.reshape(2, 3))
+    assert np.array_equal(X[~ok], np.zeros((1, 4, 3)))
+    assert np.array_equal(X[ok], np.linalg.solve(A[ok], B[ok]))

@@ -9,7 +9,9 @@ byte for byte. Exits 0 when all are identical, 1 on any difference or
 failed call, 2 when BASE_REV cannot be exported.
 
 The list covers the three perfbench workloads on the paper scenario at
-seeds 1 and 2, and the M=8, K=2, L=3 scenario through both modes and
+seeds 1 and 2, a paper-scale coded sp S-MMSE trial on one worker (the
+only call whose S-MMSE solves split over threads), and the M=8, K=2, L=3
+scenario through both modes and
 combiners, the gaussian pipeline in both modes, rate 3/4, i_max = 0, a
 2-worker sweep, integer (tau_c and rp tau_p) sweeps, an sp pilot-share
 (delta) sweep, a 2-worker study, a study at sigma_est = 0 and an S-MMSE
@@ -50,6 +52,11 @@ def _calls() -> list[tuple[str, str, tuple]]:
                       ("sweep", "--param", "snr_db", "--values", "0,10", "--mode", "sp",
                        "--combiner", "smmse", "--rate", "3/4", "--trials", "4",
                        "--workers", "2", "--imax", "8", "--psi", "bound", "--seed", seed)))
+    # One worker gives the trial every core; sweep-parallel's workers get one
+    # thread each, and the tiny scenario's solves are too small to split.
+    calls.append(("coded-paper-sp-smmse-seed1", "paper",
+                  ("run", "--mode", "sp", "--combiner", "smmse", "--trials", "1", "--rate",
+                   "1/2", "--workers", "1", "--imax", "8", "--psi", "bound", "--seed", "1")))
     for mode in ("rp", "sp"):
         for combiner in ("mr", "smmse"):
             calls.append((f"tiny-{mode}-{combiner}", "tiny",
