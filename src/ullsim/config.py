@@ -41,22 +41,20 @@ def dbm_to_joules(dbm: float, bandwidth_hz: float = BANDWIDTH_HZ) -> float:
 NOISE_ENERGY_DEFAULT = dbm_to_joules(-94.0)   # -94 dBm over 20 MHz
 RHO_MAX_DEFAULT = dbm_to_joules(20.0)         # 20 dBm transmit cap
 
-# Cluster sizes realizable on a hexagonal grid (i^2 + i*j + j^2).
-_HEX_CLUSTER_LIMIT = 1024
+def hex_cluster_basis(n: int) -> tuple[int, int] | None:
+    """Smallest (i, j) with j <= i and i^2 + i*j + j^2 = n; None if there is none.
 
-
-def hex_cluster_values(limit: int) -> list[int]:
-    """All integers of the form i^2 + i*j + j^2 (i, j >= 0, not both 0) up to limit.
-
-    These are exactly the cell counts / reuse factors that tile a hexagonal
-    grid with a wrap-around (torus) topology.
+    The n with a basis (1, 3, 4, 7, 9, 12, 13, ...) are exactly the cell
+    counts and reuse factors that tile a hexagonal grid with a wrap-around
+    (torus) topology.
     """
-    if limit < 1:
-        return []
-    r = int(limit ** 0.5) + 2
-    vals = {i * i + i * j + j * j for i in range(r) for j in range(r)}
-    vals.discard(0)
-    return sorted(v for v in vals if v <= limit)
+    if n < 1:
+        return None
+    for i in range(math.isqrt(n) + 1):
+        j = (math.isqrt(4 * n - 3 * i * i) - i) // 2     # the root of j^2 + i*j + i^2 = n
+        if j <= i and i * i + i * j + j * j == n:
+            return i, j
+    return None
 
 
 @dataclass
@@ -97,7 +95,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{f.name} must be finite (got {value})")
         if self.M < 1 or self.K < 1:
             raise ConfigError(f"M and K must be positive (got M={self.M}, K={self.K})")
-        if self.L not in hex_cluster_values(_HEX_CLUSTER_LIMIT):
+        if hex_cluster_basis(self.L) is None:
             raise ConfigError(
                 f"L={self.L} is not a hex-grid cluster size (1, 3, 4, 7, 9, 12, ...)")
         if not (1 <= self.tau_p <= self.tau_c):

@@ -83,13 +83,16 @@ class Campaign:
         for v in self.grid_values:
             config = apply_grid_point(self.config, self.grid_param, v)  # validates
             assign_pilots(config, self.mode)        # the pilot plan's own rules
+            at = "" if self.grid_param == "none" else f" at {self.grid_param} = {v}"
             if bound_runs and self.mode == "rp" and config.tau_d <= config.K:
-                raise ConfigError(f"rp data-aided estimation needs tau_d > K (grid value "
-                                  f"{v}: tau_d={config.tau_d}, K={config.K})")
+                raise ConfigError(f"rp data-aided estimation needs tau_d > K "
+                                  f"(got tau_d={config.tau_d}, K={config.K}{at})")
             if self.mode == "sp" and config.delta == 0:
-                raise ConfigError(f"sp needs pilot energy, delta > 0 (grid value {v})")
+                raise ConfigError(f"sp needs pilot energy, delta > 0 "
+                                  f"(got delta={config.delta}{at})")
             if self.mode == "sp" and self.pipeline == "coded" and config.delta == 1:
-                raise ConfigError(f"coded sp needs data energy, delta < 1 (grid value {v})")
+                raise ConfigError(f"coded sp needs data energy, delta < 1 "
+                                  f"(got delta={config.delta}{at})")
 
 
 def apply_grid_point(config: ScenarioConfig, param: str, value) -> ScenarioConfig:

@@ -12,16 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig
-
-
-def _cluster_basis(L: int) -> tuple[int, int]:
-    """Smallest (i, j) with i^2 + i*j + j^2 = L."""
-    for i in range(int(L ** 0.5) + 2):
-        for j in range(i + 1):
-            if i * i + i * j + j * j == L:
-                return i, j
-    raise ConfigError(f"L={L} is not a hex cluster size")
+from .config import ConfigError, ScenarioConfig, hex_cluster_basis
 
 
 @dataclass
@@ -34,7 +25,10 @@ class HexGrid:
     _periods: np.ndarray = field(init=False)    # (P, 2) wrap translations
 
     def __post_init__(self):
-        i, j = _cluster_basis(self.L)
+        basis = hex_cluster_basis(self.L)
+        if basis is None:
+            raise ConfigError(f"L={self.L} is not a hex cluster size")
+        i, j = basis
         u1 = self.spacing_km * np.array([1.0, 0.0])
         u2 = self.spacing_km * np.array([0.5, np.sqrt(3.0) / 2.0])
         w1 = i * u1 + j * u2
@@ -164,36 +158,27 @@ def build_geometry(config: ScenarioConfig, rng) -> tuple[HexGrid, np.ndarray, np
     return grid, ue_pos, beta, angle
 
 
-def local_scattering_correlation(beta: float, nominal_angle: float,
-                                 config: ScenarioConfig) -> np.ndarray:
-    """Spatial correlation matrix of a ULA under Gaussian local scattering.
+def local_scattering_correlation(beta, nominal_angle, config: ScenarioConfig) -> np.ndarray:
+    """Spatial correlation matrices of a ULA under Gaussian local scattering.
 
-    Small-angular-spread closed form:
+    beta and nominal_angle: broadcastable arrays (or scalars) of shape (...).
+    Returns (..., M, M), C-contiguous. Small-angular-spread closed form:
         [R]_{m,n} = beta * exp(2*pi*i*d*(n-m)*sin(t))
                          * exp(-(s^2/2) * (2*pi*d*(n-m)*cos(t))^2)
     with antenna spacing d in wavelengths, nominal angle t, and angular
     standard deviation s in radians. The result is Hermitian Toeplitz and
-    positive semidefinite up to rounding; if a numerical check finds it
-    indefinite the negative eigenvalues are clipped to zero.
+    positive semidefinite in exact arithmetic; rounding can leave eigenvalues
+    of order -1e-12 * beta, which `airlink.correlation_sqrt` clips.
     """
-    if config.angular_std_deg <= 0:
-        raise ConfigError("angular_std_deg must be positive")
     M = config.M
     d = config.antenna_spacing
     s = np.deg2rad(config.angular_std_deg)
+    beta, t = (a[..., None] for a in np.broadcast_arrays(beta, nominal_angle))
     k = np.arange(M)
-    row = beta * (np.exp(2j * np.pi * d * k * np.sin(nominal_angle))
-                  * np.exp(-0.5 * (s * 2.0 * np.pi * d * k * np.cos(nominal_angle)) ** 2))
-    idx = np.abs(k[None, :] - k[:, None])
-    R = row[idx]
-    R = np.where(k[None, :] >= k[:, None], R, np.conj(R))
-    if M > 1:
-        w = np.linalg.eigvalsh(R)
-        if w[0] < -1e-12 * beta:
-            w2, U = np.linalg.eigh(R)
-            R = (U * np.clip(w2, 0.0, None)) @ U.conj().T
-            R = 0.5 * (R + R.conj().T)
-    return R
+    row = beta * (np.exp(2j * np.pi * d * k * np.sin(t))
+                  * np.exp(-0.5 * (s * 2.0 * np.pi * d * k * np.cos(t)) ** 2))
+    R = np.take(row, np.abs(k[None, :] - k[:, None]), axis=-1)
+    return np.conjugate(R, out=R, where=k[None, :] < k[:, None])
 
 
 def apply_power_control(beta_serving: np.ndarray, config: ScenarioConfig) -> np.ndarray:
@@ -209,18 +194,14 @@ def apply_power_control(beta_serving: np.ndarray, config: ScenarioConfig) -> np.
 
 
 def make_network(config: ScenarioConfig, rng) -> NetworkRealization:
-    """Full large-scale realization: correlations and powers of a fresh drop."""
+    """Full large-scale realization of a fresh drop.
+
+    One `local_scattering_correlation` call builds all L*L*K correlation
+    matrices, (L, L, K, M, M); power control sets rho from the serving gains.
+    """
     rng = np.random.default_rng(rng)
     _, _, beta, angle = build_geometry(config, rng)
-    L, K, M = config.L, config.K, config.M
-
-    R = np.empty((L, L, K, M, M), dtype=complex)
-    for l in range(L):
-        for ll in range(L):
-            for k in range(K):
-                R[l, ll, k] = local_scattering_correlation(beta[l, ll, k],
-                                                           angle[l, ll, k], config)
-
+    L = config.L
     serving = beta[np.arange(L), np.arange(L), :]          # (L, K)
-    rho = apply_power_control(serving, config)
-    return NetworkRealization(R=R, rho=rho, delta=config.delta)
+    return NetworkRealization(R=local_scattering_correlation(beta, angle, config),
+                              rho=apply_power_control(serving, config), delta=config.delta)

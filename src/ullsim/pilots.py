@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, hex_cluster_values
+from .config import ConfigError, ScenarioConfig, hex_cluster_basis
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,12 @@ def sp_reuse_factor(config: ScenarioConfig) -> int:
     the hexagonal grid, hence the restriction to cluster sizes
     i^2 + i*j + j^2 (1, 3, 4, 7, 9, 12, 13, 16, 19, 21, ...).
     """
-    cap = config.tau_c // config.K
-    vals = hex_cluster_values(cap)
-    if not vals:
+    f = config.tau_c // config.K
+    while f >= 1 and hex_cluster_basis(f) is None:
+        f -= 1
+    if f < 1:
         raise ConfigError(f"tau_c={config.tau_c} too short for K={config.K} orthogonal pilots")
-    return vals[-1]
+    return f
 
 
 def assign_pilots(config: ScenarioConfig, mode: str) -> PilotAssignment:

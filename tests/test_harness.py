@@ -115,6 +115,22 @@ def test_campaign_rejects_bad_field_at_construction(field, value, extra):
         Campaign(**{"config": small_config(), field: value, **extra})
 
 
+@pytest.mark.parametrize("config, extra, message", [
+    # the value comes from the config: no grid point to name
+    (small_config(delta=1.0), {"mode": "sp"}, r"delta < 1 \(got delta=1\.0\)$"),
+    (small_config(delta=0.0), {"mode": "sp"}, r"delta > 0 \(got delta=0\.0\)$"),
+    (small_config(tau_c=4), {}, r"\(got tau_d=2, K=2\)$"),
+    # the value comes from a grid point, which the message names
+    (small_config(), {"mode": "sp", "grid_param": "delta", "grid_values": (0.5, 1.0)},
+     r"delta < 1 \(got delta=1\.0 at delta = 1\.0\)$"),
+    (small_config(), {"grid_param": "tau_c", "grid_values": (24, 4)},
+     r"\(got tau_d=2, K=2 at tau_c = 4\)$"),
+], ids=["config-delta1", "config-delta0", "config-tau_d", "grid-delta1", "grid-tau_c"])
+def test_campaign_errors_name_the_wrong_value(config, extra, message):
+    with pytest.raises(ConfigError, match=message):
+        Campaign(config=config, **extra)
+
+
 def test_short_rp_data_is_fine_where_no_data_aided_bound_runs():
     Campaign(config=small_config(tau_c=4), i_max=0)
     Campaign(config=small_config(tau_c=4), mode="sp")

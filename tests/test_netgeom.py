@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import ullsim
 from ullsim import ScenarioConfig
+from ullsim.airlink import correlation_sqrt
 from ullsim.netgeom import (HexGrid, apply_power_control, build_geometry,
                             local_scattering_correlation, make_network)
 
@@ -145,6 +146,36 @@ def test_scattering_single_antenna():
     R = local_scattering_correlation(0.7, 1.0, cfg)
     assert R.shape == (1, 1)
     assert np.isclose(R[0, 0], 0.7)
+
+
+@pytest.mark.parametrize("M", [1, 8])
+def test_one_call_builds_the_drop_link_by_link(M):
+    cfg = small_config(M=M, L=3)
+    _, _, beta, angle = build_geometry(cfg, np.random.default_rng(4))
+    R = local_scattering_correlation(beta, angle, cfg)
+    assert R.shape == beta.shape + (M, M) and R.flags.c_contiguous
+    for idx in np.ndindex(beta.shape):
+        assert np.array_equal(R[idx], local_scattering_correlation(beta[idx], angle[idx], cfg))
+    assert np.array_equal(make_network(cfg, np.random.default_rng(4)).R, R)
+
+
+def test_end_fire_correlation_is_the_closed_form_and_its_root_clips():
+    # At M = 256 end-fire, rounding leaves eigenvalues just below zero: R stays
+    # the closed form, and the square root clips them.
+    M = 256
+    cfg = small_config(M=M)
+    R = local_scattering_correlation(1.0, np.pi / 2, cfg)
+    lag = np.arange(M)[None, :] - np.arange(M)[:, None]
+    row = R[0, np.abs(lag)]
+    assert np.array_equal(R, np.where(lag >= 0, row, row.conj()))     # exactly Toeplitz
+    assert np.array_equal(R, R.conj().T)
+    s = np.deg2rad(cfg.angular_std_deg)
+    k = np.arange(M)
+    closed = np.exp(1j * np.pi * k) * np.exp(-0.5 * (s * np.pi * k * np.cos(np.pi / 2)) ** 2)
+    assert np.allclose(R[0], closed, rtol=0, atol=1e-12)
+    S = correlation_sqrt(R)
+    assert np.isfinite(S).all()
+    assert np.abs(S @ S - R).max() <= 1e-12 * np.trace(R).real
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ullsim import ConfigError, ScenarioConfig
-from ullsim.config import hex_cluster_values
+from ullsim.config import hex_cluster_basis
 from ullsim.pilots import (assign_pilots, make_pilot_book, sp_reuse_factor)
 
 
@@ -52,7 +52,7 @@ def test_book_size_guard():
 def test_sp_reuse_factor_is_largest_cluster_value():
     # tau_c // K = 20; admissible cluster sizes up to 20 are
     # 1, 3, 4, 7, 9, 12, 13, 16, 19 -> the largest is 19
-    assert hex_cluster_values(20) == [1, 3, 4, 7, 9, 12, 13, 16, 19]
+    assert [n for n in range(-1, 21) if hex_cluster_basis(n)] == [1, 3, 4, 7, 9, 12, 13, 16, 19]
     assert sp_reuse_factor(cfg()) == 19
 
 
