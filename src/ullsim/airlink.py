@@ -18,12 +18,36 @@ from .netgeom import NetworkRealization
 from .pilots import PilotAssignment
 
 
+_NOISE_SLAB = 1 << 16         # normals drawn per batch: a draw's scratch is 512 KiB
+_RSQRT2 = 1.0 / np.sqrt(2.0)  # complex division by sqrt(2) multiplies by this
+
+
+def _add_crandn(rng: np.random.Generator, out: np.ndarray, scale: float = 1.0) -> None:
+    """out += scale * CN(0, 1) samples, drawn in slabs into one small scratch.
+
+    out: C-contiguous complex. Every real part is drawn, in C order, before
+    every imaginary part, so the draws and bits are those of the whole
+    out + scale * (randn(shape) + 1j*randn(shape))/sqrt(2) at once: the
+    Generator draws its normals one at a time, and complex division by a
+    real number multiplies each part by fl(1/sqrt(2)).
+    """
+    if not out.flags.c_contiguous:       # reshape would copy, and drop the sum
+        raise ValueError("out must be C-contiguous")
+    flat = out.reshape(-1)
+    buf = np.empty(min(_NOISE_SLAB, flat.size))
+    for part in (flat.real, flat.imag):
+        for start in range(0, flat.size, _NOISE_SLAB):
+            z = buf[:min(_NOISE_SLAB, flat.size - start)]
+            rng.standard_normal(out=z)
+            z *= _RSQRT2
+            z *= scale
+            part[start:start + z.size] += z
+
+
 def crandn(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. CN(0, 1) samples: (randn + 1j*randn)/sqrt(2)."""
-    out = np.empty(shape, dtype=complex)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
-    out /= np.sqrt(2.0)
+    """i.i.d. CN(0, 1) samples: (randn + 1j*randn)/sqrt(2), real parts drawn first."""
+    out = np.zeros(shape, dtype=complex)
+    _add_crandn(rng, out)
     return out
 
 
@@ -80,12 +104,12 @@ def draw_channels(R_sqrt: np.ndarray, rng: np.random.Generator,
 class BlockSignals:
     """Signals of one batch of coherence blocks (leading axis = block)."""
 
-    H: np.ndarray             # (B, L, L, K, M) channels (BS, cell, UE)
+    H: np.ndarray | None      # (B, L, L, K, M) channels (BS, cell, UE); None once released
     Y: np.ndarray             # (B, L, M, tau_c) received signals
 
     @property
     def n_blocks(self) -> int:
-        return self.H.shape[0]
+        return self.Y.shape[0]
 
 
 def build_transmit(mode: str, assignment: PilotAssignment, data: np.ndarray,
@@ -115,12 +139,12 @@ def receive(H: np.ndarray, X: np.ndarray, noise_energy: float,
     """Received blocks Y_l = sum_{cells, UEs} h x^T + N at every BS.
 
     H: (..., L, L, K, M), X: (..., L, K, tau_c) -> Y: (..., L, M, tau_c).
-    Stacked blocks are split over the trial's threads.
+    Stacked blocks are split over the trial's threads. The noise is
+    N = sqrt(noise_energy) * crandn(rng, Y.shape), the same draws and bits,
+    added into Y one slab at a time: receive holds Y and one slab.
     """
     Y = _threads.einsum("...abkm,...bkt->...amt", H, X)
-    noise = crandn(rng, Y.shape)
-    noise *= np.sqrt(noise_energy)
-    Y += noise
+    _add_crandn(rng, Y, np.sqrt(noise_energy))
     return Y
 
 

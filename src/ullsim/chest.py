@@ -231,7 +231,8 @@ def lmmse_filter(R: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     C = np.empty(W.shape, dtype=np.result_type(W, R))
 
     def covariance_one(idx):
-        c = np.matmul(W[idx], R[idx], out=C[idx])
+        # A drop's R is a strided view; BLAS gets a dense copy of the matrix.
+        c = np.matmul(W[idx], np.ascontiguousarray(R[idx]), out=C[idx])
         np.subtract(R[idx], c, out=c)
         c += np.conjugate(c).T
         c *= 0.5

@@ -225,18 +225,24 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     n_data = config.data_slots(mode)
     s_hat, s = gaussian_symbols(rng, sig, (GAUSSIAN_BLOCKS, L, K, n_data))
     blocks = simulate_blocks(mode, assignment, s, realization, config, rng, R_sqrt)
+    blocks.H = None                     # the study reads only Y
 
+    # Each pass's error covariances (L*K*M^2 numbers) are reduced to their MSE
+    # at once, so the data-aided pass never holds the pilot-only ones.
     stage = (blocks, realization, assignment, config, mode, campaign.combiner)
-    _, C0, _, y0, _ = estimate_and_combine(*stage)
-    _, C1, _, y1, _ = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig)
+    _, C, _, y0, _ = estimate_and_combine(*stage)
+    mse0 = mse_channel_analytic(C)
+    del C
+    _, C, _, y1, _ = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig)
+    mse1 = mse_channel_analytic(C)
     prelog = n_data / config.tau_c
     # se_uatf_samples stays per UE: batched means keep the bits only over
     # contiguous per-UE copies of y and s, about 20 MB at the paper point.
     rows = []
-    for it, C, y in ((0, C0, y0), (1, C1, y1)):
+    for it, mse, y in ((0, mse0, y0), (1, mse1, y1)):
         se = np.array([[se_uatf_samples(y[:, l, k], s[:, l, k], prelog, min_samples=1)
                         for k in range(K)] for l in range(L)])
-        rows += _ue_rows(it, mse_ch=mse_channel_analytic(C), se_uatf=se)
+        rows += _ue_rows(it, mse_ch=mse, se_uatf=se)
     return rows
 
 
@@ -375,6 +381,21 @@ def gaussian_symbol_study(campaign: Campaign, out_dir: str | Path | None = None)
     draws one drop for all variants, and one pool runs the pairs. When
     out_dir is given, writes results.csv plus per-figure long-format files.
     """
+    variants = _study_variants(campaign)
+    results = _run_pairs(_run_variants, campaign, [sub for _, sub in variants])
+    all_rows = []
+    for i, (label, sub) in enumerate(variants):
+        all_rows.extend(_aggregate(sub, {pair: rows[i] for pair, rows in results.items()},
+                                   label))
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        write_csv(all_rows, out_dir / "results.csv")
+        emit_figure_data(all_rows, out_dir)
+    return all_rows
+
+
+def _study_variants(campaign: Campaign) -> list[tuple[str, Campaign]]:
+    """The study's (label, Campaign) variants: rp, rp3 when it is valid, and sp."""
     if campaign.grid_param in ("tau_p", "K"):
         raise ConfigError(f"a study cannot sweep {campaign.grid_param}: it sets tau_p "
                           "to K (rp, sp) and 3K (rp3) per variant")
@@ -390,16 +411,7 @@ def gaussian_symbol_study(campaign: Campaign, out_dir: str | Path | None = None)
         pass
     variants.append(("sp", replace(campaign, pipeline="gaussian", mode="sp",
                                    config=cfg.replace(tau_p=cfg.K))))
-    results = _run_pairs(_run_variants, campaign, [sub for _, sub in variants])
-    all_rows = []
-    for i, (label, sub) in enumerate(variants):
-        all_rows.extend(_aggregate(sub, {pair: rows[i] for pair, rows in results.items()},
-                                   label))
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_csv(all_rows, out_dir / "results.csv")
-        emit_figure_data(all_rows, out_dir)
-    return all_rows
+    return variants
 
 
 def emit_figure_data(rows: list[dict], out_dir: str | Path) -> None:

@@ -8,9 +8,11 @@ leaves exactly L inequivalent BS positions and removes all boundary effects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ConfigError, ScenarioConfig, hex_cluster_basis
 
@@ -35,27 +37,24 @@ class HexGrid:
         w2 = -j * u1 + (i + j) * u2          # w1 rotated by 60 degrees
         self._w = np.stack([w1, w2])
 
-        # Coset representatives of the BS lattice modulo the wrap lattice.
-        reps: list[tuple[int, int]] = []
-        span = self.L + 2
+        # Coset representatives of the BS lattice modulo the wrap lattice: the
+        # first point of each coset in (norm, (a, b)) order. (a, b) and (a', b')
+        # share a coset iff their keys below agree, the wrap coordinates of
+        # a*u1 + b*u2 times L, mod L. Every coset has a point within the wrap
+        # lattice's Voronoi circumradius, sqrt(L/3) spacings, where
+        # |a|, |b| <= 2*sqrt(L)/3: the window holds every candidate up to the
+        # last representative.
+        span = math.isqrt(self.L) + 2
         cand = [(a, b) for a in range(-span, span + 1) for b in range(-span, span + 1)]
         cand.sort(key=lambda ab: (np.linalg.norm(ab[0] * u1 + ab[1] * u2), ab))
+        reps: dict[tuple[int, int], tuple[int, int]] = {}
         for a, b in cand:
-            if not any(self._equivalent(a - ra, b - rb, i, j) for ra, rb in reps):
-                reps.append((a, b))
-            if len(reps) == self.L:
-                break
-        self.bs_pos = np.array([a * u1 + b * u2 for a, b in reps])
+            reps.setdefault((((i + j) * a + j * b) % self.L, (-j * a + i * b) % self.L), (a, b))
+        self.bs_pos = np.array([a * u1 + b * u2 for a, b in reps.values()])
 
         shifts = [(m, n) for m in range(-2, 3) for n in range(-2, 3)]
         self._periods = np.array([m * w1 + n * w2 for m, n in shifts])
         self._winv = np.linalg.inv(self._w)
-
-    @staticmethod
-    def _equivalent(da: int, db: int, i: int, j: int) -> bool:
-        # (da, db) is in the wrap sublattice iff the solved coefficients are integral.
-        L = i * i + i * j + j * j
-        return ((i + j) * da + j * db) % L == 0 and (-j * da + i * db) % L == 0
 
     def displacement(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Shortest wrap-around displacement vector(s) from src to dst.
@@ -89,10 +88,14 @@ class HexGrid:
 class NetworkRealization:
     """One large-scale realization: spatial correlations and transmit energies.
 
-    Index convention: [l, ll, k] couples BS l with UE k of cell ll.
+    Index convention: [l, ll, k] couples BS l with UE k of cell ll. R is
+    `local_scattering_correlation`'s read-only view: each Toeplitz matrix
+    is held as its 2M-1 generator numbers, so a drop holds L*L*K*(2M-1) of
+    them, not L*L*K*M^2. Elementwise readers use R as it is; a BLAS or
+    einsum reader copies the matrices it reads.
     """
 
-    R: np.ndarray             # (L, L, K, M, M) spatial correlation matrices
+    R: np.ndarray             # (L, L, K, M, M) spatial correlation matrices, read-only
     rho: np.ndarray           # (L, K) per-UE transmit energy after power control
     delta: float              # SP pilot share of rho
 
@@ -162,13 +165,20 @@ def local_scattering_correlation(beta, nominal_angle, config: ScenarioConfig) ->
     """Spatial correlation matrices of a ULA under Gaussian local scattering.
 
     beta and nominal_angle: broadcastable arrays (or scalars) of shape (...).
-    Returns (..., M, M), C-contiguous. Small-angular-spread closed form:
+    Small-angular-spread closed form:
         [R]_{m,n} = beta * exp(2*pi*i*d*(n-m)*sin(t))
                          * exp(-(s^2/2) * (2*pi*d*(n-m)*cos(t))^2)
     with antenna spacing d in wavelengths, nominal angle t, and angular
     standard deviation s in radians. The result is Hermitian Toeplitz and
     positive semidefinite in exact arithmetic; rounding can leave eigenvalues
     of order -1e-12 * beta, which `airlink.correlation_sqrt` clips.
+
+    Returns (..., M, M) as a read-only view of the (..., 2M-1) generator
+    v = [conj(row[M-1:0:-1]), row], [R]_{m,n} = v[M-1-m+n], where row is
+    the first row: the matrices cost 2M-1 numbers each, not M^2. Elementwise
+    readers see the numbers directly; a BLAS or einsum reader copies the
+    matrices it reads (`np.ascontiguousarray`) so that it sees the strides
+    of a dense matrix.
     """
     M = config.M
     d = config.antenna_spacing
@@ -177,8 +187,8 @@ def local_scattering_correlation(beta, nominal_angle, config: ScenarioConfig) ->
     k = np.arange(M)
     row = beta * (np.exp(2j * np.pi * d * k * np.sin(t))
                   * np.exp(-0.5 * (s * 2.0 * np.pi * d * k * np.cos(t)) ** 2))
-    R = np.take(row, np.abs(k[None, :] - k[:, None]), axis=-1)
-    return np.conjugate(R, out=R, where=k[None, :] < k[:, None])
+    v = np.concatenate([np.conjugate(row[..., :0:-1]), row], axis=-1)
+    return sliding_window_view(v, M, axis=-1)[..., ::-1, :]
 
 
 def apply_power_control(beta_serving: np.ndarray, config: ScenarioConfig) -> np.ndarray:
@@ -197,7 +207,8 @@ def make_network(config: ScenarioConfig, rng) -> NetworkRealization:
     """Full large-scale realization of a fresh drop.
 
     One `local_scattering_correlation` call builds all L*L*K correlation
-    matrices, (L, L, K, M, M); power control sets rho from the serving gains.
+    matrices, an (L, L, K, M, M) view of (L, L, K, 2M-1) numbers; power
+    control sets rho from the serving gains.
     """
     rng = np.random.default_rng(rng)
     _, _, beta, angle = build_geometry(config, rng)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ullsim import ScenarioConfig
+from ullsim import ScenarioConfig, airlink
 from ullsim.airlink import (build_transmit, correlation_sqrt, crandn,
                             draw_channels, receive, simulate_blocks)
 from ullsim.netgeom import make_network
@@ -66,6 +66,25 @@ def test_receive_equals_the_out_of_place_expression():
     Y = np.einsum("...abkm,...bkt->...amt", H, X)
     want = Y + np.sqrt(e) * crandn(np.random.default_rng(22), Y.shape)
     assert np.array_equal(receive(H, X, e, np.random.default_rng(22)), want)
+
+
+def test_noise_slabs_keep_the_whole_draw():
+    # Y's 66,000 samples are one full noise slab and a ragged one; the slabs
+    # give the bits of the whole draw, and leave the generator where it would.
+    rng = np.random.default_rng(24)
+    H = crandn(rng, (2, 3, 3, 2, 100))
+    X = crandn(rng, (2, 3, 2, 110))
+    e = 1.7e-3
+    Y = np.einsum("...abkm,...bkt->...amt", H, X)
+    assert Y.size > airlink._NOISE_SLAB and Y.size % airlink._NOISE_SLAB
+    ref = np.random.default_rng(25)
+    a, b = ref.standard_normal(Y.shape), ref.standard_normal(Y.shape)
+    rng = np.random.default_rng(25)
+    assert np.array_equal(crandn(rng, Y.shape), (a + 1j * b) / np.sqrt(2))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    want = Y + np.sqrt(e) * crandn(ref, Y.shape)
+    assert np.array_equal(receive(H, X, e, rng), want)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("dtype, lead", [
@@ -172,27 +191,34 @@ def test_simulate_blocks_shapes_both_modes():
 
 
 def test_simulate_blocks_frees_its_own_r_sqrt_before_receive():
-    # R^(1/2) is 0.5 MB here, and so are Y and its noise draw together;
-    # receive holds 2.5 Y at its peak (crandn writes through a half-size
-    # real scratch). Freed after the channel draw, R^(1/2) is never live with
-    # them; held through receive, it would lift the peak to R^(1/2) + 2.5 Y.
+    # receive holds Y and one noise slab's scratch. Here Y is 1 MB, the slab
+    # 0.5 MB, R^(1/2) 0.5 MB, and H and X, live with Y, 0.125 MB each. Freed
+    # after the channel draw, R^(1/2) is never live with Y; held through
+    # receive, it would lift the peak by its size.
     config = cfg(M=64, K=8, L=1, tau_c=64, tau_p=8)
     net = make_network(config, np.random.default_rng(14))
     asg = assign_pilots(config, "sp")
     rng = np.random.default_rng(15)
-    data = crandn(rng, (4, config.L, config.K, config.tau_c))
+    data = crandn(rng, (16, config.L, config.K, config.tau_c))
     r_sqrt_bytes = net.R.nbytes
-    y_bytes = 4 * config.L * config.M * config.tau_c * 16
-    assert 2 * y_bytes == r_sqrt_bytes
+    y_bytes = 16 * config.L * config.M * config.tau_c * 16
+    slab_bytes = airlink._NOISE_SLAB * 8
+    assert y_bytes == 2 * slab_bytes == 2 * r_sqrt_bytes
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
         blocks = simulate_blocks("sp", asg, data, net, config, rng)
         peak = tracemalloc.get_traced_memory()[1] - live
+        X = build_transmit("sp", asg, data, net, config)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        Y = receive(blocks.H, X, config.noise_energy, rng)
+        receive_peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
-    assert blocks.Y.nbytes == y_bytes
-    assert peak < r_sqrt_bytes + 1.5 * y_bytes
+    assert blocks.Y.nbytes == Y.nbytes == y_bytes
+    assert peak < r_sqrt_bytes + y_bytes + slab_bytes
+    assert receive_peak < y_bytes + slab_bytes + 16 * 1024      # and a few array headers
 
 
 def test_transmit_rejects_wrong_data_length():

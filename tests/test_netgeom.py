@@ -1,5 +1,7 @@
 """Geometry, pathloss, spatial correlation, and power control tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,6 +9,7 @@ from scipy.integrate import quad
 import ullsim
 from ullsim import ScenarioConfig
 from ullsim.airlink import correlation_sqrt
+from ullsim.config import hex_cluster_basis
 from ullsim.netgeom import (HexGrid, apply_power_control, build_geometry,
                             local_scattering_correlation, make_network)
 
@@ -82,6 +85,37 @@ def test_torus_has_l_distinct_bs():
             assert off.min() > 1e-9
 
 
+def test_hex_grid_sites_are_the_first_of_each_coset():
+    # The oracle is the full candidate scan: every a*u1 + b*u2 with
+    # |a|, |b| <= L + 2, sorted by (np.linalg.norm, (a, b)), each kept unless
+    # an earlier keeper lies in its coset. The sort key does not depend on L,
+    # so one sort of the largest window, filtered to L's window, is L's sort.
+    spacing = 0.15
+    sizes = [L for L in range(1, 401) if hex_cluster_basis(L) is not None]
+    u1 = spacing * np.array([1.0, 0.0])
+    u2 = spacing * np.array([0.5, np.sqrt(3.0) / 2.0])
+    span = sizes[-1] + 2
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(-span, span + 1),
+                                           np.arange(-span, span + 1), indexing="ij"))
+    # Row n is a[n]*u1 + b[n]*u2 with the point-by-point products and sums.
+    norm = np.array([np.linalg.norm(p) for p in a[:, None] * u1 + b[:, None] * u2])
+    order = np.lexsort((b, a, norm))
+    cand = list(zip(a[order].tolist(), b[order].tolist()))
+    for L in sizes:
+        i, j = hex_cluster_basis(L)
+        reps = []
+        for x, y in cand:
+            if max(abs(x), abs(y)) > L + 2:
+                continue
+            if not any(((i + j) * (x - ra) + j * (y - rb)) % L == 0
+                       and (-j * (x - ra) + i * (y - rb)) % L == 0 for ra, rb in reps):
+                reps.append((x, y))
+            if len(reps) == L:
+                break
+        want = np.array([x * u1 + y * u2 for x, y in reps])
+        assert np.array_equal(HexGrid(L, spacing).bs_pos, want), L
+
+
 def test_non_cluster_size_rejected():
     with pytest.raises(ullsim.ConfigError):
         HexGrid(5, 0.15)
@@ -153,10 +187,27 @@ def test_one_call_builds_the_drop_link_by_link(M):
     cfg = small_config(M=M, L=3)
     _, _, beta, angle = build_geometry(cfg, np.random.default_rng(4))
     R = local_scattering_correlation(beta, angle, cfg)
-    assert R.shape == beta.shape + (M, M) and R.flags.c_contiguous
+    assert R.shape == beta.shape + (M, M) and not R.flags.writeable
     for idx in np.ndindex(beta.shape):
         assert np.array_equal(R[idx], local_scattering_correlation(beta[idx], angle[idx], cfg))
     assert np.array_equal(make_network(cfg, np.random.default_rng(4)).R, R)
+
+
+def test_paper_drop_holds_only_the_generators():
+    # Dense, the paper point's 160 matrices of 100 x 100 take 25.6 MB; their
+    # (L, L, K, 2M - 1) generator takes 0.5 MB. A first drop pays numpy's
+    # one-time allocations outside the trace.
+    cfg = ScenarioConfig()
+    make_network(cfg, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        net = make_network(cfg, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert net.R.shape == (cfg.L, cfg.L, cfg.K, cfg.M, cfg.M)
+    assert peak < 2e6
 
 
 def test_end_fire_correlation_is_the_closed_form_and_its_root_clips():

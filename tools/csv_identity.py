@@ -13,7 +13,7 @@ seeds 1 and 2, a paper-scale coded sp S-MMSE trial on one worker (the
 only call whose S-MMSE solves split over threads), and the M=8, K=2, L=3
 scenario through both modes and
 combiners, the gaussian pipeline in both modes, rate 3/4, i_max = 0, a
-2-worker sweep, integer (tau_c, M and rp tau_p) sweeps, an sp pilot-share
+2-worker sweep, integer (tau_c, M, L and rp tau_p) sweeps, an sp pilot-share
 (delta) sweep, a 2-worker study, a study at sigma_est = 0 and an S-MMSE
 study. The paper-scale calls take a few minutes per tree on a 2-core
 machine.
@@ -76,6 +76,9 @@ def _calls() -> list[tuple[str, str, tuple]]:
         # M reshapes the drop: R is (L, L, K, M, M)
         ("tiny-sweep-M", "tiny",
          ("sweep", "--param", "M", "--values", "8,12", "--trials", "2")),
+        # L sets the hex grid and the drop's (L, L, K, 2M - 1) generator
+        ("tiny-sweep-L", "tiny",
+         ("sweep", "--param", "L", "--values", "3,4,7", "--trials", "2")),
         # tau_p sets the rp pilot book, which Campaign checks per grid point
         ("tiny-sweep-tau_p", "tiny",
          ("sweep", "--param", "tau_p", "--values", "2,4", "--trials", "2")),

@@ -1,11 +1,15 @@
-"""Traced memory of each receiver stage in one paper-point coded trial.
+"""Traced memory of each receiver stage in one paper-point trial.
 
     python3 tools/peak_memory.py --mode sp --seed 1
+    python3 tools/peak_memory.py --mode study --seed 1
 
 Runs one coded trial (`harness.run_coded_trial`, `ScenarioConfig()`
-defaults: M=100, K=10, L=4, tau_c=200; rate 1/2, MR, i_max=8, psi bound)
-under tracemalloc, with the stage functions below wrapped at every ullsim
-module binding that refers to them, the way perfbench's tracer wraps them.
+defaults: M=100, K=10, L=4, tau_c=200; rate 1/2, MR, i_max=8, psi bound),
+or with `--mode study` one (grid point, trial) pair of the Gaussian-symbol
+study (`harness._run_variants`: the rp, rp3 and sp variants on one shared
+drop, sigma_est = 0.6, MR), under tracemalloc, with the stage functions
+below wrapped at every ullsim module binding that refers to them, the way
+perfbench's tracer wraps them.
 For each stage it prints the number of calls, the traced bytes live when
 the first and the last call started, and the highest traced peak during
 any call (live bytes included), in MB. The LDPC code is built before
@@ -37,9 +41,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 # (stage, module that defines the function, function name), in trial order.
+# A stage the run does not reach is not printed.
 STAGES = (
     ("trial", "ullsim.harness", "run_coded_trial"),
+    ("study pair", "ullsim.harness", "_run_variants"),
     ("drop", "ullsim.netgeom", "make_network"),
+    ("study variant", "ullsim.harness", "run_gaussian_trial"),
     ("blocks", "ullsim.airlink", "simulate_blocks"),
     ("R^1/2", "ullsim.airlink", "correlation_sqrt"),
     ("receive", "ullsim.airlink", "receive"),
@@ -111,23 +118,34 @@ def install(recorder: Recorder) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=["rp", "sp"], default="sp")
+    parser.add_argument("--mode", choices=["rp", "sp", "study"], default="sp")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
     from ullsim import ScenarioConfig, _threads
     from ullsim import harness
-    campaign = harness.Campaign(config=ScenarioConfig(), mode=args.mode, trials=1,
-                                seed=args.seed, i_max=8)
-    harness.get_code(campaign.code_rate)
+    if args.mode == "study":
+        campaign = harness.Campaign(config=ScenarioConfig(), pipeline="gaussian",
+                                    grid_param="sigma_est", grid_values=(0.6,),
+                                    trials=1, seed=args.seed)
+        variants = [sub for _, sub in harness._study_variants(campaign)]
+        title = f"Gaussian study pair ({len(variants)} variants)"
+    else:
+        campaign = harness.Campaign(config=ScenarioConfig(), mode=args.mode, trials=1,
+                                    seed=args.seed, i_max=8)
+        harness.get_code(campaign.code_rate)
+        title = f"coded {args.mode} trial"
     recorder = Recorder()
     install(recorder)
 
     tracemalloc.start()
-    harness.run_coded_trial(campaign, 0, 0)
+    if args.mode == "study":
+        harness._run_variants((variants, 0, 0))
+    else:
+        harness.run_coded_trial(campaign, 0, 0)
     tracemalloc.stop()
 
-    print(f"coded {args.mode} trial, seed {args.seed}: tracemalloc MB "
+    print(f"{title}, seed {args.seed}: tracemalloc MB "
           f"(live at the first and last call's entry, peak over all calls)")
     print(f"{'stage':<22}{'function':<30}{'calls':>6}{'first':>9}{'last':>9}{'peak':>9}")
     for stage, module, attr in STAGES:
