@@ -17,7 +17,7 @@ from .chest import (EstimationError, FeasibilityResult,
 from .codec import (CodeSpec, CodewordFrame, decode, encode, frame_codeword,
                     hard_decisions, make_code, qpsk_demap_llr, qpsk_map, soft_symbols)
 from .codec.framing import make_frame
-from .combine import build_combiner, combine_initial, combine_iterative, effective_stats
+from .combine import build_combiner, combine_iterative, effective_stats
 from .config import ConfigError, ScenarioConfig, dbm_to_joules, load_config
 from .harness import (Campaign, emit_figure_data, gaussian_symbol_study,
                       run_campaign, write_csv)
@@ -39,7 +39,7 @@ __all__ = [
     "NetworkRealization", "PilotAssignment", "PilotBook",
     "ScenarioConfig", "SoftDataState", "apply_power_control", "assign_pilots",
     "binary_entropy", "build_combiner", "build_geometry",
-    "combine_initial", "combine_iterative", "correlation_sqrt", "crandn",
+    "combine_iterative", "correlation_sqrt", "crandn",
     "data_aided_feasibility", "data_aided_observation", "dbm_to_joules",
     "decode", "draw_channels", "effective_snr_db", "effective_stats",
     "emit_figure_data", "encode", "estimate_and_combine", "frame_codeword",

@@ -98,9 +98,11 @@ def main(argv: list[str] | None = None) -> int:
             from pathlib import Path
             out_dir = Path(args.out).parent if Path(args.out).suffix else Path(args.out)
             rows = gaussian_symbol_study(campaign, out_dir)
+            written = out_dir / "results.csv"
         else:
             rows = run_campaign(campaign, args.out)
-        logging.getLogger("ullsim").info("wrote %d rows to %s", len(rows), args.out)
+            written = args.out
+        logging.getLogger("ullsim").info("wrote %d rows to %s", len(rows), written)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

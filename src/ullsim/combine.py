@@ -1,12 +1,15 @@
 """Receive combining and per-UE effective channel statistics.
 
-Each BS combines the data slots of its received block with v_k per UE,
-after subtracting reconstructed signals (its own pilot, and from the
-second iteration every in-cell UE's, the iterative interference
-cancellation). The signals come from airlink.build_transmit, so the
-combining functions do not know the pilot format; they take one serving
-cell. effective_stats takes every cell at once. The demapper then treats
-y_hat = g * s + effective noise, with (g, n_var) from effective_stats.
+Each BS combines the data slots of its received block with v_k per UE
+in one formula for every receiver pass, combine_iterative: it subtracts
+the reconstructed in-cell signals it knows (none before the first decode,
+every in-cell UE's after it, the iterative interference cancellation) and
+leaves UE k with exactly its own pilot removed. The signals come from
+airlink.build_transmit, so combining does not know the pilot format; it
+takes one serving cell. effective_stats takes every cell at once, and
+sigma_est=None tells it that no symbols are known yet. The demapper then
+treats y_hat = g * s + effective noise, with (g, n_var) from
+effective_stats.
 """
 
 from __future__ import annotations
@@ -47,64 +50,49 @@ def build_combiner(h_hat: np.ndarray, C: np.ndarray, rho: np.ndarray,
     return np.swapaxes(V.conj(), -1, -2) * rho[..., :, None]
 
 
-def combine_initial(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
-                    pilots: np.ndarray) -> np.ndarray:
-    """First-pass combined data observations (no co-UE cancellation).
+def combine_iterative(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
+                      x_hat: np.ndarray | None, own: np.ndarray) -> np.ndarray:
+    """Combined data observations, with reconstructed in-cell signals removed.
 
     Y: (..., M, n_data) the cell's data slots; v, h_hat: (..., K, M);
-    pilots: (K, n_data) each UE's own pilot signal in those slots, from
-    build_transmit (zero for rp, sqrt(q) phi for sp). Returns (..., K, n_data):
-
-    y_hat_k = v_k^H Y - (v_k^H h_hat_k) pilots_k, i.e. the BS removes its
-    own reconstructed pilot component (it knows both the pilot and the
-    channel estimate) before demapping.
-    """
-    y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Y)
-    gain = np.einsum("...km,...km->...k", v.conj(), h_hat)
-    return y_hat - gain[..., None] * pilots
-
-
-def combine_iterative(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
-                      x_hat: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """Combined data observations after subtracting reconstructed co-UEs.
-
-    Y: (..., M, n_data) the cell's data slots; x_hat: (..., K, n_data) the
-    in-cell rows of the estimated transmit matrix (build_transmit of the
-    soft symbols) in those slots; own: (..., K, n_data) each UE's own
-    reconstructed data sqrt(p) s_hat. h_hat are current-iteration channel
-    estimates. For each UE k the BS subtracts every reconstructed in-cell
-    signal, then adds back UE k's own data, so only its pilot stays removed:
+    x_hat: (..., K, n_data) the in-cell rows of the estimated transmit
+    matrix (build_transmit of the soft symbols) in those slots, or None
+    when no symbols are known and nothing is subtracted; own: (..., K,
+    n_data) what each UE k gets back of its own reconstruction. The
+    receiver passes own = sqrt(p) s_hat after a decode, and minus the pilot
+    (zero for rp, sqrt(q) phi for sp) before one, so that either way
+    exactly UE k's own pilot is removed and its data kept:
 
     y_hat_k = v_k^H (Y - sum_j h_hat_j x_hat_j^T) + (v_k^H h_hat_k) own_k
     """
-    total = _threads.einsum("...km,...kt->...mt", h_hat, x_hat)
-    y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Y - total)
+    if x_hat is not None:
+        Y = Y - _threads.einsum("...km,...kt->...mt", h_hat, x_hat)
+    y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Y)
     gain = np.einsum("...km,...km->...k", v.conj(), h_hat)
     return y_hat + gain[..., None] * own
 
 
 def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
                     realization: NetworkRealization, mode: str,
-                    config: ScenarioConfig, sigma_est: np.ndarray,
-                    cancelled: bool) -> tuple[np.ndarray, np.ndarray]:
+                    config: ScenarioConfig, sigma_est: np.ndarray | None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Effective gain and noise variance per UE for the demapper.
 
     v, h_hat: (..., L, K, M) at every serving BS, e.g. (B, L, K, M) over
     the blocks; C: (L, K, M, M); sigma_est: (L, K) soft-symbol qualities
-    (0 before any decoding); cancelled: True once reconstructed co-UE
-    contributions are subtracted (iterations >= 1).
+    of the reconstructed co-UE signals that combining subtracted, or None
+    before any decode, when no symbols are known and nothing was subtracted.
     Returns (g, n_var), each (..., L, K).
 
     The variance conditions on the estimates: channel errors enter through
     C, co-UE symbol errors through 1 - sigma_est^2, intercell interference
     through R and full energies, and thermal noise through ||v||^2. For sp
     the own pilot is always reconstructed and removed (only its estimation
-    error q_k v^H C_k v remains); co-UE pilots are removed only once
-    cancellation is active.
+    error q_k v^H C_k v remains); co-UE pilots are removed only with the
+    co-UE symbols, once sigma_est is known.
     """
     q, p = realization.energies(mode)
     full = p if mode == "rp" else p + q             # a UE's full energy, (L, K)
-    sig = np.asarray(sigma_est, dtype=float)
 
     g = np.sqrt(p) * np.einsum("...km,...km->...k", v.conj(), h_hat)
 
@@ -117,12 +105,12 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
 
     # In-cell co-UE residuals: after subtraction only the residual data,
     # before it everything.
-    est_part = p * (1.0 - sig) if cancelled else full
+    est_part = full if sigma_est is None else p * (1.0 - np.asarray(sigma_est, dtype=float))
     off = ~np.eye(config.K, dtype=bool)
     cross = vh2 * est_part[..., None, :] + vCv * full[..., None, :]
     n_var = n_var + np.einsum("...kj,kj->...k", cross, off.astype(float))
 
-    # Intercell interference (never cancelled: symbols unknown at this BS).
+    # Intercell interference (never subtracted: symbols unknown at this BS).
     inter = realization.intercell(full)
     n_var = n_var + _threads.einsum("...km,...mn,...kn->...k", v.conj(), inter, v).real
 

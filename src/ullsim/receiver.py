@@ -26,7 +26,7 @@ from .chest import (EstimationError, data_aided_observation, lmmse_filter,
 from .codec import (CodewordFrame, decode, frame_codeword, hard_decisions,
                     qpsk_demap_llr, qpsk_map, soft_symbols)
 from .codec.ldpc import CodeSpec
-from .combine import build_combiner, combine_initial, combine_iterative, effective_stats
+from .combine import build_combiner, combine_iterative, effective_stats
 from .config import ConfigError, ScenarioConfig
 from .metrics import (effective_snr_db, mse_channel_empirical, se_mutual_info,
                       se_uatf_moments)
@@ -89,11 +89,14 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
 
     Without s_blocks the LMMSE filters of the serving channels come from
     the pilot-only statistics (psi_pilot) and act on the de-spread pilots,
-    and the combiner removes each UE's own pilot only. With s_blocks
-    (B, L, K, slots), estimated data symbols of quality sigma (L, K), they
-    come from the closed-form data-aided statistics (psi_data_aided_bound)
-    and act on the projection of each block onto its estimated transmit
-    matrix X, and the combiner cancels the in-cell signals of the same X.
+    and combining subtracts nothing but gives each UE back minus its own
+    pilot in the pilots-only X. With s_blocks (B, L, K, slots), estimated
+    data symbols of quality sigma (L, K), they come from the closed-form
+    data-aided statistics (psi_data_aided_bound) and act on the projection
+    of each block onto its estimated transmit matrix X, and combining
+    cancels the in-cell signals of the same X and gives each UE back its
+    own data. Either way, one combining formula leaves each UE's y with its
+    own pilot removed.
     The projection marks each block whose symbol matrix is rank deficient,
     and that block keeps the stage's pilot-only estimate, computed only
     when some block needs it.
@@ -118,7 +121,7 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     if s_blocks is None:
         z = pilot_observation(Y, assignment.seqs, q, mode, tau_p=config.tau_p)
         ok = np.ones(Y.shape[:2], dtype=bool)
-        # The pilots alone, (L, K, tau_c): what combine_initial removes.
+        # The pilots alone, (L, K, tau_c): each UE's own row is what it loses.
         X = build_transmit(mode, assignment, np.zeros((config.L, config.K, n_data)),
                            realization, config)
     else:
@@ -133,20 +136,22 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
                                              mode, combiner_kind)[0][failed]
 
     # Combining stays one cell at a time: stacked over the cells it gives the
-    # same bits, but combine_iterative's (B, L, M, tau_c) residual raised a
-    # coded rp trial's traced peak from 71.3 to 90.7 MB and its ru_maxrss
-    # from 120 to 148 MB (paper point, seed 1), over the benchmark's 10 % bound.
+    # same bits, but its (B, L, M, tau_c) residual raised the traced peak of a
+    # coded rp trial from 45.4 to 63.0 MB (ru_maxrss 92.2 to 115.6 MB), of a
+    # coded sp trial from 43.1 to 59.8 MB (90.9 to 112.9 MB) and of a study
+    # pair from 88.5 to 126.9 MB (138.0 to 181.6 MB), paper point, seed 1:
+    # over the benchmark's 10 % bound.
     V = np.empty_like(h_hat)
     y = []
     for l in range(config.L):
         V[:, l] = build_combiner(h_hat[:, l], C[l], realization.rho[l],
                                  config.noise_energy, combiner_kind)
-        if s_blocks is None:
-            y.append(combine_initial(Y[:, l, :, data], V[:, l], h_hat[:, l], X[l, :, data]))
+        if s_blocks is None:      # y + g (-pilot) has the bits of y - g pilot
+            x_hat, own = None, -X[l, :, data]
         else:                     # own, sqrt(p) s_hat, lives for the call only
-            y.append(combine_iterative(Y[:, l, :, data], V[:, l], h_hat[:, l],
-                                       X[:, l, :, data],
-                                       np.sqrt(p[l])[:, None] * s_blocks[:, l]))
+            x_hat, own = X[:, l, :, data], np.sqrt(p[l])[:, None] * s_blocks[:, l]
+        y.append(combine_iterative(Y[:, l, :, data], V[:, l], h_hat[:, l], x_hat, own))
+        del x_hat, own
     return h_hat, C, V, np.stack(y, axis=1), int(failed.sum())
 
 
@@ -158,8 +163,9 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
 
     blocks must span exactly one codeword per UE (frame.n_blocks blocks).
     Each pass decodes the UEs still to do. The first knows no symbols
-    (sigma = 0) and estimates on the pilot-only statistics, every later one
-    on the data-aided bound at the previous pass's symbol qualities.
+    (sigma is None, as s_blocks is) and estimates on the pilot-only
+    statistics, every later one on the data-aided bound at the previous
+    pass's symbol qualities.
     """
     if i_max >= 1 and mode == "rp" and config.tau_d <= config.K:
         raise ConfigError("data-aided iterations in rp mode need tau_d > K")
@@ -172,15 +178,14 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
     prelog = config.data_slots(mode) / config.tau_c
     states: list[IterationState] = []
     ok = np.zeros((L, K), dtype=bool)
-    sigma = np.zeros((L, K))
+    sigma = None                          # no symbol is known before the first decode
     llr_post = np.empty((L, K, code.n))   # a frozen UE keeps its decoding pass's LLRs
     s_blocks = None
     for it in range(i_max + 1):
         h_hat, C, V, y_hat, fallbacks = estimate_and_combine(
             blocks, realization, assignment, config, mode, combiner_kind,
             s_blocks=s_blocks, sigma=sigma)
-        g, n_var = effective_stats(V, h_hat, C, realization, mode, config, sigma,
-                                   cancelled=s_blocks is not None)
+        g, n_var = effective_stats(V, h_hat, C, realization, mode, config, sigma)
         if not (np.all(np.isfinite(n_var) & (n_var > 0)) and np.all(np.isfinite(g) & (g != 0))):
             # An indefinite error covariance, a zero combiner, no data energy
             # or a NaN. A zero gain or a NaN demaps to the all-zero codeword, which checks.

@@ -7,8 +7,7 @@ from conftest import manual_network
 from ullsim import ScenarioConfig
 from ullsim.airlink import build_transmit, crandn, simulate_blocks
 from ullsim.chest import lmmse_filter, pilot_observation, psi_pilot
-from ullsim.combine import (build_combiner, combine_initial, combine_iterative,
-                            effective_stats)
+from ullsim.combine import build_combiner, combine_iterative, effective_stats
 from ullsim.pilots import assign_pilots
 
 
@@ -69,7 +68,7 @@ def test_unknown_combiner_rejected():
 
 
 # ---------------------------------------------------------------------------
-# combine_initial
+# combine_iterative before any decode: x_hat=None, own = minus the own pilot
 
 
 def test_initial_shapes_by_mode():
@@ -77,16 +76,17 @@ def test_initial_shapes_by_mode():
     rng = np.random.default_rng(2)
     Y = crandn(rng, (5, config.M, config.tau_c))
     v = crandn(rng, (5, config.K, config.M))
-    out_rp = combine_initial(Y[..., config.tau_p:], v, v, np.zeros((config.K, config.tau_d)))
+    out_rp = combine_iterative(Y[..., config.tau_p:], v, v, None,
+                               np.zeros((config.K, config.tau_d)))
     assert out_rp.shape == (5, config.K, config.tau_d)
     book = assign_pilots(config, "sp")
     seqs = book.book.seqs[book.indices][0]                     # q = 1
-    out_sp = combine_initial(Y, v, v, seqs)
+    out_sp = combine_iterative(Y, v, v, None, -seqs)
     assert out_sp.shape == (5, config.K, config.tau_c)
 
 
 def test_initial_rp_zero_pilots_move_no_bit():
-    # rp's pilots are zero in the data slots; subtracting them changes no bit
+    # rp's pilots are zero in the data slots; giving them back changes no bit
     config = cfg()
     net = manual_network(config, np.array([[[1.0, 0.5]]]))
     asg = assign_pilots(config, "rp")
@@ -97,9 +97,33 @@ def test_initial_rp_zero_pilots_move_no_bit():
     X = build_transmit("rp", asg, np.zeros((1, config.K, config.tau_d)), net, config)
     pilots = X[0, :, config.tau_p:]
     assert not pilots.any()
-    out = combine_initial(Y[..., config.tau_p:], v, h_hat, pilots)
+    out = combine_iterative(Y[..., config.tau_p:], v, h_hat, None, -pilots)
     assert np.array_equal(out, np.einsum("...km,...mt->...kt", v.conj(),
                                          Y[..., config.tau_p:]))
+
+
+@pytest.mark.parametrize("mode", ["rp", "sp"])
+def test_first_pass_has_the_bits_of_removing_the_own_pilot(mode):
+    # The first pass gives back minus the own pilot: y + g (-pilot) must equal,
+    # bit for bit, the own-pilot removal y - g pilot, on the strided data-slot
+    # views of a (B, L, M, tau_c) Y that the receiver combines.
+    config = cfg(L=3)
+    B, L, K, M = 3, config.L, config.K, config.M
+    rng = np.random.default_rng(15)
+    net = manual_network(config, rng.uniform(0.2, 1.0, (L, L, K)))
+    asg = assign_pilots(config, mode)
+    Y = crandn(rng, (B, L, M, config.tau_c))
+    n_data = config.data_slots(mode)
+    data = slice(config.tau_c - n_data, None)
+    X = build_transmit(mode, asg, np.zeros((L, K, n_data)), net, config)
+    assert X[:, :, data].any() == (mode == "sp")     # sqrt(q) phi in sp, zero in rp
+    for l in range(L):
+        v = crandn(rng, (B, K, M))
+        h_hat = crandn(rng, (B, K, M))
+        Yd, pilots = Y[:, l, :, data], X[l, :, data]
+        gain = np.einsum("...km,...km->...k", v.conj(), h_hat)
+        want = np.einsum("...km,...mt->...kt", v.conj(), Yd) - gain[..., None] * pilots
+        assert np.array_equal(combine_iterative(Yd, v, h_hat, None, -pilots), want)
 
 
 def test_initial_selector_row():
@@ -109,7 +133,7 @@ def test_initial_selector_row():
     Y = crandn(rng, (config.M, config.tau_c))
     v = np.zeros((1, config.M), dtype=complex)
     v[0, 2] = 1.0
-    out = combine_initial(Y[:, config.tau_p:], v, v, np.zeros((1, config.tau_d)))
+    out = combine_iterative(Y[:, config.tau_p:], v, v, None, np.zeros((1, config.tau_d)))
     assert np.array_equal(out[0], Y[2, config.tau_p:])
 
 
@@ -122,8 +146,8 @@ def test_initial_noiseless_equalization_rp():
     p = 1.7
     Y = np.zeros((config.M, config.tau_c), dtype=complex)
     Y[:, config.tau_p:] = np.sqrt(p) * h[:, None] * s[None, :]
-    out = combine_initial(Y[:, config.tau_p:], h[None, :], h[None, :],
-                          np.zeros((1, config.tau_d)))
+    out = combine_iterative(Y[:, config.tau_p:], h[None, :], h[None, :], None,
+                            np.zeros((1, config.tau_d)))
     gain = np.vdot(h, h)
     assert np.allclose(out[0] / gain, np.sqrt(p) * s, atol=1e-12)
 
@@ -138,15 +162,15 @@ def test_initial_sp_removes_own_pilot():
     q = np.array([1.3])
     Y = np.sqrt(q[0]) * h[:, None] * seqs[0][None, :]
     pilots = np.sqrt(q)[:, None] * seqs
-    out = combine_initial(Y, h[None, :], h[None, :], pilots)
+    out = combine_iterative(Y, h[None, :], h[None, :], None, -pilots)
     assert np.allclose(out, 0.0, atol=1e-12)
     # with zero pilots the sp pilot leaks through at full strength
-    raw = combine_initial(Y, h[None, :], h[None, :], np.zeros_like(pilots))
+    raw = combine_iterative(Y, h[None, :], h[None, :], None, np.zeros_like(pilots))
     assert np.linalg.norm(raw) > 1.0
 
 
 # ---------------------------------------------------------------------------
-# combine_iterative
+# combine_iterative after a decode
 
 
 def test_iterative_zero_soft_symbols_matches_initial():
@@ -158,7 +182,7 @@ def test_iterative_zero_soft_symbols_matches_initial():
     Yd = Y[..., config.tau_p:]
     zero = np.zeros((3, config.K, config.tau_d))               # sqrt(p) * 0 in rp
     out = combine_iterative(Yd, v, h_hat, zero, zero)
-    assert np.allclose(out, combine_initial(Yd, v, h_hat, zero[0]), atol=1e-13)
+    assert np.allclose(out, combine_iterative(Yd, v, h_hat, None, -zero[0]), atol=1e-13)
     # sp with zero soft symbols leaves exactly the own-pilot-removed initial pass
     asg = assign_pilots(config, "sp")
     seqs = asg.book.seqs[asg.indices][0]
@@ -166,7 +190,7 @@ def test_iterative_zero_soft_symbols_matches_initial():
     pilots = np.sqrt(q)[:, None] * seqs
     out_sp = combine_iterative(Y, v, h_hat, np.broadcast_to(pilots, (3,) + pilots.shape),
                                np.zeros((3, config.K, config.tau_c)))
-    ref = combine_initial(Y, v, h_hat, pilots)
+    ref = combine_iterative(Y, v, h_hat, None, -pilots)
     # zero soft symbols still subtract *co-UE* pilots, unlike the initial pass
     gain = np.einsum("bkm,bjm->bkj", v.conj(), h_hat)
     for k in range(config.K):
@@ -206,8 +230,8 @@ def test_iterative_single_ue_equals_initial():
     Yd = Y[..., config.tau_p:]
     out = combine_iterative(Yd, v, h_hat, s_hat, s_hat)       # p = 1
     # the own reconstruction is subtracted then added back: identical output
-    assert np.allclose(out, combine_initial(Yd, v, h_hat, np.zeros((1, config.tau_d))),
-                       atol=1e-12)
+    assert np.allclose(out, combine_iterative(Yd, v, h_hat, None,
+                                              np.zeros((1, config.tau_d))), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +247,7 @@ def test_effective_stats_clean_receiver():
     h = crandn(rng, (1, 3))
     v = h / np.linalg.norm(h)
     g, n_var = effective_stats(v[None], h[None], np.zeros((1, 1, 3, 3)), net, "rp",
-                               config, np.zeros((1, 1)), cancelled=False)
+                               config, None)
     q, p = net.energies("rp")
     assert np.isclose(g[0, 0], np.sqrt(p[0, 0]) * np.linalg.norm(h))
     assert np.isclose(n_var[0, 0], config.noise_energy)
@@ -235,7 +259,7 @@ def test_effective_stats_mr_gain():
     rng = np.random.default_rng(10)
     h = crandn(rng, (1, 4))
     g, _ = effective_stats(h[None], h[None], np.zeros((1, 1, 4, 4)), net, "rp",
-                           config, np.zeros((1, 1)), cancelled=False)
+                           config, None)
     _, p = net.energies("rp")
     assert np.isclose(g[0, 0], np.sqrt(p[0, 0]) * np.linalg.norm(h[0]) ** 2)
 
@@ -246,12 +270,9 @@ def test_effective_stats_cancellation_reduces_variance():
     rng = np.random.default_rng(11)
     h = crandn(rng, (1, 2, 4))
     C = np.zeros((1, 2, 4, 4))
-    before = effective_stats(h, h, C, net, "rp", config,
-                             np.zeros((1, 2)), cancelled=False)[1]
-    after = effective_stats(h, h, C, net, "rp", config,
-                            np.full((1, 2), 0.9), cancelled=True)[1]
-    perfect = effective_stats(h, h, C, net, "rp", config,
-                              np.ones((1, 2)), cancelled=True)[1]
+    before = effective_stats(h, h, C, net, "rp", config, None)[1]
+    after = effective_stats(h, h, C, net, "rp", config, np.full((1, 2), 0.9))[1]
+    perfect = effective_stats(h, h, C, net, "rp", config, np.ones((1, 2)))[1]
     assert np.all(after < before)
     assert np.all(perfect <= after)
     # perfect cancellation with perfect CSI leaves thermal noise only
@@ -279,10 +300,9 @@ def test_effective_stats_match_simulation():
     z = pilot_observation(blocks.Y, seqs, q, mode, tau_p=config.tau_p)
     h_hat = np.einsum("lkmn,blkn->blkm", W, z)
     v = h_hat                                                   # mr
-    y_hat = combine_initial(blocks.Y[:, l, :, config.tau_p:], v[:, l], h_hat[:, l],
-                            np.zeros((config.K, config.tau_d)))
-    g, n_var = effective_stats(v, h_hat, C, net, mode, config,
-                               np.zeros((3, 2)), cancelled=False)
+    y_hat = combine_iterative(blocks.Y[:, l, :, config.tau_p:], v[:, l], h_hat[:, l],
+                              None, np.zeros((config.K, config.tau_d)))
+    g, n_var = effective_stats(v, h_hat, C, net, mode, config, None)
     g, n_var = g[:, l], n_var[:, l]
     resid = y_hat - g[..., None] * s[:, l]
     emp = np.mean(np.abs(resid) ** 2, axis=(0, 2))
@@ -291,8 +311,8 @@ def test_effective_stats_match_simulation():
 
 
 @pytest.mark.parametrize("mode", ["rp", "sp"])
-@pytest.mark.parametrize("cancelled", [False, True])
-def test_stacked_effective_stats_equal_their_defining_sums(mode, cancelled):
+@pytest.mark.parametrize("known", [False, True])
+def test_stacked_effective_stats_equal_their_defining_sums(mode, known):
     # Every (block, cell, UE) of one stacked call against its sum, term by term,
     # with gains, correlations and errors of one order, so every term counts.
     config = cfg(M=3, K=2, L=3, tau_c=12, tau_p=2, noise_energy=0.5)
@@ -308,7 +328,7 @@ def test_stacked_effective_stats_equal_their_defining_sums(mode, cancelled):
     h_hat = crandn(rng, (B, L, K, M))
     C = psd((L, K), 0.1)
     sig = rng.uniform(size=(L, K))
-    g, n_var = effective_stats(v, h_hat, C, net, mode, config, sig, cancelled)
+    g, n_var = effective_stats(v, h_hat, C, net, mode, config, sig if known else None)
 
     q, p = net.energies(mode)
     full = p if mode == "rp" else p + q
@@ -322,7 +342,7 @@ def test_stacked_effective_stats_equal_their_defining_sums(mode, cancelled):
         want = full[l, k] * quad(C[l, k]) + config.noise_energy * np.vdot(vk, vk).real
         for j in range(K):
             if j != k:
-                data = p[l, j] * (1.0 - sig[l, j]) if cancelled else full[l, j]
+                data = p[l, j] * (1.0 - sig[l, j]) if known else full[l, j]
                 want += data * abs(np.vdot(vk, h_hat[b, l, j])) ** 2 + full[l, j] * quad(C[l, j])
         for ll, kk in np.ndindex(L, K):
             if ll != l:

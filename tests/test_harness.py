@@ -504,6 +504,8 @@ def test_cli_study_runs_as_the_study_does(tmp_path):
     modes = {line.split(",")[0] for line in
              (tmp_path / "results.csv").read_text().splitlines()[1:]}
     assert modes == {"rp", "rp3", "sp"}
+    # the log names the file the study wrote, not --out
+    assert f"to {tmp_path / 'results.csv'}" in proc.stderr, proc.stderr
 
 
 def test_cli_config_error_exits_2(tmp_path, config_file, capsys):

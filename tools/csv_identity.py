@@ -11,12 +11,11 @@ failed call, 2 when BASE_REV cannot be exported.
 The list covers the three perfbench workloads on the paper scenario at
 seeds 1 and 2, a paper-scale coded sp S-MMSE trial on one worker (the
 only call whose S-MMSE solves split over threads), and the M=8, K=2, L=3
-scenario through both modes and
-combiners, the gaussian pipeline in both modes, rate 3/4, i_max = 0, a
-2-worker sweep, integer (tau_c, M, L and rp tau_p) sweeps, an sp pilot-share
-(delta) sweep, a 2-worker study, a study at sigma_est = 0 and an S-MMSE
-study. The paper-scale calls take a few minutes per tree on a 2-core
-machine.
+scenario through both modes and combiners, the gaussian pipeline in both
+modes, rate 3/4, i_max = 0 in both modes, a 2-worker sweep, integer
+(tau_c, M, L and rp tau_p) sweeps, an sp pilot-share (delta) sweep, a
+2-worker study, a study at sigma_est = 0 and an S-MMSE study. The
+paper-scale calls take a few minutes per tree on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -68,6 +67,8 @@ def _calls() -> list[tuple[str, str, tuple]]:
         ("tiny-rate34", "tiny", ("run", "--rate", "3/4", "--trials", "2")),
         # the receiver loop's exit after its first pass
         ("tiny-imax0", "tiny", ("run", "--imax", "0", "--trials", "2")),
+        # the first pass alone in sp, where the own pilot it removes is non-zero
+        ("tiny-sp-imax0", "tiny", ("run", "--mode", "sp", "--imax", "0", "--trials", "2")),
         ("tiny-sweep-workers2", "tiny",
          ("sweep", "--param", "snr_db", "--values", "0,10", "--trials", "2",
           "--workers", "2")),

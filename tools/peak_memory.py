@@ -57,7 +57,6 @@ STAGES = (
     ("estimate-and-combine", "ullsim.receiver", "estimate_and_combine"),
     # One call per cell: combining stays per cell for its memory.
     ("combiner", "ullsim.combine", "build_combiner"),
-    ("combine", "ullsim.combine", "combine_initial"),
     ("combine", "ullsim.combine", "combine_iterative"),
     ("effective_stats", "ullsim.combine", "effective_stats"),
     ("decode", "ullsim.codec.ldpc", "decode"),
