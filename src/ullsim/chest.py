@@ -10,6 +10,7 @@ it is the independent reference the tests check the bound against.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +82,11 @@ def data_aided_observation(Y: np.ndarray, Xhat: np.ndarray) -> tuple[np.ndarray,
 
 
 def psi_pilot(realization: NetworkRealization, assignment: PilotAssignment,
-              config: ScenarioConfig, mode: str) -> np.ndarray:
-    """Covariance of the de-spread pilot observation, all UEs: (L, K, M, M).
+              config: ScenarioConfig, mode: str,
+              cells: Sequence[int] | None = None) -> np.ndarray:
+    """Covariance of the de-spread pilot observation, (len(cells), K, M, M).
 
+    cells: the serving cells whose UEs it covers, every cell if None.
     rp: sum over the sharing set of R * q'/q plus white noise of level
         sigma^2/(q tau_p).
     sp: same contamination term plus (1/tau_c) times the full data
@@ -92,29 +95,34 @@ def psi_pilot(realization: NetworkRealization, assignment: PilotAssignment,
     R = realization.R
     q, p = realization.energies(mode)
     L, K, M = config.L, config.K, config.M
+    cells = range(L) if cells is None else cells
     eye = np.eye(M)
-    psi = np.zeros((L, K, M, M), dtype=complex)
-    for l, k in np.ndindex(L, K):
+    psi = np.zeros((len(cells), K, M, M), dtype=complex)
+    for i, k in np.ndindex(len(cells), K):
+        l = cells[i]
         qk = q[l, k]
         for (ll, kk) in assignment.sharing[l][k]:
-            psi[l, k] += R[l, ll, kk] * (q[ll, kk] / qk)
+            psi[i, k] += R[l, ll, kk] * (q[ll, kk] / qk)
         if mode == "rp":
-            psi[l, k] += (config.noise_energy / (qk * config.tau_p)) * eye
+            psi[i, k] += (config.noise_energy / (qk * config.tau_p)) * eye
         else:
             data = np.zeros((M, M), dtype=complex)
             for ll, kk in np.ndindex(L, K):
                 data += R[l, ll, kk] * (p[ll, kk] / qk)
-            psi[l, k] += (data + (config.noise_energy / qk) * eye) / config.tau_c
+            psi[i, k] += (data + (config.noise_energy / qk) * eye) / config.tau_c
     return psi
 
 
 def psi_data_aided_bound(realization: NetworkRealization, assignment: PilotAssignment,
                          config: ScenarioConfig, mode: str,
-                         sigma_est: np.ndarray) -> np.ndarray:
+                         sigma_est: np.ndarray,
+                         cells: Sequence[int] | None = None) -> np.ndarray:
     """Closed-form lower bound on the data-aided observation covariance.
 
     sigma_est: (L, K) mean-square soft-symbol amplitudes sigma_{lk}^2 in
-    [0, 1] (0 = no data knowledge, 1 = exact symbols). Returns (L, K, M, M).
+    [0, 1] (0 = no data knowledge, 1 = exact symbols); cells: the serving
+    cells whose UEs it covers, every cell if None. Returns
+    (len(cells), K, M, M).
 
     The bound treats the projected observation under Gaussian symbols:
     the better the symbol estimates the smaller every interference term.
@@ -129,29 +137,30 @@ def psi_data_aided_bound(realization: NetworkRealization, assignment: PilotAssig
     L, K, M = config.L, config.K, config.M
     tau_c, tau_p, tau_d = config.tau_c, config.tau_p, config.tau_d
     noise = config.noise_energy
+    cells = range(L) if cells is None else cells
     eye = np.eye(M)
-    psi = np.empty((L, K, M, M), dtype=complex)
+    psi = np.empty((len(cells), K, M, M), dtype=complex)
 
-    inter = realization.intercell(p)
-    pilot_only = (psi_pilot(realization, assignment, config, mode)
-                  if mode == "rp" and np.any(sig == 0.0) else None)
+    inter = realization.intercell(p, cells)
+    pilot_only = (psi_pilot(realization, assignment, config, mode, cells)
+                  if mode == "rp" and np.any(sig[list(cells)] == 0.0) else None)
     # The loops stay per UE: an einsum masked to the pilot-sharing sets would
     # sum over all L*K UEs where a sharing set has at most L, in rp K = 10
     # times the multiply-adds at the paper point.
-    for l in range(L):
+    for i, l in enumerate(cells):
         # Interference sums reused across this cell's UEs.
         intra = [R[l, l, kk] * p[l, kk] * (1.0 - sig[l, kk]) for kk in range(K)]
         for k in range(K):
             qk, pk, s2 = q[l, k], p[l, k], sig[l, k]
             if mode == "rp" and s2 == 0.0:
-                psi[l, k] = pilot_only[l, k]
+                psi[i, k] = pilot_only[i, k]
                 continue
             contam = np.zeros((M, M), dtype=complex)
             for (ll, kk) in assignment.sharing[l][k]:
                 if (ll, kk) == (l, k):
                     continue
                 contam += R[l, ll, kk] * q[ll, kk]
-            data_num = sum(intra[kk] for kk in range(K) if kk != k) + inter[l]
+            data_num = sum(intra[kk] for kk in range(K) if kk != k) + inter[i]
 
             if mode == "rp":
                 if tau_d <= K:
@@ -167,7 +176,7 @@ def psi_data_aided_bound(realization: NetworkRealization, assignment: PilotAssig
                 d_pilot = mix ** 2 / qk + pk * s2 * (2.0 * qk + pk * s2) / (qk * tau_c)
                 d_noise = tau_c * mix
 
-            psi[l, k] = (R[l, l, k] * (1.0 + pk * (1.0 - s2) / d_data)
+            psi[i, k] = (R[l, l, k] * (1.0 + pk * (1.0 - s2) / d_data)
                          + data_num / d_data
                          + contam / d_pilot
                          + (noise / d_noise) * eye)

@@ -65,8 +65,9 @@ def combine_iterative(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
 
     y_hat_k = v_k^H (Y - sum_j h_hat_j x_hat_j^T) + (v_k^H h_hat_k) own_k
     """
-    if x_hat is not None:
-        Y = Y - _threads.einsum("...km,...kt->...mt", h_hat, x_hat)
+    if x_hat is not None:         # one (..., M, n_data) buffer: the residual overwrites E
+        E = _threads.einsum("...km,...kt->...mt", h_hat, x_hat)
+        Y = np.subtract(Y, E, out=E)
     y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Y)
     gain = np.einsum("...km,...km->...k", v.conj(), h_hat)
     return y_hat + gain[..., None] * own

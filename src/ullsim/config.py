@@ -151,10 +151,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Read a ScenarioConfig from a key = value text file.
 
     Lines are `name = value`; blank lines and `#` comments are ignored.
-    Unknown keys are a configuration error.
+    The file is UTF-8; other bytes and unknown keys are configuration errors.
     """
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     overrides = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()

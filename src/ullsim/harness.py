@@ -58,6 +58,9 @@ class Campaign:
         require_integers(self, "trials", "seed", "i_max", "workers")
         if len(self.grid_values) == 0:
             raise ConfigError("grid must have at least one value")
+        for i, v in enumerate(self.grid_values):
+            if v in self.grid_values[:i]:   # its rows would share their grid_value key
+                raise ConfigError(f"grid value {v} is repeated")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:

@@ -9,6 +9,7 @@ leaves exactly L inequivalent BS positions and removes all boundary effects.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,16 +112,20 @@ class NetworkRealization:
             return self.delta * self.rho, (1.0 - self.delta) * self.rho
         raise ValueError(f"unknown mode {mode!r}")
 
-    def intercell(self, energy: np.ndarray) -> np.ndarray:
-        """Intercell interference at every BS, (L, M, M).
+    def intercell(self, energy: np.ndarray,
+                  cells: Sequence[int] | None = None) -> np.ndarray:
+        """Intercell interference at the BSs `cells` (every BS if None), (len(cells), M, M).
 
-        [l] = sum_{ll != l, kk} R[l, ll, kk] energy[ll, kk], summed in that order.
+        [i] = sum_{ll != l, kk} R[l, ll, kk] energy[ll, kk] with l = cells[i],
+        summed in that order.
         """
         L, K = energy.shape
-        inter = np.zeros((L,) + self.R.shape[-2:], dtype=complex)
-        for l, ll, kk in np.ndindex(L, L, K):
-            if ll != l:
-                inter[l] += self.R[l, ll, kk] * energy[ll, kk]
+        cells = range(L) if cells is None else cells
+        inter = np.zeros((len(cells),) + self.R.shape[-2:], dtype=complex)
+        for i, l in enumerate(cells):
+            for ll, kk in np.ndindex(L, K):
+                if ll != l:
+                    inter[i] += self.R[l, ll, kk] * energy[ll, kk]
         return inter
 
 

@@ -99,25 +99,29 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     own pilot removed.
     The projection marks each block whose symbol matrix is rank deficient,
     and that block keeps the stage's pilot-only estimate, computed only
-    when some block needs it.
+    for a cell where some block needs it.
 
     Returns (h_hat, C, V, y, fallbacks): h_hat and V (B, L, K, M), the error
     covariances C (L, K, M, M), y (B, L, K, slots), and the number of blocks
-    that kept their pilot-only estimate. psi and the filters are freed once
-    used, so the caller holds one set of channel statistics, C.
+    that kept their pilot-only estimate. The observations of every cell are
+    formed at once; psi and the filter exist for one serving cell at a time
+    (K*M^2 numbers each), so the caller holds one set of channel
+    statistics, C.
     """
-    if s_blocks is None:
-        psi = psi_pilot(realization, assignment, config, mode)
-    else:
-        psi = psi_data_aided_bound(realization, assignment, config, mode, sigma)
-    # The serving correlations R[l, l] as a view: (K, M, M, L) -> (L, K, M, M).
-    R_serving = np.moveaxis(np.diagonal(realization.R, axis1=0, axis2=1), -1, 0)
-    W, C = lmmse_filter(R_serving, psi)
-    del psi
     Y = blocks.Y
     q, p = realization.energies(mode)
     n_data = config.data_slots(mode)
     data = slice(config.tau_c - n_data, None)
+
+    def estimate(l, z, pilot_only):
+        """Cell l's estimates from its observations z (B, K, M), and their C."""
+        if pilot_only:
+            psi = psi_pilot(realization, assignment, config, mode, [l])[0]
+        else:
+            psi = psi_data_aided_bound(realization, assignment, config, mode, sigma, [l])[0]
+        W, C_l = lmmse_filter(realization.R[l, l], psi)
+        return _threads.einsum("kmn,...kn->...km", W, z), C_l
+
     if s_blocks is None:
         z = pilot_observation(Y, assignment.seqs, q, mode, tau_p=config.tau_p)
         ok = np.ones(Y.shape[:2], dtype=bool)
@@ -128,22 +132,24 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
         # One estimated transmit matrix serves the projection and the cancellation.
         X = build_transmit(mode, assignment, s_blocks, realization, config)
         z, ok = data_aided_observation(Y, np.swapaxes(X, -1, -2))
-    h_hat = _threads.einsum("lkmn,...lkn->...lkm", W, z)
-    del W
     failed = ~ok                                           # (B, L)
-    if failed.any():                                       # the pilot-only fallback
-        h_hat[failed] = estimate_and_combine(blocks, realization, assignment, config,
-                                             mode, combiner_kind)[0][failed]
 
-    # Combining stays one cell at a time: stacked over the cells it gives the
-    # same bits, but its (B, L, M, tau_c) residual raised the traced peak of a
-    # coded rp trial from 45.4 to 63.0 MB (ru_maxrss 92.2 to 115.6 MB), of a
-    # coded sp trial from 43.1 to 59.8 MB (90.9 to 112.9 MB) and of a study
-    # pair from 88.5 to 126.9 MB (138.0 to 181.6 MB), paper point, seed 1:
-    # over the benchmark's 10 % bound.
+    # One serving cell at a time: its psi and W die with estimate(). Combining
+    # stacked over the cells gives the same bits, but its (B, L, M, tau_c)
+    # residual raised the traced peak of a coded rp trial from 45.4 to 63.0 MB
+    # (ru_maxrss 92.2 to 115.6 MB), of a coded sp trial from 43.1 to 59.8 MB
+    # (90.9 to 112.9 MB) and of a study pair from 88.5 to 126.9 MB (138.0 to
+    # 181.6 MB), paper point, seed 1: over the benchmark's 10 % bound.
+    h_hat = np.empty_like(z)
+    C = np.empty((config.L, config.K, config.M, config.M), dtype=complex)
     V = np.empty_like(h_hat)
     y = []
     for l in range(config.L):
+        h_hat[:, l], C[l] = estimate(l, z[:, l], s_blocks is None)
+        if failed[:, l].any():                             # the pilot-only fallback
+            z_l = pilot_observation(Y[:, l], assignment.seqs[l], q[l], mode,
+                                    tau_p=config.tau_p)
+            h_hat[failed[:, l], l] = estimate(l, z_l, True)[0][failed[:, l]]
         V[:, l] = build_combiner(h_hat[:, l], C[l], realization.rho[l],
                                  config.noise_energy, combiner_kind)
         if s_blocks is None:      # y + g (-pilot) has the bits of y - g pilot

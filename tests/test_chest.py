@@ -286,6 +286,28 @@ def test_bound_rp_sigma_zero_equals_pilot_only():
     assert np.array_equal(bound, pilot)            # same code path, bit-exact
 
 
+@pytest.mark.parametrize("mode", ["rp", "sp"])
+def test_one_cells_statistics_are_its_slice_of_every_cells(mode):
+    # The receiver builds psi one serving cell at a time: the same sums in
+    # the same order as the stacked call, so the same bits.
+    config = cfg(M=4, K=2, L=4, tau_c=20, tau_p=2)
+    net = make_network(config, np.random.default_rng(18))
+    asg = assign_pilots(config, mode)
+    mixed = np.array([[0.0, 0.7], [0.3, 0.0], [1.0, 0.5], [0.0, 0.0]])
+    pilot = psi_pilot(net, asg, config, mode)
+    sigmas = [np.full((4, 2), s) for s in (0.0, 0.4, 1.0)] + [mixed]
+    bounds = [psi_data_aided_bound(net, asg, config, mode, sig) for sig in sigmas]
+    # rp at sigma = 0 takes the pilot-only branch, UE by UE
+    assert mode == "sp" or np.array_equal(bounds[0], pilot)
+    for l in range(4):
+        assert np.array_equal(psi_pilot(net, asg, config, mode, [l]), pilot[l:l + 1])
+        for sig, bound in zip(sigmas, bounds):
+            one = psi_data_aided_bound(net, asg, config, mode, sig, [l])
+            assert one.shape == (1, 2, 4, 4)
+            assert np.array_equal(one, bound[l:l + 1])
+    assert np.array_equal(psi_pilot(net, asg, config, mode, [3, 1]), pilot[[3, 1]])
+
+
 def test_bound_sp_sigma_one_no_intracell_data():
     # single cell, two UEs: at sigma = 1 the co-UE data term must be absent
     beta = np.array([[[1.0, 0.5]]])

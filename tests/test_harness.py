@@ -131,6 +131,14 @@ def test_campaign_errors_name_the_wrong_value(config, extra, message):
         Campaign(config=config, **extra)
 
 
+@pytest.mark.parametrize("values", [(0, 0), (5, 0, 5.0)])
+def test_campaign_rejects_a_repeated_grid_value(values):
+    # Both points' rows would share one grid_value key, and a reader keyed on
+    # it (emit_figure_data included) would mix two sets of trials.
+    with pytest.raises(ConfigError, match=r"grid value (0|5\.0) is repeated$"):
+        Campaign(config=small_config(), grid_param="snr_db", grid_values=values)
+
+
 def test_short_rp_data_is_fine_where_no_data_aided_bound_runs():
     Campaign(config=small_config(tau_c=4), i_max=0)
     Campaign(config=small_config(tau_c=4), mode="sp")
@@ -524,6 +532,7 @@ def test_cli_config_error_exits_2(tmp_path, config_file, capsys):
                  ["sweep", "--param", "snr_db", "--values", "inf"],
                  ["sweep", "--param", "M", "--values", "8.5"],
                  ["sweep", "--param", "snr_db", "--values", "4000"],
+                 ["sweep", "--param", "snr_db", "--values", "0,0"],
                  ["sweep", "--mode", "sp", "--param", "delta", "--values", "0,0.5"],
                  # the study's sp variant is a Campaign too
                  ["sweep", "--study", "--param", "delta", "--values", "0,0.5"],
@@ -543,6 +552,18 @@ def test_cli_config_error_exits_2(tmp_path, config_file, capsys):
     assert exc.value.code == 2
     args = cli.build_parser().parse_args(["run", str(config_file), "--psi", "bound"])
     assert args.psi == "bound"
+
+
+def test_cli_non_utf8_config_exits_2(tmp_path, config_file):
+    # A Latin-1 byte in a comment once died with a UnicodeDecodeError traceback.
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(b"M = 8\nK = 2\n# caf\xe9\nL = 3\n")
+    proc = run_cli(["run", str(bad), "--pipeline", "gaussian", "--trials", "1",
+                    "--out", str(tmp_path / "latin1.csv")], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: {bad}: not UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "latin1.csv").exists()
 
 
 def test_cli_io_error_exits_3(tmp_path, config_file):

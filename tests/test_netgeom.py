@@ -267,3 +267,5 @@ def test_intercell_sums_every_other_cell_at_every_bs():
         want = sum(net.R[l, ll, kk] * energy[ll, kk]
                    for ll in range(cfg.L) for kk in range(cfg.K) if ll != l)
         assert np.array_equal(inter[l], want)              # the same order, the same bits
+        assert np.array_equal(net.intercell(energy, [l]), inter[l:l + 1])
+    assert np.array_equal(net.intercell(energy, [2, 0]), inter[[2, 0]])

@@ -8,11 +8,12 @@ import pytest
 from conftest import manual_network
 
 from ullsim import ScenarioConfig, receiver
-from ullsim.airlink import gaussian_symbols, simulate_blocks
-from ullsim.chest import (EstimationError, lmmse_filter, pilot_observation,
-                          psi_data_aided_bound, psi_pilot)
+from ullsim.airlink import build_transmit, gaussian_symbols, simulate_blocks
+from ullsim.chest import (EstimationError, data_aided_observation, lmmse_filter,
+                          pilot_observation, psi_data_aided_bound, psi_pilot)
 from ullsim.codec import encode, frame_codeword, make_code, qpsk_map
 from ullsim.codec.framing import make_frame
+from ullsim.combine import build_combiner
 from ullsim.config import ConfigError
 from ullsim.netgeom import make_network
 from ullsim.pilots import assign_pilots
@@ -161,14 +162,67 @@ def test_imax_zero_is_the_pilot_only_pipeline(code, monkeypatch):
 # Estimate-and-combine stage
 
 
-def _stage_inputs(net, config):
-    """Pilots, surrogate blocks and estimated symbols for the sp stage on net."""
-    asg = assign_pilots(config, "sp")
+def _stage_inputs(net, config, mode="sp"):
+    """Pilots, surrogate blocks and estimated symbols for the stage on net."""
+    asg = assign_pilots(config, mode)
     rng = np.random.default_rng(6)
     sig = np.full((config.L, config.K), 0.6)
-    s_hat, s = gaussian_symbols(rng, sig, (4, config.L, config.K, config.data_slots("sp")))
-    blocks = simulate_blocks("sp", asg, s, net, config, rng)
+    s_hat, s = gaussian_symbols(rng, sig, (4, config.L, config.K, config.data_slots(mode)))
+    blocks = simulate_blocks(mode, asg, s, net, config, rng)
     return asg, blocks, s_hat, sig
+
+
+def _stacked_stage(blocks, net, asg, config, mode, combiner_kind, s_blocks=None, sigma=None):
+    """estimate_and_combine's outputs from every cell's psi, one LMMSE call and
+    one stacked estimate, combined by the formula written out."""
+    L, K = config.L, config.K
+    q, p = net.energies(mode)
+    n_data = config.data_slots(mode)
+    data = slice(config.tau_c - n_data, None)
+    Y = blocks.Y
+    if s_blocks is None:
+        psi = psi_pilot(net, asg, config, mode)
+        z = pilot_observation(Y, asg.seqs, q, mode, tau_p=config.tau_p)
+        X = build_transmit(mode, asg, np.zeros((L, K, n_data)), net, config)
+    else:
+        psi = psi_data_aided_bound(net, asg, config, mode, sigma)
+        X = build_transmit(mode, asg, s_blocks, net, config)
+        z, ok = data_aided_observation(Y, np.swapaxes(X, -1, -2))
+        assert ok.all()
+    W, C = lmmse_filter(net.R[np.arange(L), np.arange(L)], psi)
+    h_hat = np.einsum("lkmn,...lkn->...lkm", W, z)
+    V = np.stack([build_combiner(h_hat[:, l], C[l], net.rho[l], config.noise_energy,
+                                 combiner_kind) for l in range(L)], axis=1)
+    gain = np.einsum("...km,...km->...k", V.conj(), h_hat)[..., None]
+    y = []
+    for l in range(L):
+        if s_blocks is None:
+            y_l = (np.einsum("...km,...mt->...kt", V[:, l].conj(), Y[:, l, :, data])
+                   + gain[:, l] * -X[l, :, data])
+        else:
+            resid = Y[:, l, :, data] - np.einsum("...km,...kt->...mt", h_hat[:, l],
+                                                 X[:, l, :, data])
+            y_l = (np.einsum("...km,...mt->...kt", V[:, l].conj(), resid)
+                   + gain[:, l] * (np.sqrt(p[l])[:, None] * s_blocks[:, l]))
+        y.append(y_l)
+    return h_hat, C, V, np.stack(y, axis=1)
+
+
+@pytest.mark.parametrize("combiner_kind", ["mr", "smmse"])
+@pytest.mark.parametrize("mode", ["rp", "sp"])
+def test_stage_per_cell_estimates_equal_the_stacked_ones(mode, combiner_kind):
+    # The stage holds one serving cell's psi and W at a time; every output
+    # keeps the bits of the all-cell psi, one LMMSE call and one stacked
+    # einsum, in the pilot-only and in a data-aided pass.
+    config = ScenarioConfig(M=8, K=2, L=3, tau_c=40, tau_p=2)
+    net = make_network(config, np.random.default_rng(5))
+    asg, blocks, s_hat, sig = _stage_inputs(net, config, mode)
+    stage = (blocks, net, asg, config, mode, combiner_kind)
+    for extra in ({}, {"s_blocks": s_hat, "sigma": sig}):
+        *got, fallbacks = estimate_and_combine(*stage, **extra)
+        assert fallbacks == 0
+        for name, a, b in zip("h_hat C V y".split(), got, _stacked_stage(*stage, **extra)):
+            assert np.array_equal(a, b), (name, extra.keys())
 
 
 @pytest.mark.parametrize("drop", ["manual", "make_network"])
@@ -363,6 +417,25 @@ def test_receiver_is_deterministic(code):
 
 # ---------------------------------------------------------------------------
 # Memory
+
+
+def test_lmmse_runs_one_serving_cell_at_a_time(code, monkeypatch):
+    # psi and W are K*M^2 numbers each, one cell's: never a stack over the L cells.
+    config = ScenarioConfig(M=8, K=2, L=3, tau_c=200, tau_p=2,
+                            noise_energy=1.0, rho_design=10 ** -2.5, rho_max=10.0)
+    net = make_network(config, np.random.default_rng(8))
+    asg, frame, _, blocks = make_trial(config, net, "rp", code, np.random.default_rng(9))
+    shapes = []
+    lmmse = receiver.lmmse_filter
+
+    def spy(R, Psi):
+        shapes.append((R.shape, Psi.shape))
+        return lmmse(R, Psi)
+
+    monkeypatch.setattr(receiver, "lmmse_filter", spy)
+    trace = run_receiver(blocks, net, asg, config, code, frame, "rp", i_max=2)
+    assert len(trace.states) == 3 and not any(s.fallback_blocks for s in trace.states)
+    assert shapes == [((2, 8, 8), (2, 8, 8))] * (3 * config.L)
 
 
 def test_receiver_memory_does_not_grow_with_imax(code, monkeypatch):

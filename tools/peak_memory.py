@@ -1,10 +1,12 @@
-"""Traced memory of each receiver stage in one paper-point trial.
+"""Traced memory of each receiver stage in one paper-point trial, or at another M.
 
     python3 tools/peak_memory.py --mode sp --seed 1
     python3 tools/peak_memory.py --mode study --seed 1
+    python3 tools/peak_memory.py --mode rp --M 256
 
 Runs one coded trial (`harness.run_coded_trial`, `ScenarioConfig()`
-defaults: M=100, K=10, L=4, tau_c=200; rate 1/2, MR, i_max=8, psi bound),
+defaults: M=100, K=10, L=4, tau_c=200, or M from `--M`; rate 1/2, MR,
+i_max=8, psi bound),
 or with `--mode study` one (grid point, trial) pair of the Gaussian-symbol
 study (`harness._run_variants`: the rp, rp3 and sp variants on one shared
 drop, sigma_est = 0.6, MR), under tracemalloc, with the stage functions
@@ -51,11 +53,12 @@ STAGES = (
     ("R^1/2", "ullsim.airlink", "correlation_sqrt"),
     ("receive", "ullsim.airlink", "receive"),
     ("receiver", "ullsim.receiver", "run_receiver"),
+    # psi, LMMSE, the combiner and combining make one call per serving cell,
+    # for their memory: a pass calls each L times.
     ("psi", "ullsim.chest", "psi_pilot"),
     ("psi", "ullsim.chest", "psi_data_aided_bound"),
     ("LMMSE", "ullsim.chest", "lmmse_filter"),
     ("estimate-and-combine", "ullsim.receiver", "estimate_and_combine"),
-    # One call per cell: combining stays per cell for its memory.
     ("combiner", "ullsim.combine", "build_combiner"),
     ("combine", "ullsim.combine", "combine_iterative"),
     ("effective_stats", "ullsim.combine", "effective_stats"),
@@ -119,18 +122,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=["rp", "sp", "study"], default="sp")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--M", type=int, default=100, help="BS antennas")
     args = parser.parse_args(argv)
 
     from ullsim import ScenarioConfig, _threads
     from ullsim import harness
     if args.mode == "study":
-        campaign = harness.Campaign(config=ScenarioConfig(), pipeline="gaussian",
+        campaign = harness.Campaign(config=ScenarioConfig(M=args.M), pipeline="gaussian",
                                     grid_param="sigma_est", grid_values=(0.6,),
                                     trials=1, seed=args.seed)
         variants = [sub for _, sub in harness._study_variants(campaign)]
         title = f"Gaussian study pair ({len(variants)} variants)"
     else:
-        campaign = harness.Campaign(config=ScenarioConfig(), mode=args.mode, trials=1,
+        campaign = harness.Campaign(config=ScenarioConfig(M=args.M), mode=args.mode, trials=1,
                                     seed=args.seed, i_max=8)
         harness.get_code(campaign.code_rate)
         title = f"coded {args.mode} trial"
@@ -144,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         harness.run_coded_trial(campaign, 0, 0)
     tracemalloc.stop()
 
-    print(f"{title}, seed {args.seed}: tracemalloc MB "
+    print(f"{title}, M={args.M}, seed {args.seed}: tracemalloc MB "
           f"(live at the first and last call's entry, peak over all calls)")
     print(f"{'stage':<22}{'function':<30}{'calls':>6}{'first':>9}{'last':>9}{'peak':>9}")
     for stage, module, attr in STAGES:
