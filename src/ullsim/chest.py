@@ -2,15 +2,17 @@
 
 Every estimator here works from a per-UE observation vector z (one per
 coherence block) whose second-order statistics Psi are known in closed
-form (pilot-only and the data-aided lower bound). The LMMSE estimate is
-then h_hat = R Psi^{-1} z with error covariance C = R - R Psi^{-1} R.
+form (pilot-only and the data-aided lower bound). Each Psi is a
+real-weighted sum of a drop's Hermitian Toeplitz R plus a multiple of I,
+so it is summed on the 2M-1 generator numbers, for every UE at once, and
+returned as their read-only `toeplitz` view. The LMMSE estimate is then
+h_hat = R Psi^{-1} z with error covariance C = R - R Psi^{-1} R.
 The sample covariance of simulated observations is not a receiver option:
 it is the independent reference the tests check the bound against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,7 @@ from . import _threads
 from .airlink import (build_transmit, correlation_sqrt, draw_channels,
                       gaussian_symbols, receive)
 from .config import ScenarioConfig
-from .netgeom import NetworkRealization
+from .netgeom import NetworkRealization, toeplitz
 from .pilots import PilotAssignment
 
 
@@ -81,106 +83,101 @@ def data_aided_observation(Y: np.ndarray, Xhat: np.ndarray) -> tuple[np.ndarray,
 # Observation covariances (closed form)
 
 
-def psi_pilot(realization: NetworkRealization, assignment: PilotAssignment,
-              config: ScenarioConfig, mode: str,
-              cells: Sequence[int] | None = None) -> np.ndarray:
-    """Covariance of the de-spread pilot observation, (len(cells), K, M, M).
+def _psi_pilot(realization: NetworkRealization, assignment: PilotAssignment,
+               config: ScenarioConfig, mode: str) -> np.ndarray:
+    """psi_pilot's (L, K, 2M-1) Toeplitz generators."""
+    r = realization.r
+    q, p = realization.energies(mode)
+    idx = assignment.indices
+    psi = np.zeros(q.shape + r.shape[-1:], dtype=complex)
+    data = np.zeros_like(psi) if mode == "sp" else None
+    # Every UE at once, term by term in the per-UE sums' order: a UE off the
+    # pilot adds R * 0.0, a signed zero, which moves no bit of a +0.0-started sum.
+    for ll, kk in np.ndindex(q.shape):
+        r_j = r[:, None, ll, kk]                           # at every BS, (L, 1, 2M-1)
+        psi += r_j * np.where(idx == idx[ll, kk], q[ll, kk] / q, 0.0)[..., None]
+        if data is not None:
+            data += r_j * (p[ll, kk] / q)[..., None]
+    eye = np.eye(1, 2 * config.M - 1, config.M - 1)[0]     # I's generator
+    if mode == "rp":
+        psi += (config.noise_energy / (q * config.tau_p))[..., None] * eye
+    else:
+        psi += (data + (config.noise_energy / q)[..., None] * eye) / config.tau_c
+    return psi
 
-    cells: the serving cells whose UEs it covers, every cell if None.
-    rp: sum over the sharing set of R * q'/q plus white noise of level
-        sigma^2/(q tau_p).
+
+def psi_pilot(realization: NetworkRealization, assignment: PilotAssignment,
+              config: ScenarioConfig, mode: str) -> np.ndarray:
+    """Covariance of the de-spread pilot observation, (L, K, M, M), read-only.
+
+    rp: sum over the UEs sharing the pilot of R * q'/q plus white noise of
+        level sigma^2/(q tau_p).
     sp: same contamination term plus (1/tau_c) times the full data
         interference sum R * p'/q and noise sigma^2/q.
     """
-    R = realization.R
-    q, p = realization.energies(mode)
-    L, K, M = config.L, config.K, config.M
-    cells = range(L) if cells is None else cells
-    eye = np.eye(M)
-    psi = np.zeros((len(cells), K, M, M), dtype=complex)
-    for i, k in np.ndindex(len(cells), K):
-        l = cells[i]
-        qk = q[l, k]
-        for (ll, kk) in assignment.sharing[l][k]:
-            psi[i, k] += R[l, ll, kk] * (q[ll, kk] / qk)
-        if mode == "rp":
-            psi[i, k] += (config.noise_energy / (qk * config.tau_p)) * eye
-        else:
-            data = np.zeros((M, M), dtype=complex)
-            for ll, kk in np.ndindex(L, K):
-                data += R[l, ll, kk] * (p[ll, kk] / qk)
-            psi[i, k] += (data + (config.noise_energy / qk) * eye) / config.tau_c
-    return psi
+    return toeplitz(_psi_pilot(realization, assignment, config, mode))
 
 
 def psi_data_aided_bound(realization: NetworkRealization, assignment: PilotAssignment,
                          config: ScenarioConfig, mode: str,
-                         sigma_est: np.ndarray,
-                         cells: Sequence[int] | None = None) -> np.ndarray:
+                         sigma_est: np.ndarray) -> np.ndarray:
     """Closed-form lower bound on the data-aided observation covariance.
 
     sigma_est: (L, K) mean-square soft-symbol amplitudes sigma_{lk}^2 in
-    [0, 1] (0 = no data knowledge, 1 = exact symbols); cells: the serving
-    cells whose UEs it covers, every cell if None. Returns
-    (len(cells), K, M, M).
+    [0, 1] (0 = no data knowledge, 1 = exact symbols). Returns (L, K, M, M),
+    read-only.
 
     The bound treats the projected observation under Gaussian symbols:
     the better the symbol estimates the smaller every interference term.
     For rp a vanishing own-sigma makes the projection denominators diverge,
     so that UE's covariance is exactly the pilot-only one, from psi_pilot.
     """
-    R = realization.R
+    r = realization.r
     q, p = realization.energies(mode)
     sig = np.asarray(sigma_est, dtype=float)
     if np.any((sig < 0) | (sig > 1)):
         raise ValueError("sigma_est entries must lie in [0, 1]")
     L, K, M = config.L, config.K, config.M
     tau_c, tau_p, tau_d = config.tau_c, config.tau_p, config.tau_d
-    noise = config.noise_energy
-    cells = range(L) if cells is None else cells
-    eye = np.eye(M)
-    psi = np.empty((len(cells), K, M, M), dtype=complex)
+    if mode == "rp" and tau_d <= K and np.any(sig != 0.0):
+        raise ValueError("data-aided bound needs tau_d > K in rp mode")
+    idx = assignment.indices
 
-    inter = realization.intercell(p, cells)
-    pilot_only = (psi_pilot(realization, assignment, config, mode, cells)
-                  if mode == "rp" and np.any(sig[list(cells)] == 0.0) else None)
-    # The loops stay per UE: an einsum masked to the pilot-sharing sets would
-    # sum over all L*K UEs where a sharing set has at most L, in rp K = 10
-    # times the multiply-adds at the paper point.
-    for i, l in enumerate(cells):
-        # Interference sums reused across this cell's UEs.
-        intra = [R[l, l, kk] * p[l, kk] * (1.0 - sig[l, kk]) for kk in range(K)]
-        for k in range(K):
-            qk, pk, s2 = q[l, k], p[l, k], sig[l, k]
-            if mode == "rp" and s2 == 0.0:
-                psi[i, k] = pilot_only[i, k]
-                continue
-            contam = np.zeros((M, M), dtype=complex)
-            for (ll, kk) in assignment.sharing[l][k]:
-                if (ll, kk) == (l, k):
-                    continue
-                contam += R[l, ll, kk] * q[ll, kk]
-            data_num = sum(intra[kk] for kk in range(K) if kk != k) + inter[i]
+    own = r[np.arange(L), np.arange(L)]                    # R[l, l, k], (L, K, 2M-1)
+    intra = own * p[..., None] * (1.0 - sig)[..., None]
+    data_num = np.zeros_like(own)
+    for kk in range(K):                                    # the in-cell co-UEs
+        data_num += intra[:, None, kk] * (np.arange(K) != kk)[:, None]
+    data_num += realization.intercell(p)[:, None]
+    contam = np.zeros_like(own)
+    for ll, kk in np.ndindex(L, K):                        # the other UEs on the pilot
+        shares = idx == idx[ll, kk]
+        shares[ll, kk] = False
+        contam += r[:, None, ll, kk] * np.where(shares, q[ll, kk], 0.0)[..., None]
 
-            if mode == "rp":
-                if tau_d <= K:
-                    raise ValueError("data-aided bound needs tau_d > K in rp mode")
-                d_data = (qk ** 2 * tau_p ** 2 / (pk * s2 * (tau_d - K))
-                          + 2.0 * qk * tau_p + pk * s2 * tau_d)
-                d_pilot = (qk + 2.0 * tau_d * pk * s2 / tau_p
-                           + (pk * s2) ** 2 * tau_d * (tau_d + 1.0) / (qk * tau_p ** 2))
-                d_noise = qk * tau_p + pk * s2 * tau_d
-            else:
-                mix = qk + pk * s2
-                d_data = tau_c * mix
-                d_pilot = mix ** 2 / qk + pk * s2 * (2.0 * qk + pk * s2) / (qk * tau_c)
-                d_noise = tau_c * mix
-
-            psi[i, k] = (R[l, l, k] * (1.0 + pk * (1.0 - s2) / d_data)
-                         + data_num / d_data
-                         + contam / d_pilot
-                         + (noise / d_noise) * eye)
-    return psi
+    # float_power is libm's pow, as the per-UE scalar `**` this was first
+    # written with; an array's `** 2` squares, a last bit apart at times.
+    ps = p * sig
+    with np.errstate(divide="ignore", invalid="ignore"):   # rp at sigma = 0
+        if mode == "rp":
+            d_data = (np.float_power(q, 2) * tau_p ** 2 / (ps * (tau_d - K))
+                      + 2.0 * q * tau_p + ps * tau_d)
+            d_pilot = (q + 2.0 * tau_d * p * sig / tau_p
+                       + np.float_power(ps, 2) * tau_d * (tau_d + 1.0) / (q * tau_p ** 2))
+            d_noise = q * tau_p + ps * tau_d
+        else:
+            mix = q + ps
+            d_data = tau_c * mix
+            d_pilot = np.float_power(mix, 2) / q + ps * (2.0 * q + ps) / (q * tau_c)
+            d_noise = tau_c * mix
+        psi = (own * (1.0 + p * (1.0 - sig) / d_data)[..., None]
+               + data_num / d_data[..., None]
+               + contam / d_pilot[..., None]
+               + (config.noise_energy / d_noise)[..., None] * np.eye(1, 2 * M - 1, M - 1)[0])
+    if mode == "rp" and np.any(sig == 0.0):
+        psi = np.where((sig == 0.0)[..., None],
+                       _psi_pilot(realization, assignment, config, mode), psi)
+    return toeplitz(psi)
 
 
 # ---------------------------------------------------------------------------

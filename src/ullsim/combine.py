@@ -19,7 +19,7 @@ import numpy as np
 from . import _threads
 from .chest import EstimationError
 from .config import ScenarioConfig
-from .netgeom import NetworkRealization
+from .netgeom import NetworkRealization, toeplitz
 
 
 def build_combiner(h_hat: np.ndarray, C: np.ndarray, rho: np.ndarray,
@@ -112,7 +112,7 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
     n_var = n_var + np.einsum("...kj,kj->...k", cross, off.astype(float))
 
     # Intercell interference (never subtracted: symbols unknown at this BS).
-    inter = realization.intercell(full)
+    inter = np.ascontiguousarray(toeplitz(realization.intercell(full)))
     n_var = n_var + _threads.einsum("...km,...mn,...kn->...k", v.conj(), inter, v).real
 
     n_var = n_var + config.noise_energy * np.einsum("...km,...km->...k", v.conj(), v).real

@@ -151,14 +151,15 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Read a ScenarioConfig from a key = value text file.
 
     Lines are `name = value`; blank lines and `#` comments are ignored.
-    The file is UTF-8; other bytes and unknown keys are configuration errors.
+    The file is UTF-8; other bytes, unknown keys and a key set twice are
+    configuration errors.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    overrides = {}
+    overrides, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -168,6 +169,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown parameter {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             overrides[key] = _parse_value(key, raw)
         except ValueError as exc:

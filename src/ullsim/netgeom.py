@@ -9,7 +9,6 @@ leaves exactly L inequivalent BS positions and removes all boundary effects.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,20 +84,34 @@ class HexGrid:
         return np.argmin(d, axis=1)
 
 
+def toeplitz(v: np.ndarray) -> np.ndarray:
+    """(..., M, M) Toeplitz matrices [T]_{m,n} = v[M-1-m+n], a read-only view of v.
+
+    A Hermitian T with first row `row` has v = [conj(row[M-1:0:-1]), row].
+    A BLAS or einsum reader copies the matrices it reads
+    (`np.ascontiguousarray`) so that it sees the strides of a dense matrix.
+    """
+    return sliding_window_view(v, (v.shape[-1] + 1) // 2, axis=-1)[..., ::-1, :]
+
+
 @dataclass
 class NetworkRealization:
     """One large-scale realization: spatial correlations and transmit energies.
 
-    Index convention: [l, ll, k] couples BS l with UE k of cell ll. R is
-    `local_scattering_correlation`'s read-only view: each Toeplitz matrix
-    is held as its 2M-1 generator numbers, so a drop holds L*L*K*(2M-1) of
-    them, not L*L*K*M^2. Elementwise readers use R as it is; a BLAS or
-    einsum reader copies the matrices it reads.
+    Index convention: [l, ll, k] couples BS l with UE k of cell ll. Each
+    correlation matrix is Hermitian Toeplitz and held as its 2M-1
+    generator numbers, so a drop holds L*L*K*(2M-1) of them, not
+    L*L*K*M^2; R reads them as matrices.
     """
 
-    R: np.ndarray             # (L, L, K, M, M) spatial correlation matrices, read-only
+    r: np.ndarray             # (L, L, K, 2M-1) generators of the spatial correlations
     rho: np.ndarray           # (L, K) per-UE transmit energy after power control
     delta: float              # SP pilot share of rho
+
+    @property
+    def R(self) -> np.ndarray:
+        """(L, L, K, M, M) spatial correlation matrices, a read-only `toeplitz` view of r."""
+        return toeplitz(self.r)
 
     def energies(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
         """(pilot energy q, data energy p), each (L, K), for 'rp' or 'sp'.
@@ -112,20 +125,17 @@ class NetworkRealization:
             return self.delta * self.rho, (1.0 - self.delta) * self.rho
         raise ValueError(f"unknown mode {mode!r}")
 
-    def intercell(self, energy: np.ndarray,
-                  cells: Sequence[int] | None = None) -> np.ndarray:
-        """Intercell interference at the BSs `cells` (every BS if None), (len(cells), M, M).
+    def intercell(self, energy: np.ndarray) -> np.ndarray:
+        """Intercell interference at every BS, (L, 2M-1) Toeplitz generators.
 
-        [i] = sum_{ll != l, kk} R[l, ll, kk] energy[ll, kk] with l = cells[i],
-        summed in that order.
+        [l] = sum_{ll != l, kk} R[l, ll, kk] energy[ll, kk], summed in
+        (ll, kk) order at every BS at once: BS ll's own UEs add R * 0.0, a
+        signed zero, which moves no bit of a sum that starts at +0.0.
         """
-        L, K = energy.shape
-        cells = range(L) if cells is None else cells
-        inter = np.zeros((len(cells),) + self.R.shape[-2:], dtype=complex)
-        for i, l in enumerate(cells):
-            for ll, kk in np.ndindex(L, K):
-                if ll != l:
-                    inter[i] += self.R[l, ll, kk] * energy[ll, kk]
+        L = energy.shape[0]
+        inter = np.zeros((L, self.r.shape[-1]), dtype=complex)
+        for ll, kk in np.ndindex(energy.shape):
+            inter += self.r[:, ll, kk] * np.where(np.arange(L) != ll, energy[ll, kk], 0.0)[:, None]
         return inter
 
 
@@ -178,12 +188,8 @@ def local_scattering_correlation(beta, nominal_angle, config: ScenarioConfig) ->
     positive semidefinite in exact arithmetic; rounding can leave eigenvalues
     of order -1e-12 * beta, which `airlink.correlation_sqrt` clips.
 
-    Returns (..., M, M) as a read-only view of the (..., 2M-1) generator
-    v = [conj(row[M-1:0:-1]), row], [R]_{m,n} = v[M-1-m+n], where row is
-    the first row: the matrices cost 2M-1 numbers each, not M^2. Elementwise
-    readers see the numbers directly; a BLAS or einsum reader copies the
-    matrices it reads (`np.ascontiguousarray`) so that it sees the strides
-    of a dense matrix.
+    Returns (..., M, M), the read-only `toeplitz` view of the (..., 2M-1)
+    generators.
     """
     M = config.M
     d = config.antenna_spacing
@@ -192,8 +198,7 @@ def local_scattering_correlation(beta, nominal_angle, config: ScenarioConfig) ->
     k = np.arange(M)
     row = beta * (np.exp(2j * np.pi * d * k * np.sin(t))
                   * np.exp(-0.5 * (s * 2.0 * np.pi * d * k * np.cos(t)) ** 2))
-    v = np.concatenate([np.conjugate(row[..., :0:-1]), row], axis=-1)
-    return sliding_window_view(v, M, axis=-1)[..., ::-1, :]
+    return toeplitz(np.concatenate([np.conjugate(row[..., :0:-1]), row], axis=-1))
 
 
 def apply_power_control(beta_serving: np.ndarray, config: ScenarioConfig) -> np.ndarray:
@@ -212,12 +217,14 @@ def make_network(config: ScenarioConfig, rng) -> NetworkRealization:
     """Full large-scale realization of a fresh drop.
 
     One `local_scattering_correlation` call builds all L*L*K correlation
-    matrices, an (L, L, K, M, M) view of (L, L, K, 2M-1) numbers; power
+    matrices, whose (L, L, K, 2M-1) generators the realization keeps; power
     control sets rho from the serving gains.
     """
     rng = np.random.default_rng(rng)
     _, _, beta, angle = build_geometry(config, rng)
     L = config.L
     serving = beta[np.arange(L), np.arange(L), :]          # (L, K)
-    return NetworkRealization(R=local_scattering_correlation(beta, angle, config),
+    R = local_scattering_correlation(beta, angle, config)
+    # The generators back: [R]_{M-1,n} = v[n], [R]_{0,n} = v[M-1+n].
+    return NetworkRealization(r=np.concatenate([R[..., -1, :], R[..., 0, 1:]], axis=-1),
                               rho=apply_power_control(serving, config), delta=config.delta)

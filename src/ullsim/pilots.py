@@ -1,9 +1,9 @@
-"""Pilot sequence books, assignment across cells, and sharing sets.
+"""Pilot sequence books and their assignment across cells.
 
 Pilot books are rows of the DFT matrix, which are unit-modulus and mutually
 orthogonal. Cells are grouped into reuse classes; UEs inside a cell always
 get orthogonal pilots, and two UEs in different cells interfere during
-estimation iff they share a pilot (their "sharing set").
+estimation iff they share a pilot: iff their pilot indices are equal.
 """
 
 from __future__ import annotations
@@ -41,29 +41,19 @@ def make_pilot_book(length: int, n_seq: int | None = None) -> PilotBook:
 
 @dataclass
 class PilotAssignment:
-    """Pilot index per UE and the sharing sets it implies.
+    """Pilot index per UE.
 
-    indices[l, k] points into book.seqs; sharing[l][k] lists every (cell, ue)
-    pair using the same sequence, always including (l, k) itself.
+    indices[l, k] points into book.seqs; UEs (l, k) and (ll, kk) share a
+    pilot iff indices[l, k] == indices[ll, kk].
     """
 
     book: PilotBook
     indices: np.ndarray       # (L, K) int
-    sharing: list             # sharing[l][k]: list of (cell, ue)
 
     @property
     def seqs(self) -> np.ndarray:
         """(L, K, length) pilot sequence of every UE."""
         return self.book.seqs[self.indices]
-
-
-def _sharing_sets(indices: np.ndarray) -> list:
-    L, K = indices.shape
-    by_index: dict[int, list[tuple[int, int]]] = {}
-    for l in range(L):
-        for k in range(K):
-            by_index.setdefault(int(indices[l, k]), []).append((l, k))
-    return [[by_index[int(indices[l, k])] for k in range(K)] for l in range(L)]
 
 
 def sp_reuse_factor(config: ScenarioConfig) -> int:
@@ -88,8 +78,8 @@ def assign_pilots(config: ScenarioConfig, mode: str) -> PilotAssignment:
     rp: book length tau_p, reuse f = tau_p // K (tau_p must be a multiple
         of K); cells colored l mod min(f, L).
     sp: book length tau_c, reuse f = largest hex-cluster value <= tau_c // K;
-        with min(f, L) >= L every cell gets its own orthogonal block and all
-        sharing sets are singletons.
+        with min(f, L) >= L every cell gets its own orthogonal block and no
+        two UEs share a pilot.
     """
     L, K = config.L, config.K
     if mode == "rp":
@@ -107,4 +97,4 @@ def assign_pilots(config: ScenarioConfig, mode: str) -> PilotAssignment:
     book = make_pilot_book(length, n_seq=n_colors * K)
     color = np.arange(L) % n_colors
     indices = color[:, None] * K + np.arange(K)[None, :]
-    return PilotAssignment(book=book, indices=indices, sharing=_sharing_sets(indices))
+    return PilotAssignment(book=book, indices=indices)

@@ -98,28 +98,24 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     own data. Either way, one combining formula leaves each UE's y with its
     own pilot removed.
     The projection marks each block whose symbol matrix is rank deficient,
-    and that block keeps the stage's pilot-only estimate, computed only
-    for a cell where some block needs it.
+    and that block keeps the stage's pilot-only estimate, whose filter is
+    computed only for a cell where some block needs it.
 
     Returns (h_hat, C, V, y, fallbacks): h_hat and V (B, L, K, M), the error
     covariances C (L, K, M, M), y (B, L, K, slots), and the number of blocks
-    that kept their pilot-only estimate. The observations of every cell are
-    formed at once; psi and the filter exist for one serving cell at a time
-    (K*M^2 numbers each), so the caller holds one set of channel
-    statistics, C.
+    that kept their pilot-only estimate. The observations and psi of every
+    cell are formed at once, psi as Toeplitz generators (L*K*(2M-1)
+    numbers); the filter exists for one serving cell at a time (K*M^2
+    numbers), so the caller holds one set of channel statistics, C.
     """
     Y = blocks.Y
     q, p = realization.energies(mode)
     n_data = config.data_slots(mode)
     data = slice(config.tau_c - n_data, None)
 
-    def estimate(l, z, pilot_only):
-        """Cell l's estimates from its observations z (B, K, M), and their C."""
-        if pilot_only:
-            psi = psi_pilot(realization, assignment, config, mode, [l])[0]
-        else:
-            psi = psi_data_aided_bound(realization, assignment, config, mode, sigma, [l])[0]
-        W, C_l = lmmse_filter(realization.R[l, l], psi)
+    def estimate(l, z, psi_l):
+        """Cell l's estimates from observations z (B, K, M) of covariance psi_l, and their C."""
+        W, C_l = lmmse_filter(realization.R[l, l], psi_l)
         return _threads.einsum("kmn,...kn->...km", W, z), C_l
 
     if s_blocks is None:
@@ -133,23 +129,27 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
         X = build_transmit(mode, assignment, s_blocks, realization, config)
         z, ok = data_aided_observation(Y, np.swapaxes(X, -1, -2))
     failed = ~ok                                           # (B, L)
+    psi = (psi_pilot(realization, assignment, config, mode) if s_blocks is None
+           else psi_data_aided_bound(realization, assignment, config, mode, sigma))
+    fallback_psi = psi_pilot(realization, assignment, config, mode) if failed.any() else None
 
-    # One serving cell at a time: its psi and W die with estimate(). Combining
-    # stacked over the cells gives the same bits, but its (B, L, M, tau_c)
-    # residual raised the traced peak of a coded rp trial from 45.4 to 63.0 MB
-    # (ru_maxrss 92.2 to 115.6 MB), of a coded sp trial from 43.1 to 59.8 MB
-    # (90.9 to 112.9 MB) and of a study pair from 88.5 to 126.9 MB (138.0 to
-    # 181.6 MB), paper point, seed 1: over the benchmark's 10 % bound.
     h_hat = np.empty_like(z)
     C = np.empty((config.L, config.K, config.M, config.M), dtype=complex)
-    V = np.empty_like(h_hat)
-    y = []
     for l in range(config.L):
-        h_hat[:, l], C[l] = estimate(l, z[:, l], s_blocks is None)
+        h_hat[:, l], C[l] = estimate(l, z[:, l], psi[l])
         if failed[:, l].any():                             # the pilot-only fallback
             z_l = pilot_observation(Y[:, l], assignment.seqs[l], q[l], mode,
                                     tau_p=config.tau_p)
-            h_hat[failed[:, l], l] = estimate(l, z_l, True)[0][failed[:, l]]
+            h_hat[failed[:, l], l] = estimate(l, z_l, fallback_psi[l])[0][failed[:, l]]
+    del z, psi, fallback_psi                               # combining reads none of them
+
+    # Combining one cell at a time: stacked, with the same bits, its (B, L, M,
+    # tau_c) residual raised the traced peak of a coded rp trial from 45.4 to
+    # 63.0 MB, of a coded sp one from 43.1 to 59.8 MB and of a study pair from
+    # 88.5 to 126.9 MB (paper point, seed 1): over the benchmark's 10 % bound.
+    V = np.empty_like(h_hat)
+    y = []
+    for l in range(config.L):
         V[:, l] = build_combiner(h_hat[:, l], C[l], realization.rho[l],
                                  config.noise_energy, combiner_kind)
         if s_blocks is None:      # y + g (-pilot) has the bits of y - g pilot

@@ -8,20 +8,22 @@ from ullsim.netgeom import NetworkRealization
 
 def manual_network(config: ScenarioConfig, beta: np.ndarray,
                    rho: np.ndarray | None = None,
-                   R: np.ndarray | None = None) -> NetworkRealization:
+                   r: np.ndarray | None = None) -> NetworkRealization:
     """Realization with hand-picked gains (and optionally correlations).
 
-    beta: (L, L, K) linear gains; default R is beta * I per link; default
-    rho applies the config's channel-inversion power control.
+    beta: (L, L, K) linear gains; r: (L, L, K, 2M-1) Toeplitz generators of
+    the correlations, by default those of beta * I per link; default rho
+    applies the config's channel-inversion power control.
     """
     L, K, M = config.L, config.K, config.M
     beta = np.asarray(beta, dtype=float)
     assert beta.shape == (L, L, K)
-    if R is None:
-        R = beta[..., None, None] * np.eye(M)[None, None, None]
-    R = np.asarray(R, dtype=complex)
+    if r is None:
+        r = np.zeros((L, L, K, 2 * M - 1))
+        r[..., M - 1] = beta
+    r = np.asarray(r, dtype=complex)
     if rho is None:
         serving = beta[np.arange(L), np.arange(L)]
         rho = np.minimum(config.rho_design / serving, config.rho_max)
     rho = np.asarray(rho, dtype=float)
-    return NetworkRealization(R=R, rho=rho, delta=config.delta)
+    return NetworkRealization(r=r, rho=rho, delta=config.delta)

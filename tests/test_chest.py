@@ -1,5 +1,7 @@
 """Channel estimation tests: de-spreading, covariances, LMMSE, projections."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import manual_network
@@ -10,7 +12,7 @@ from ullsim.chest import (EstimationError, data_aided_feasibility,
                           data_aided_observation, lmmse_filter, pilot_observation,
                           psi_data_aided_bound, psi_data_aided_empirical,
                           psi_pilot, simulate_data_aided_observations)
-from ullsim.netgeom import make_network
+from ullsim.netgeom import make_network, toeplitz
 from ullsim.pilots import assign_pilots, make_pilot_book
 
 
@@ -92,7 +94,7 @@ def test_psi_sp_delta_one_drops_data_term():
     for l in range(3):
         for k in range(2):
             expect = sum(net.R[l, ll, kk] * (q[ll, kk] / q[l, k])
-                         for (ll, kk) in asg.sharing[l][k])
+                         for ll, kk in np.argwhere(asg.indices == asg.indices[l, k]))
             expect = expect + (config.noise_energy / (q[l, k] * config.tau_c)) * np.eye(config.M)
             assert np.allclose(psi[l, k], expect, atol=1e-14)
 
@@ -286,26 +288,164 @@ def test_bound_rp_sigma_zero_equals_pilot_only():
     assert np.array_equal(bound, pilot)            # same code path, bit-exact
 
 
-@pytest.mark.parametrize("mode", ["rp", "sp"])
-def test_one_cells_statistics_are_its_slice_of_every_cells(mode):
-    # The receiver builds psi one serving cell at a time: the same sums in
-    # the same order as the stacked call, so the same bits.
-    config = cfg(M=4, K=2, L=4, tau_c=20, tau_p=2)
-    net = make_network(config, np.random.default_rng(18))
+# ---------------------------------------------------------------------------
+# The generator sums against the per-UE dense loops they replaced
+
+
+def _sharers(asg, l, k):
+    """Every (cell, UE) on UE (l, k)'s pilot, in (cell, UE) order."""
+    return [(int(a), int(b)) for a, b in np.argwhere(asg.indices == asg.indices[l, k])]
+
+
+def dense_intercell(net, energy):
+    L, K = energy.shape
+    M = net.R.shape[-1]
+    inter = np.zeros((L, M, M), dtype=complex)
+    for l in range(L):
+        for ll, kk in np.ndindex(L, K):
+            if ll != l:
+                inter[l] += net.R[l, ll, kk] * energy[ll, kk]
+    return inter
+
+
+def dense_psi_pilot(net, asg, config, mode):
+    R = net.R
+    q, p = net.energies(mode)
+    L, K, M = config.L, config.K, config.M
+    eye = np.eye(M)
+    psi = np.zeros((L, K, M, M), dtype=complex)
+    for l, k in np.ndindex(L, K):
+        qk = q[l, k]
+        for ll, kk in _sharers(asg, l, k):
+            psi[l, k] += R[l, ll, kk] * (q[ll, kk] / qk)
+        if mode == "rp":
+            psi[l, k] += (config.noise_energy / (qk * config.tau_p)) * eye
+        else:
+            data = np.zeros((M, M), dtype=complex)
+            for ll, kk in np.ndindex(L, K):
+                data += R[l, ll, kk] * (p[ll, kk] / qk)
+            psi[l, k] += (data + (config.noise_energy / qk) * eye) / config.tau_c
+    return psi
+
+
+def dense_psi_bound(net, asg, config, mode, sig):
+    R = net.R
+    q, p = net.energies(mode)
+    L, K, M = config.L, config.K, config.M
+    tau_c, tau_p, tau_d = config.tau_c, config.tau_p, config.tau_d
+    noise = config.noise_energy
+    eye = np.eye(M)
+    psi = np.empty((L, K, M, M), dtype=complex)
+    inter = dense_intercell(net, p)
+    pilot_only = dense_psi_pilot(net, asg, config, mode)
+    for l in range(L):
+        intra = [R[l, l, kk] * p[l, kk] * (1.0 - sig[l, kk]) for kk in range(K)]
+        for k in range(K):
+            qk, pk, s2 = q[l, k], p[l, k], sig[l, k]
+            if mode == "rp" and s2 == 0.0:
+                psi[l, k] = pilot_only[l, k]
+                continue
+            contam = np.zeros((M, M), dtype=complex)
+            for ll, kk in _sharers(asg, l, k):
+                if (ll, kk) != (l, k):
+                    contam += R[l, ll, kk] * q[ll, kk]
+            data_num = sum(intra[kk] for kk in range(K) if kk != k) + inter[l]
+            if mode == "rp":
+                d_data = (qk ** 2 * tau_p ** 2 / (pk * s2 * (tau_d - K))
+                          + 2.0 * qk * tau_p + pk * s2 * tau_d)
+                d_pilot = (qk + 2.0 * tau_d * pk * s2 / tau_p
+                           + (pk * s2) ** 2 * tau_d * (tau_d + 1.0) / (qk * tau_p ** 2))
+                d_noise = qk * tau_p + pk * s2 * tau_d
+            else:
+                mix = qk + pk * s2
+                d_data = tau_c * mix
+                d_pilot = mix ** 2 / qk + pk * s2 * (2.0 * qk + pk * s2) / (qk * tau_c)
+                d_noise = tau_c * mix
+            psi[l, k] = (R[l, l, k] * (1.0 + pk * (1.0 - s2) / d_data)
+                         + data_num / d_data
+                         + contam / d_pilot
+                         + (noise / d_noise) * eye)
+    return psi
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("mode, scenario, set_sizes", [
+    ("rp", dict(tau_p=2), [4] * 4),                        # reuse 1
+    ("rp", dict(tau_p=6), [2, 1, 1, 2]),                   # reuse 3, ragged
+    ("sp", dict(tau_p=2), [1] * 4),                        # every pilot its own
+    ("sp", dict(L=7, tau_c=12, tau_p=2), [2, 2, 2, 1, 2, 2, 2]),   # reuse 4 over 7 cells
+])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_generator_sums_have_the_dense_loops_bits(mode, scenario, set_sizes, seed):
+    # Every bit, -0.0 included, of psi_pilot, psi_data_aided_bound and
+    # intercell against the per-UE dense sums, at the sigma^2 that take each
+    # branch: 0 (rp's pilot-only UEs), 1, uniform, and a mix with zeros.
+    config = cfg(**{**dict(M=8, K=2, L=4, tau_c=20), **scenario})
+    L, K = config.L, config.K
+    net = make_network(config, np.random.default_rng(seed))
     asg = assign_pilots(config, mode)
-    mixed = np.array([[0.0, 0.7], [0.3, 0.0], [1.0, 0.5], [0.0, 0.0]])
-    pilot = psi_pilot(net, asg, config, mode)
-    sigmas = [np.full((4, 2), s) for s in (0.0, 0.4, 1.0)] + [mixed]
-    bounds = [psi_data_aided_bound(net, asg, config, mode, sig) for sig in sigmas]
-    # rp at sigma = 0 takes the pilot-only branch, UE by UE
-    assert mode == "sp" or np.array_equal(bounds[0], pilot)
-    for l in range(4):
-        assert np.array_equal(psi_pilot(net, asg, config, mode, [l]), pilot[l:l + 1])
-        for sig, bound in zip(sigmas, bounds):
-            one = psi_data_aided_bound(net, asg, config, mode, sig, [l])
-            assert one.shape == (1, 2, 4, 4)
-            assert np.array_equal(one, bound[l:l + 1])
-    assert np.array_equal(psi_pilot(net, asg, config, mode, [3, 1]), pilot[[3, 1]])
+    assert [int((asg.indices == asg.indices[l, 0]).sum()) for l in range(L)] == set_sizes
+    rng = np.random.default_rng(seed + 100)
+    mixed = rng.uniform(size=(L, K))
+    mixed[rng.uniform(size=(L, K)) < 0.5] = 0.0
+    sigmas = [np.zeros((L, K)), np.ones((L, K)), np.full((L, K), 0.6),
+              rng.uniform(size=(L, K)), mixed]
+
+    energy = rng.uniform(0.5, 2.0, (L, K))
+    assert np.array_equal(bits(toeplitz(net.intercell(energy))),
+                          bits(dense_intercell(net, energy)))
+    psi = psi_pilot(net, asg, config, mode)
+    assert not psi.flags.writeable
+    assert np.array_equal(bits(psi), bits(dense_psi_pilot(net, asg, config, mode)))
+    for sig in sigmas:
+        bound = psi_data_aided_bound(net, asg, config, mode, sig)
+        assert not bound.flags.writeable
+        assert np.array_equal(bits(bound), bits(dense_psi_bound(net, asg, config, mode, sig)))
+
+
+@pytest.mark.parametrize("mode", ["rp", "sp"])
+def test_bound_squares_energies_as_the_per_ue_scalars_did(mode):
+    # numpy's scalar x ** 2 is libm's pow and an array's x ** 2 is x * x,
+    # which differ in the last bit for a few x; at some of them the bound's
+    # bits differ too. Three cells share every pilot in either mode, and
+    # UE (0, 0) squares its own energy at sigma^2 = 1 and delta = 0.5.
+    x = np.linspace(0.5, 2.0, 100_001)
+    odd = x[np.array([np.float64(v) ** 2 for v in x]) != x * x]
+    config = cfg(M=4, K=2, L=3, tau_c=5, tau_p=2, delta=0.5)
+    rng = np.random.default_rng(0)
+    beta = rng.uniform(0.2, 1.0, (3, 3, 2))
+    sig = np.array([[1.0, 0.3], [0.5, 0.7], [1.0, 0.2]])
+    asg = assign_pilots(config, mode)
+    assert (asg.indices == asg.indices[0]).all()
+    for v in odd:
+        net = manual_network(config, beta, rho=np.array([[v, 1.1], [0.9, 1.3], [v, 0.7]]))
+        assert np.array_equal(bits(psi_data_aided_bound(net, asg, config, mode, sig)),
+                              bits(dense_psi_bound(net, asg, config, mode, sig))), v
+
+
+@pytest.mark.parametrize("mode", ["rp", "sp"])
+def test_paper_point_statistics_hold_only_generators(mode):
+    # At the paper point a dense (L, K, M, M) psi stack takes 6.4 MB. The
+    # generator sums peaked at 0.51 (rp) and 0.64 MB (sp) in psi_pilot and at
+    # 1.15 and 0.96 MB in the bound, drop seed 1.
+    config = ScenarioConfig()
+    net = make_network(config, np.random.default_rng(1))
+    asg = assign_pilots(config, mode)
+    sig = np.random.default_rng(2).uniform(size=(config.L, config.K))
+    sig[0] = 0.0
+    for fn, args in ((psi_pilot, ()), (psi_data_aided_bound, (sig,))):
+        fn(net, asg, config, mode, *args)              # numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            fn(net, asg, config, mode, *args)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, (fn.__name__, peak)
 
 
 def test_bound_sp_sigma_one_no_intracell_data():

@@ -242,7 +242,7 @@ def test_effective_stats_clean_receiver():
     # perfect CSI, single UE, unit-norm combiner: g = sqrt(p) ||h||^2 / ||h||,
     # n_var = sigma^2 when there is no interference at all.
     config = cfg(M=3, K=1, tau_p=1, noise_energy=0.6)
-    net = manual_network(config, np.ones((1, 1, 1)), R=np.zeros((1, 1, 1, 3, 3)))
+    net = manual_network(config, np.ones((1, 1, 1)), r=np.zeros((1, 1, 1, 5)))
     rng = np.random.default_rng(9)
     h = crandn(rng, (1, 3))
     v = h / np.linalg.norm(h)
@@ -255,7 +255,7 @@ def test_effective_stats_clean_receiver():
 
 def test_effective_stats_mr_gain():
     config = cfg(M=4, K=1, tau_p=1)
-    net = manual_network(config, np.ones((1, 1, 1)), R=np.zeros((1, 1, 1, 4, 4)))
+    net = manual_network(config, np.ones((1, 1, 1)), r=np.zeros((1, 1, 1, 7)))
     rng = np.random.default_rng(10)
     h = crandn(rng, (1, 4))
     g, _ = effective_stats(h[None], h[None], np.zeros((1, 1, 4, 4)), net, "rp",
@@ -323,7 +323,14 @@ def test_stacked_effective_stats_equal_their_defining_sums(mode, known):
         A = crandn(rng, shape + (M, M))
         return scale * A @ np.swapaxes(A.conj(), -1, -2) / M
 
-    net = manual_network(config, rng.uniform(0.2, 1.0, (L, L, K)), R=psd((L, L, K), 1.0))
+    def toeplitz_psd(shape, n=4):
+        # The generators of sum_i w_i a(t_i) a(t_i)^H, a(t)_m = exp(j m t):
+        # Hermitian Toeplitz and PSD, as a drop holds its R.
+        w, t = rng.uniform(size=(2,) + shape + (n, 1))
+        lag = np.arange(1 - M, M)
+        return np.sum(w * np.exp(-2j * np.pi * lag * t), axis=-2) / n
+
+    net = manual_network(config, rng.uniform(0.2, 1.0, (L, L, K)), r=toeplitz_psd((L, L, K)))
     v = crandn(rng, (B, L, K, M))
     h_hat = crandn(rng, (B, L, K, M))
     C = psd((L, K), 0.1)

@@ -566,6 +566,18 @@ def test_cli_non_utf8_config_exits_2(tmp_path, config_file):
     assert not (tmp_path / "latin1.csv").exists()
 
 
+def test_cli_repeated_config_key_exits_2(tmp_path, capsys):
+    # A repeated key once let its last line win silently: this loaded M = 8.
+    bad = tmp_path / "twice.cfg"
+    bad.write_text("M = 16\nK = 2\n# the paper's array\nM = 8\n")
+    with pytest.raises(ConfigError, match=r"twice.cfg:4: M is already set on line 1"):
+        load_config(bad)
+    assert cli.main(["run", str(bad), "--pipeline", "gaussian", "--trials", "1",
+                     "--out", str(tmp_path / "twice.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "twice.csv").exists()
+
+
 def test_cli_io_error_exits_3(tmp_path, config_file):
     proc = run_cli(["run", str(tmp_path / "missing.cfg")], tmp_path)
     assert proc.returncode == 3

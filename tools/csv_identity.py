@@ -14,8 +14,11 @@ only call whose S-MMSE solves split over threads), and the M=8, K=2, L=3
 scenario through both modes and combiners, the gaussian pipeline in both
 modes, rate 3/4, i_max = 0 in both modes, a 2-worker sweep, integer
 (tau_c, M, L and rp tau_p) sweeps, an sp pilot-share (delta) sweep, a
-2-worker study, a study at sigma_est = 0 and an S-MMSE study. The
-paper-scale calls take a few minutes per tree on a 2-core machine.
+2-worker study, a study at sigma_est = 0 and an S-MMSE study. A
+short-block scenario (M=8, K=2, L=7, tau_c=12, tau_p=2: tau_c // K < L)
+runs coded rp, coded sp and a study: the only calls where sp cells share
+pilots. The paper-scale calls take a few minutes per tree on a 2-core
+machine.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SCENARIOS = {"paper": "# ScenarioConfig() defaults: the paper scenario\n",
-             "tiny": "M = 8\nK = 2\nL = 3\n"}
+             "tiny": "M = 8\nK = 2\nL = 3\n",
+             "short": "M = 8\nK = 2\nL = 7\ntau_c = 12\ntau_p = 2\n"}
 COMMON = ("--combiner", "mr", "--imax", "8", "--psi", "bound")
 
 
@@ -98,6 +102,13 @@ def _calls() -> list[tuple[str, str, tuple]]:
         ("tiny-study-smmse", "tiny",
          ("sweep", "--study", "--combiner", "smmse", "--param", "sigma_est",
           "--values", "0.2,1.0", "--trials", "2")),
+        # sp reuse 4 over 7 cells: pilot sets of two, so sp's contamination
+        # sums run over more than the UE itself
+        ("short-rp", "short", ("run", "--mode", "rp", "--trials", "2")),
+        ("short-sp", "short", ("run", "--mode", "sp", "--trials", "2")),
+        ("short-study", "short",
+         ("sweep", "--study", "--param", "sigma_est", "--values", "0.2,1.0",
+          "--trials", "2")),
     ]
     return calls
 

@@ -53,8 +53,9 @@ STAGES = (
     ("R^1/2", "ullsim.airlink", "correlation_sqrt"),
     ("receive", "ullsim.airlink", "receive"),
     ("receiver", "ullsim.receiver", "run_receiver"),
-    # psi, LMMSE, the combiner and combining make one call per serving cell,
-    # for their memory: a pass calls each L times.
+    # psi is one call per pass, for every cell, on Toeplitz generators (a
+    # pilot-only fallback adds one). LMMSE, the combiner and combining make
+    # one call per serving cell, for their memory: a pass calls each L times.
     ("psi", "ullsim.chest", "psi_pilot"),
     ("psi", "ullsim.chest", "psi_data_aided_bound"),
     ("LMMSE", "ullsim.chest", "lmmse_filter"),
