@@ -50,17 +50,18 @@ def chunks(n: int, t: int) -> list[slice]:
     return [slice(i * n // t, (i + 1) * n // t) for i in range(t)]
 
 
-def _parts(n: int, work: int) -> list[slice]:
+def parts(n: int, work: int) -> list[slice]:
+    """The chunks of range(n) that split(fn, n, work) runs fn over, one per thread."""
     return chunks(n, min(_count, work // _MIN_WORK))
 
 
 def split(fn, n: int, work: int) -> None:
-    """fn(s) over chunks of range(n), the first on the calling thread.
+    """fn(s) for each s in parts(n, work), the first on the calling thread.
 
     work is the whole stack's multiply-adds. The helper threads are joined
     before this returns, and the first failing chunk's exception is raised.
     """
-    first, *rest = _parts(n, work)
+    first, *rest = parts(n, work)
     if not rest:
         fn(first)
         return
@@ -85,9 +86,13 @@ def einsum(subscripts: str, *operands) -> np.ndarray:
         batch.append(op.shape[:op.ndim - len(labels)])
         extent.update(zip(labels, op.shape[op.ndim - len(labels):]))
     stack = np.broadcast_shapes(*batch)
-    work = math.prod(extent.values()) * math.prod(stack)
+    # Work counts products: a term of n operands takes n - 1. On one thread
+    # of a 2-core Xeon VM, at (B, K, M) = (11, 10, 100), a term of
+    # effective_stats' intercell form took 2.7 ns, one of the LMMSE
+    # estimate's two-operand form 1.3 ns.
+    work = math.prod(extent.values()) * math.prod(stack) * (len(operands) - 1)
     n = stack[0] if stack else 1
-    if len(_parts(n, work)) < 2:
+    if len(parts(n, work)) < 2:
         return np.einsum(subscripts, *operands)
     cut_ops = [len(b) == len(stack) and b[0] == n for b in batch]
 

@@ -65,24 +65,29 @@ def gaussian_symbols(rng: np.random.Generator, sigma_sq: np.ndarray,
     return s_hat, s
 
 
-def correlation_sqrt(R: np.ndarray) -> np.ndarray:
-    """Hermitian square roots of a stack of PSD matrices.
+def _psd_sqrt(R: np.ndarray) -> np.ndarray:
+    """Hermitian square root of one PSD matrix R, (M, M).
 
-    R: (..., M, M). Eigendecomposition with negative eigenvalues clipped to
-    zero, so slightly indefinite inputs (rounding) are handled gracefully.
-    One matrix at a time, the stack split over the trial's threads: the
-    temporaries are (M, M), not stacks, and LAPACK and BLAS get the
+    Eigendecomposition with negative eigenvalues clipped to zero, so
+    slightly indefinite inputs (rounding) are handled gracefully. The
     per-matrix calls of the stacked expression, same bits.
+    """
+    w, U = np.linalg.eigh(R)
+    U_h = np.conjugate(U).T       # the ufunc copies: U.conj() would alias a real U
+    U *= np.sqrt(np.clip(w, 0.0, None))
+    return U @ U_h
+
+
+def correlation_sqrt(R: np.ndarray) -> np.ndarray:
+    """Hermitian square roots of a stack of PSD matrices, (..., M, M).
+
+    One matrix at a time, the stack split over the trial's threads: the
+    temporaries are (M, M), not stacks.
     """
     out = np.empty(R.shape, dtype=np.result_type(R.dtype, float))
 
     def sqrt_one(idx):
-        w, U = np.linalg.eigh(R[idx])
-        # conj(U) is parked in out[idx] (U.conj() would alias a real U,
-        # which is scaled next), so a thread holds two (M, M) arrays.
-        U_h = np.swapaxes(np.conjugate(U, out=out[idx]), -1, -2)
-        U *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-        out[idx] = U @ U_h
+        out[idx] = _psd_sqrt(R[idx])
 
     _threads.per_matrix(sqrt_one, R)
     return out
@@ -98,6 +103,25 @@ def draw_channels(R_sqrt: np.ndarray, rng: np.random.Generator,
     w = crandn(rng, (n_blocks,) + R_sqrt.shape[:-1])
     # Blocks are split over the trial's threads, R^(1/2) shared.
     return _threads.einsum("...mn,...n->...m", R_sqrt, w)
+
+
+def _draw_link_by_link(R: np.ndarray, rng: np.random.Generator,
+                       n_blocks: int) -> np.ndarray:
+    """draw_channels(correlation_sqrt(R), rng, n_blocks), no R^(1/2) stack formed.
+
+    w is drawn whole, the stream of draw_channels. Then each link's R^(1/2)
+    is made, applied to its w in place and dropped, the links split over the
+    trial's threads: a thread holds a few (M, M) arrays, not the L*L*K*M^2
+    stack. Each link's einsum gives the bits of the stacked one.
+    """
+    H = crandn(rng, (n_blocks,) + R.shape[:-1])
+
+    def draw_one(idx):
+        link = (slice(None),) + idx
+        H[link] = np.einsum("mn,...n->...m", _psd_sqrt(R[idx]), H[link])
+
+    _threads.per_matrix(draw_one, R, H)
+    return H
 
 
 @dataclass
@@ -156,13 +180,15 @@ def simulate_blocks(mode: str, assignment: PilotAssignment, data: np.ndarray,
 
     data: (n_blocks, L, K, n_data). The same data layout is used by the
     Gaussian-symbol studies (CN(0,1) symbols) and the coded pipeline
-    (framed QPSK symbols). An R^(1/2) made here is freed before receive
-    allocates Y and the noise; a caller's R_sqrt stays with the caller.
+    (framed QPSK symbols). Without R_sqrt the channels are drawn link by
+    link, each R^(1/2) made and dropped in turn (_draw_link_by_link), with
+    the draws and bits of draw_channels on the whole stack; a caller's
+    R_sqrt, (L, L, K, M, M), stays with the caller.
     """
     if R_sqrt is None:
-        R_sqrt = correlation_sqrt(realization.R)
-    H = draw_channels(R_sqrt, rng, n_blocks=data.shape[0])
-    del R_sqrt
+        H = _draw_link_by_link(realization.R, rng, n_blocks=data.shape[0])
+    else:
+        H = draw_channels(R_sqrt, rng, n_blocks=data.shape[0])
     X = build_transmit(mode, assignment, data, realization, config)
     Y = receive(H, X, config.noise_energy, rng)
     return BlockSignals(H=H, Y=Y)

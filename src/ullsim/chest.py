@@ -75,8 +75,8 @@ def data_aided_observation(Y: np.ndarray, Xhat: np.ndarray) -> tuple[np.ndarray,
     """
     XhH = np.swapaxes(Xhat.conj(), -1, -2)
     A, ok = _threads.solve(XhH @ Xhat, XhH)           # G^{-1} Xhat^H, G = Xhat^H Xhat
-    U = np.swapaxes(A.conj(), -1, -2)                 # Xhat G^{-1}
-    return _threads.einsum("...mt,...tk->...km", Y, np.conj(U)), ok
+    # conj(u_k) reads A's transpose: U = Xhat G^{-1} = A^H, so conj(U) = A^T.
+    return _threads.einsum("...mt,...tk->...km", Y, np.swapaxes(A, -1, -2)), ok
 
 
 # ---------------------------------------------------------------------------

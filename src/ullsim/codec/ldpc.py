@@ -330,7 +330,8 @@ def decode(llr: np.ndarray, spec: CodeSpec, max_iters: int | None = None
     each step gathers through an index table. A bit's total sums its
     check-to-variable messages in ascending base-row order, then adds the
     channel LLR. Codewords are independent, so they run in contiguous
-    chunks over the trial's threads, each in tiles of up to _TILE codewords.
+    chunks over the trial's threads, each in tiles of up to _TILE codewords
+    that take turns in one set of buffers.
     """
     max_iters = MAX_BP_ITERS if max_iters is None else max_iters
     llr = np.asarray(llr, dtype=float)
@@ -347,23 +348,31 @@ def decode(llr: np.ndarray, spec: CodeSpec, max_iters: int | None = None
     if active.size and max_iters > 0:
         edges = spec._edges
         B, E, checks = active.size, edges.to_check.size, spec.qc_mb * spec.qc_Z
-        # + 0.0 turns a -0.0 LLR into +0.0. Then no bit total, and so no
-        # variable-to-check message, is -0.0: _check_update reads sign bits.
-        chan = ch[active]
-        chan += 0.0
-        # Every buffer is allocated here, on the calling thread (see _threads).
-        bufs = [chan, np.empty((B, spec.n)), np.zeros((B, E)), np.empty((B, E)),
-                np.empty((B, E), dtype=bool), np.empty((B, checks)),
-                np.empty((B, checks)), np.empty((B, checks))]
+        work = B * E * max_iters * _EDGE_WORK
+        # One tile of buffers per thread's part, allocated here, on the
+        # calling thread (see _threads); the part's tiles take turns in it.
+        tiles = {}
+        for part in _threads.parts(B, work):
+            rows = min(_TILE, part.stop - part.start)
+            tiles[part.start] = [np.empty((rows, spec.n)), np.empty((rows, spec.n)),
+                                 np.empty((rows, E)), np.empty((rows, E)),
+                                 np.empty((rows, E), dtype=bool), np.empty((rows, checks)),
+                                 np.empty((rows, checks)), np.empty((rows, checks))]
 
         def run(part: slice) -> None:
             size = part.stop - part.start
             for s in _threads.chunks(size, -(-size // _TILE)):
-                tile = slice(part.start + s.start, part.start + s.stop)
-                _flood(edges, max_iters, active[tile], [a[tile] for a in bufs],
-                       llr_post, hard, ok)
+                idx = active[part.start + s.start:part.start + s.stop]
+                bufs = [a[:idx.size] for a in tiles[part.start]]
+                chan, c2v = bufs[0], bufs[2]
+                np.take(ch, idx, axis=0, out=chan, mode="wrap")
+                # + 0.0 turns a -0.0 LLR into +0.0. Then no bit total, and so no
+                # variable-to-check message, is -0.0: _check_update reads sign bits.
+                chan += 0.0
+                c2v.fill(0.0)
+                _flood(edges, max_iters, idx, bufs, llr_post, hard, ok)
 
-        _threads.split(run, B, work=B * E * max_iters * _EDGE_WORK)
+        _threads.split(run, B, work)
 
     return (llr_post.reshape(lead + (spec.n,)),
             hard.reshape(lead + (spec.n,)),

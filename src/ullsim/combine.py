@@ -6,10 +6,9 @@ the reconstructed in-cell signals it knows (none before the first decode,
 every in-cell UE's after it, the iterative interference cancellation) and
 leaves UE k with exactly its own pilot removed. The signals come from
 airlink.build_transmit, so combining does not know the pilot format; it
-takes one serving cell. effective_stats takes every cell at once, and
-sigma_est=None tells it that no symbols are known yet. The demapper then
-treats y_hat = g * s + effective noise, with (g, n_var) from
-effective_stats.
+takes one serving cell. So does effective_stats, and sigma_est=None tells
+it that no symbols are known yet. The demapper then treats
+y_hat = g * s + effective noise, with (g, n_var) from effective_stats.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ def build_combiner(h_hat: np.ndarray, C: np.ndarray, rho: np.ndarray,
 
     h_hat: (..., K, M) estimates; C: (K, M, M) error covariances;
     rho: (K,) total per-symbol transmit energies of the in-cell UEs.
-    Returns v: (..., K, M).
+    Returns v: (..., K, M), C-contiguous: the einsums that read v sum in
+    an order that follows its layout.
 
     mr:    v_k = h_hat_k
     smmse: v_k = rho_k * (sum_j rho_j (h_hat_j h_hat_j^H + C_j) + sigma^2 I)^-1 h_hat_k
@@ -47,7 +47,7 @@ def build_combiner(h_hat: np.ndarray, C: np.ndarray, rho: np.ndarray,
     V, ok = _threads.solve(A, np.swapaxes(h_hat.conj(), -1, -2))
     if not ok.all():
         raise EstimationError("S-MMSE combining matrix is singular")
-    return np.swapaxes(V.conj(), -1, -2) * rho[..., :, None]
+    return np.multiply(np.swapaxes(V.conj(), -1, -2), rho[..., :, None], order="C")
 
 
 def combine_iterative(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
@@ -75,15 +75,15 @@ def combine_iterative(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
 
 def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
                     realization: NetworkRealization, mode: str,
-                    config: ScenarioConfig, sigma_est: np.ndarray | None
+                    config: ScenarioConfig, sigma_est: np.ndarray | None, cell: int
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Effective gain and noise variance per UE for the demapper.
+    """Effective gain and noise variance per UE of one cell, for the demapper.
 
-    v, h_hat: (..., L, K, M) at every serving BS, e.g. (B, L, K, M) over
-    the blocks; C: (L, K, M, M); sigma_est: (L, K) soft-symbol qualities
-    of the reconstructed co-UE signals that combining subtracted, or None
-    before any decode, when no symbols are known and nothing was subtracted.
-    Returns (g, n_var), each (..., L, K).
+    v, h_hat: (..., K, M) at serving BS `cell`, e.g. (B, K, M) over the
+    blocks; C: (K, M, M) the cell's error covariances; sigma_est: (L, K)
+    soft-symbol qualities of the reconstructed co-UE signals that combining
+    subtracted, or None before any decode, when no symbols are known and
+    nothing was subtracted. Returns (g, n_var), each (..., K).
 
     The variance conditions on the estimates: channel errors enter through
     C, co-UE symbol errors through 1 - sigma_est^2, intercell interference
@@ -94,6 +94,11 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
     """
     q, p = realization.energies(mode)
     full = p if mode == "rp" else p + q             # a UE's full energy, (L, K)
+    # Intercell interference (never subtracted: symbols unknown at this BS).
+    inter = np.ascontiguousarray(toeplitz(realization.intercell(full)[cell]))
+    est_part = (full if sigma_est is None
+                else p * (1.0 - np.asarray(sigma_est, dtype=float)))[cell]
+    p, full = p[cell], full[cell]
 
     g = np.sqrt(p) * np.einsum("...km,...km->...k", v.conj(), h_hat)
 
@@ -106,13 +111,10 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
 
     # In-cell co-UE residuals: after subtraction only the residual data,
     # before it everything.
-    est_part = full if sigma_est is None else p * (1.0 - np.asarray(sigma_est, dtype=float))
     off = ~np.eye(config.K, dtype=bool)
     cross = vh2 * est_part[..., None, :] + vCv * full[..., None, :]
     n_var = n_var + np.einsum("...kj,kj->...k", cross, off.astype(float))
 
-    # Intercell interference (never subtracted: symbols unknown at this BS).
-    inter = np.ascontiguousarray(toeplitz(realization.intercell(full)))
     n_var = n_var + _threads.einsum("...km,...mn,...kn->...k", v.conj(), inter, v).real
 
     n_var = n_var + config.noise_energy * np.einsum("...km,...km->...k", v.conj(), v).real

@@ -175,6 +175,7 @@ def run_coded_trial(campaign: Campaign, grid_index: int, trial_index: int) -> li
     symbols = qpsk_map(encode(info, code))
     data = np.moveaxis(frame_codeword(symbols, frame), 2, 0)   # (B, L, K, slots)
     blocks = simulate_blocks(campaign.mode, assignment, data, realization, config, rng)
+    del info, symbols, data                   # the receiver reads none of them
     trace = run_receiver(blocks, realization, assignment, config, code, frame,
                          campaign.mode, combiner_kind=campaign.combiner,
                          i_max=campaign.i_max)
@@ -215,7 +216,7 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     config = apply_grid_point(campaign.config, campaign.grid_param, value)
     sigma_est = float(value) if campaign.grid_param == "sigma_est" else 1.0
     rng = _rng(campaign, grid_index, trial_index)
-    if drop is None:                    # R^(1/2) is then made and freed in simulate_blocks
+    if drop is None:                    # simulate_blocks then draws link by link
         drop = make_network(config, _rng(campaign, grid_index, trial_index, 0xD0)), None
     realization, R_sqrt = drop
     mode = campaign.mode
@@ -230,14 +231,12 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     blocks = simulate_blocks(mode, assignment, s, realization, config, rng, R_sqrt)
     blocks.H = None                     # the study reads only Y
 
-    # Each pass's error covariances (L*K*M^2 numbers) are reduced to their MSE
-    # at once, so the data-aided pass never holds the pilot-only ones.
-    stage = (blocks, realization, assignment, config, mode, campaign.combiner)
-    _, C, _, y0, _ = estimate_and_combine(*stage)
-    mse0 = mse_channel_analytic(C)
-    del C
-    _, C, _, y1, _ = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig)
-    mse1 = mse_channel_analytic(C)
+    # Each cell's error covariances (K*M^2 numbers) are reduced to their MSE
+    # where they are made, so a pass holds one cell's at a time.
+    stage = (blocks, realization, assignment, config, mode, campaign.combiner,
+             lambda l, v, h_l, C_l: mse_channel_analytic(C_l))
+    _, y0, mse0, _ = estimate_and_combine(*stage)
+    _, y1, mse1, _ = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig)
     prelog = n_data / config.tau_c
     # se_uatf_samples stays per UE: batched means keep the bits only over
     # contiguous per-UE copies of y and s, about 20 MB at the paper point.
@@ -245,7 +244,7 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     for it, mse, y in ((0, mse0, y0), (1, mse1, y1)):
         se = np.array([[se_uatf_samples(y[:, l, k], s[:, l, k], prelog, min_samples=1)
                         for k in range(K)] for l in range(L)])
-        rows += _ue_rows(it, mse_ch=mse, se_uatf=se)
+        rows += _ue_rows(it, mse_ch=np.stack(mse), se_uatf=se)
     return rows
 
 
@@ -270,7 +269,9 @@ def _run_pair(args) -> tuple[int, int, list[dict]]:
 def _run_variants(args) -> tuple[int, int, list[list[dict]]]:
     """Every study variant's trial of one (grid point, trial) pair, on one drop.
 
-    R^(1/2) lives only for the pair, not on the realization, which the
+    The variants share the drop's whole R^(1/2) stack, made once where each
+    variant alone would make every link's factor (simulate_blocks without
+    R_sqrt). It lives only for the pair, not on the realization, which the
     coded receiver holds through all its iterations. A drop that fails
     fails the pair's trial in every variant.
     """

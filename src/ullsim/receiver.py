@@ -15,6 +15,7 @@ Gaussian-symbol study also runs, on surrogate instead of decoded symbols.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +83,9 @@ class IterationTrace:
 
 def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
                          assignment: PilotAssignment, config: ScenarioConfig, mode: str,
-                         combiner_kind: str, s_blocks: np.ndarray | None = None,
+                         combiner_kind: str, reduce: Callable, s_blocks: np.ndarray | None = None,
                          sigma: np.ndarray | None = None
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+                         ) -> tuple[np.ndarray, np.ndarray, list, int]:
     """LMMSE channel estimates and combined data observations, every cell and block.
 
     Without s_blocks the LMMSE filters of the serving channels come from
@@ -101,12 +102,16 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     and that block keeps the stage's pilot-only estimate, whose filter is
     computed only for a cell where some block needs it.
 
-    Returns (h_hat, C, V, y, fallbacks): h_hat and V (B, L, K, M), the error
-    covariances C (L, K, M, M), y (B, L, K, slots), and the number of blocks
-    that kept their pilot-only estimate. The observations and psi of every
-    cell are formed at once, psi as Toeplitz generators (L*K*(2M-1)
-    numbers); the filter exists for one serving cell at a time (K*M^2
-    numbers), so the caller holds one set of channel statistics, C.
+    Each serving cell l runs through estimate, combine and reduce before
+    the next: reduce(l, v, h_hat_l, C_l) gets the cell's combining vectors
+    and estimates, (B, K, M), and error covariances C_l, (K, M, M), and its
+    result is all the stage keeps of them. So one cell's filter, C and v
+    exist at a time (K*M^2 numbers each); the observations and psi of every
+    cell are formed at once, psi as Toeplitz generators (L*K*(2M-1) numbers).
+
+    Returns (h_hat, y, reduced, fallbacks): h_hat (B, L, K, M), y (B, L, K,
+    slots), the list of the L cells' reduce results, and the number of
+    blocks that kept their pilot-only estimate.
     """
     Y = blocks.Y
     q, p = realization.energies(mode)
@@ -133,32 +138,29 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
            else psi_data_aided_bound(realization, assignment, config, mode, sigma))
     fallback_psi = psi_pilot(realization, assignment, config, mode) if failed.any() else None
 
-    h_hat = np.empty_like(z)
-    C = np.empty((config.L, config.K, config.M, config.M), dtype=complex)
-    for l in range(config.L):
-        h_hat[:, l], C[l] = estimate(l, z[:, l], psi[l])
-        if failed[:, l].any():                             # the pilot-only fallback
-            z_l = pilot_observation(Y[:, l], assignment.seqs[l], q[l], mode,
-                                    tau_p=config.tau_p)
-            h_hat[failed[:, l], l] = estimate(l, z_l, fallback_psi[l])[0][failed[:, l]]
-    del z, psi, fallback_psi                               # combining reads none of them
-
     # Combining one cell at a time: stacked, with the same bits, its (B, L, M,
     # tau_c) residual raised the traced peak of a coded rp trial from 45.4 to
     # 63.0 MB, of a coded sp one from 43.1 to 59.8 MB and of a study pair from
     # 88.5 to 126.9 MB (paper point, seed 1): over the benchmark's 10 % bound.
-    V = np.empty_like(h_hat)
-    y = []
+    h_hat = np.empty_like(z)
+    y, reduced = [], []
     for l in range(config.L):
-        V[:, l] = build_combiner(h_hat[:, l], C[l], realization.rho[l],
-                                 config.noise_energy, combiner_kind)
+        h_hat[:, l], C_l = estimate(l, z[:, l], psi[l])
+        if failed[:, l].any():                             # the pilot-only fallback
+            z_l = pilot_observation(Y[:, l], assignment.seqs[l], q[l], mode,
+                                    tau_p=config.tau_p)
+            h_hat[failed[:, l], l] = estimate(l, z_l, fallback_psi[l])[0][failed[:, l]]
+        v = build_combiner(h_hat[:, l], C_l, realization.rho[l], config.noise_energy,
+                           combiner_kind)
         if s_blocks is None:      # y + g (-pilot) has the bits of y - g pilot
             x_hat, own = None, -X[l, :, data]
         else:                     # own, sqrt(p) s_hat, lives for the call only
             x_hat, own = X[:, l, :, data], np.sqrt(p[l])[:, None] * s_blocks[:, l]
-        y.append(combine_iterative(Y[:, l, :, data], V[:, l], h_hat[:, l], x_hat, own))
+        y.append(combine_iterative(Y[:, l, :, data], v, h_hat[:, l], x_hat, own))
         del x_hat, own
-    return h_hat, C, V, np.stack(y, axis=1), int(failed.sum())
+        reduced.append(reduce(l, v, h_hat[:, l], C_l))
+        del v, C_l                # before the next cell's are made
+    return h_hat, np.stack(y, axis=1), reduced, int(failed.sum())
 
 
 def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
@@ -188,10 +190,12 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
     llr_post = np.empty((L, K, code.n))   # a frozen UE keeps its decoding pass's LLRs
     s_blocks = None
     for it in range(i_max + 1):
-        h_hat, C, V, y_hat, fallbacks = estimate_and_combine(
+        h_hat, y_hat, stats, fallbacks = estimate_and_combine(
             blocks, realization, assignment, config, mode, combiner_kind,
+            lambda l, v, h_l, C_l: effective_stats(v, h_l, C_l, realization, mode,
+                                                   config, sigma, l),
             s_blocks=s_blocks, sigma=sigma)
-        g, n_var = effective_stats(V, h_hat, C, realization, mode, config, sigma)
+        g, n_var = (np.stack(cells, axis=1) for cells in zip(*stats))    # (B, L, K)
         if not (np.all(np.isfinite(n_var) & (n_var > 0)) and np.all(np.isfinite(g) & (g != 0))):
             # An indefinite error covariance, a zero combiner, no data energy
             # or a NaN. A zero gain or a NaN demaps to the all-zero codeword, which checks.
@@ -202,7 +206,7 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
         llr_blocks = qpsk_demap_llr(y_hat, g[..., None], n_var[..., None])
         llr_cw = (llr_blocks.transpose(1, 2, 0, 3)
                   .reshape(L, K, -1)[:, :, :code.n])       # drop pad-slot bits
-        del C, V, y_hat, llr_blocks, s_blocks              # the decoder needs none of them
+        del y_hat, llr_blocks, s_blocks                    # the decoder needs none of them
 
         todo = np.flatnonzero(~ok)                         # the UEs still to decode
         ok = ok.copy()                                     # each state keeps its own flags

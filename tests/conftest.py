@@ -1,8 +1,9 @@
-"""Shared helpers for constructing bespoke network realizations in tests."""
+"""Shared helpers: bespoke network realizations, and kernels split however small."""
 
 import numpy as np
+import pytest
 
-from ullsim import ScenarioConfig
+from ullsim import ScenarioConfig, _threads
 from ullsim.netgeom import NetworkRealization
 
 
@@ -27,3 +28,9 @@ def manual_network(config: ScenarioConfig, beta: np.ndarray,
         rho = np.minimum(config.rho_design / serving, config.rho_max)
     rho = np.asarray(rho, dtype=float)
     return NetworkRealization(r=r, rho=rho, delta=config.delta)
+
+
+@pytest.fixture
+def split_small(monkeypatch):
+    # Split every kernel, however small: test scenarios' kernels are tiny.
+    monkeypatch.setattr(_threads, "_MIN_WORK", 1)

@@ -221,6 +221,41 @@ def test_simulate_blocks_frees_its_own_r_sqrt_before_receive():
     assert receive_peak < y_bytes + slab_bytes + 16 * 1024      # and a few array headers
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_link_by_link_draw_equals_the_stacked_draw(monkeypatch, split_small, threads):
+    # simulate_blocks without R_sqrt draws each link's channel from its own
+    # R^(1/2): the bits of the stacked draw, and the generator left where the
+    # stacked draw leaves it, so the noise drawn next is the same too.
+    monkeypatch.setattr(airlink._threads, "_count", threads)
+    config = cfg(M=16, K=3, L=3, tau_p=3)
+    R = make_network(config, np.random.default_rng(30)).R
+    ref, rng = np.random.default_rng(31), np.random.default_rng(31)
+    want = draw_channels(correlation_sqrt(R), ref, n_blocks=5)
+    got = airlink._draw_link_by_link(R, rng, n_blocks=5)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_simulate_blocks_holds_no_r_sqrt_stack():
+    # With L*L*K = 18 links at M = 64 the R^(1/2) stack is 1.2 MB. H, X and Y
+    # of two blocks and a noise slab's scratch come to 0.2 MB, and a thread's
+    # link holds a few (M, M) arrays, 64 KB each.
+    config = cfg(M=64, K=2, L=3, tau_c=16, tau_p=2)
+    net = make_network(config, np.random.default_rng(32))
+    asg = assign_pilots(config, "sp")
+    rng = np.random.default_rng(33)
+    data = crandn(rng, (2, config.L, config.K, config.tau_c))
+    stack_bytes = config.L * config.L * config.K * config.M ** 2 * 16
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        simulate_blocks("sp", asg, data, net, config, rng)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
+
+
 def test_transmit_rejects_wrong_data_length():
     config = cfg()
     net = make_network(config, np.random.default_rng(13))

@@ -1,6 +1,7 @@
 """Coding chain tests: LDPC encode/decode, QPSK demapping, framing."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,27 @@ def test_a_chunk_that_converges_early_leaves_the_other_unchanged(monkeypatch, co
     assert serial[2].tolist() == [True] * 4 + [False] * 4
     for a, b in zip(serial, threaded):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_decode_holds_one_tile_of_buffers_per_thread(monkeypatch, code_half, threads):
+    # 40 codewords that fail the check on input: the messages of all 40 are
+    # about 15 MB, those of one tile of 10 per thread about 3.7 MB a thread.
+    monkeypatch.setattr(_threads, "_MIN_WORK", 1)
+    monkeypatch.setattr(_threads, "_count", threads)
+    llr = _awgn_llr(code_half, [0.0] * 40, 22)
+    edges = code_half._edges
+    per_codeword = (2 * code_half.n * 8 + edges.to_check.size * 17
+                    + 3 * code_half.qc_mb * code_half.qc_Z * 8)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        decode(llr, code_half, max_iters=1)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    outputs = llr.size * 9                         # llr_post, and hard as uint8
+    assert peak < outputs + (threads * ldpc._TILE + 4) * per_codeword
 
 
 @settings(max_examples=20, deadline=None)

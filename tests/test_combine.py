@@ -6,9 +6,13 @@ from conftest import manual_network
 
 from ullsim import ScenarioConfig
 from ullsim.airlink import build_transmit, crandn, simulate_blocks
+from ullsim import _threads
+from ullsim.airlink import gaussian_symbols
 from ullsim.chest import lmmse_filter, pilot_observation, psi_pilot
 from ullsim.combine import build_combiner, combine_iterative, effective_stats
+from ullsim.netgeom import make_network, toeplitz
 from ullsim.pilots import assign_pilots
+from ullsim.receiver import estimate_and_combine
 
 
 def cfg(**kw):
@@ -246,11 +250,10 @@ def test_effective_stats_clean_receiver():
     rng = np.random.default_rng(9)
     h = crandn(rng, (1, 3))
     v = h / np.linalg.norm(h)
-    g, n_var = effective_stats(v[None], h[None], np.zeros((1, 1, 3, 3)), net, "rp",
-                               config, None)
+    g, n_var = effective_stats(v, h, np.zeros((1, 3, 3)), net, "rp", config, None, 0)
     q, p = net.energies("rp")
-    assert np.isclose(g[0, 0], np.sqrt(p[0, 0]) * np.linalg.norm(h))
-    assert np.isclose(n_var[0, 0], config.noise_energy)
+    assert np.isclose(g[0], np.sqrt(p[0, 0]) * np.linalg.norm(h))
+    assert np.isclose(n_var[0], config.noise_energy)
 
 
 def test_effective_stats_mr_gain():
@@ -258,21 +261,20 @@ def test_effective_stats_mr_gain():
     net = manual_network(config, np.ones((1, 1, 1)), r=np.zeros((1, 1, 1, 7)))
     rng = np.random.default_rng(10)
     h = crandn(rng, (1, 4))
-    g, _ = effective_stats(h[None], h[None], np.zeros((1, 1, 4, 4)), net, "rp",
-                           config, None)
+    g, _ = effective_stats(h, h, np.zeros((1, 4, 4)), net, "rp", config, None, 0)
     _, p = net.energies("rp")
-    assert np.isclose(g[0, 0], np.sqrt(p[0, 0]) * np.linalg.norm(h[0]) ** 2)
+    assert np.isclose(g[0], np.sqrt(p[0, 0]) * np.linalg.norm(h[0]) ** 2)
 
 
 def test_effective_stats_cancellation_reduces_variance():
     config = cfg(M=4, K=2, tau_p=2, noise_energy=0.2)
     net = manual_network(config, np.array([[[1.0, 1.0]]]))
     rng = np.random.default_rng(11)
-    h = crandn(rng, (1, 2, 4))
-    C = np.zeros((1, 2, 4, 4))
-    before = effective_stats(h, h, C, net, "rp", config, None)[1]
-    after = effective_stats(h, h, C, net, "rp", config, np.full((1, 2), 0.9))[1]
-    perfect = effective_stats(h, h, C, net, "rp", config, np.ones((1, 2)))[1]
+    h = crandn(rng, (2, 4))
+    C = np.zeros((2, 4, 4))
+    before = effective_stats(h, h, C, net, "rp", config, None, 0)[1]
+    after = effective_stats(h, h, C, net, "rp", config, np.full((1, 2), 0.9), 0)[1]
+    perfect = effective_stats(h, h, C, net, "rp", config, np.ones((1, 2)), 0)[1]
     assert np.all(after < before)
     assert np.all(perfect <= after)
     # perfect cancellation with perfect CSI leaves thermal noise only
@@ -284,7 +286,6 @@ def test_effective_stats_match_simulation():
     """Analytic (g, n_var) vs empirical residual on combined observations."""
     config = cfg(M=3, K=2, L=3, tau_c=12, tau_p=2, noise_energy=0.5)
     rng = np.random.default_rng(12)
-    from ullsim.netgeom import make_network
     net = make_network(config, rng)
     mode = "rp"
     asg = assign_pilots(config, mode)
@@ -302,8 +303,7 @@ def test_effective_stats_match_simulation():
     v = h_hat                                                   # mr
     y_hat = combine_iterative(blocks.Y[:, l, :, config.tau_p:], v[:, l], h_hat[:, l],
                               None, np.zeros((config.K, config.tau_d)))
-    g, n_var = effective_stats(v, h_hat, C, net, mode, config, None)
-    g, n_var = g[:, l], n_var[:, l]
+    g, n_var = effective_stats(v[:, l], h_hat[:, l], C[l], net, mode, config, None, l)
     resid = y_hat - g[..., None] * s[:, l]
     emp = np.mean(np.abs(resid) ** 2, axis=(0, 2))
     ana = np.mean(n_var, axis=0)
@@ -313,8 +313,9 @@ def test_effective_stats_match_simulation():
 @pytest.mark.parametrize("mode", ["rp", "sp"])
 @pytest.mark.parametrize("known", [False, True])
 def test_stacked_effective_stats_equal_their_defining_sums(mode, known):
-    # Every (block, cell, UE) of one stacked call against its sum, term by term,
-    # with gains, correlations and errors of one order, so every term counts.
+    # Every (block, UE) of one call per cell, stacked over the blocks, against
+    # its sum, term by term, with gains, correlations and errors of one
+    # order, so every term counts.
     config = cfg(M=3, K=2, L=3, tau_c=12, tau_p=2, noise_energy=0.5)
     B, L, K, M = 4, config.L, config.K, config.M
     rng = np.random.default_rng(13)
@@ -335,7 +336,9 @@ def test_stacked_effective_stats_equal_their_defining_sums(mode, known):
     h_hat = crandn(rng, (B, L, K, M))
     C = psd((L, K), 0.1)
     sig = rng.uniform(size=(L, K))
-    g, n_var = effective_stats(v, h_hat, C, net, mode, config, sig if known else None)
+    g, n_var = (np.stack(a, axis=1) for a in zip(*(
+        effective_stats(v[:, l], h_hat[:, l], C[l], net, mode, config,
+                        sig if known else None, l) for l in range(L))))
 
     q, p = net.energies(mode)
     full = p if mode == "rp" else p + q
@@ -357,3 +360,55 @@ def test_stacked_effective_stats_equal_their_defining_sums(mode, known):
         assert np.isclose(g[b, l, k], np.sqrt(p[l, k]) * np.vdot(vk, h_hat[b, l, k]),
                           rtol=1e-12, atol=0)
         assert np.isclose(n_var[b, l, k], want, rtol=1e-12, atol=0)
+
+
+def _stacked_effective_stats(v, h_hat, C, realization, mode, config, sigma_est):
+    """effective_stats as one call for every cell: v, h_hat (..., L, K, M), C (L, K, M, M).
+
+    The kernel the per-cell effective_stats replaced, kept as its oracle.
+    """
+    q, p = realization.energies(mode)
+    full = p if mode == "rp" else p + q
+    g = np.sqrt(p) * np.einsum("...km,...km->...k", v.conj(), h_hat)
+    vCv = _threads.einsum("...km,...jmn,...kn->...kj", v.conj(), C, v).real
+    vh2 = np.abs(np.einsum("...km,...jm->...kj", v.conj(), h_hat)) ** 2
+    n_var = np.einsum("...kk,...k->...k", vCv, full)
+    est_part = full if sigma_est is None else p * (1.0 - np.asarray(sigma_est, dtype=float))
+    off = ~np.eye(config.K, dtype=bool)
+    cross = vh2 * est_part[..., None, :] + vCv * full[..., None, :]
+    n_var = n_var + np.einsum("...kj,kj->...k", cross, off.astype(float))
+    inter = np.ascontiguousarray(toeplitz(realization.intercell(full)))
+    n_var = n_var + _threads.einsum("...km,...mn,...kn->...k", v.conj(), inter, v).real
+    n_var = n_var + config.noise_energy * np.einsum("...km,...km->...k", v.conj(), v).real
+    return g, n_var
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("combiner_kind", ["mr", "smmse"])
+@pytest.mark.parametrize("mode", ["rp", "sp"])
+def test_per_cell_effective_stats_keep_the_stacked_bits(monkeypatch, split_small, mode,
+                                                        combiner_kind, threads):
+    # The receiver reduces each cell's C to its (g, n_var) where the stage
+    # makes it; stacked over the cells they are the one all-cell call's bits,
+    # in the pilot-only pass (sigma None) and a data-aided one (sigma 0.6).
+    monkeypatch.setattr(_threads, "_count", threads)
+    config = cfg(M=32, K=4, L=3, tau_c=40, tau_p=4, noise_energy=0.01, rho_design=0.1)
+    net = make_network(config, np.random.default_rng(14))
+    asg = assign_pilots(config, mode)
+    rng = np.random.default_rng(15)
+    sig = np.full((config.L, config.K), 0.6)
+    s_hat, s = gaussian_symbols(rng, sig, (4, config.L, config.K, config.data_slots(mode)))
+    blocks = simulate_blocks(mode, asg, s, net, config, rng)
+    for sigma, extra in ((None, {}), (sig, {"s_blocks": s_hat, "sigma": sig})):
+        def reduce(l, v, h_l, C_l):
+            return effective_stats(v, h_l, C_l, net, mode, config, sigma, l), v, C_l
+
+        h_hat, _, cells, _ = estimate_and_combine(blocks, net, asg, config, mode,
+                                                  combiner_kind, reduce, **extra)
+        stats, V, C = zip(*cells)
+        # The stage's stack used to be C-contiguous (B, L, K, M), whatever the
+        # layout of each cell's v; np.stack keeps that of its inputs.
+        V = np.ascontiguousarray(np.stack(V, axis=1))
+        want = _stacked_effective_stats(V, h_hat, np.stack(C), net, mode, config, sigma)
+        for got, ref in zip(zip(*stats), want):
+            assert np.array_equal(np.stack(got, axis=1).view(np.uint64), ref.view(np.uint64))

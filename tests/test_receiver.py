@@ -42,14 +42,22 @@ def make_trial(config, net, mode, code, rng):
 
 
 def spy_stage(monkeypatch):
-    """Record run_receiver's estimate_and_combine calls: s_blocks, sigma, h_hat and C."""
+    """Record run_receiver's estimate_and_combine calls: s_blocks, sigma, h_hat and
+    C, the error covariances each cell's reduce got, stacked over the cells."""
     calls = []
     stage = receiver.estimate_and_combine
 
     def spy(*args, **kwargs):
-        out = stage(*args, **kwargs)
+        *head, reduce = args
+        C = []
+
+        def recording(l, v, h_l, C_l):
+            C.append(C_l)
+            return reduce(l, v, h_l, C_l)
+
+        out = stage(*head, recording, **kwargs)
         calls.append(dict(s_blocks=kwargs["s_blocks"], sigma=kwargs["sigma"],
-                          h_hat=out[0], C=out[1]))
+                          h_hat=out[0], C=np.stack(C)))
         return out
 
     monkeypatch.setattr(receiver, "estimate_and_combine", spy)
@@ -172,9 +180,21 @@ def _stage_inputs(net, config, mode="sp"):
     return asg, blocks, s_hat, sig
 
 
+def _keep(l, v, h_l, C_l):
+    """A reduce that keeps what the stage hands it: each cell's v and C."""
+    return v, C_l
+
+
+def _stage(*args, **kwargs):
+    """estimate_and_combine with every cell's v and C kept: (h_hat, C, V, y, fallbacks)."""
+    h_hat, y, cells, fallbacks = estimate_and_combine(*args, _keep, **kwargs)
+    V, C = zip(*cells)
+    return h_hat, np.stack(C), np.stack(V, axis=1), y, fallbacks
+
+
 def _stacked_stage(blocks, net, asg, config, mode, combiner_kind, s_blocks=None, sigma=None):
-    """estimate_and_combine's outputs from every cell's psi, one LMMSE call and
-    one stacked estimate, combined by the formula written out."""
+    """_stage's outputs from every cell's psi, one LMMSE call and one stacked
+    estimate, combined by the formula written out."""
     L, K = config.L, config.K
     q, p = net.energies(mode)
     n_data = config.data_slots(mode)
@@ -219,7 +239,7 @@ def test_stage_per_cell_estimates_equal_the_stacked_ones(mode, combiner_kind):
     asg, blocks, s_hat, sig = _stage_inputs(net, config, mode)
     stage = (blocks, net, asg, config, mode, combiner_kind)
     for extra in ({}, {"s_blocks": s_hat, "sigma": sig}):
-        *got, fallbacks = estimate_and_combine(*stage, **extra)
+        *got, fallbacks = _stage(*stage, **extra)
         assert fallbacks == 0
         for name, a, b in zip("h_hat C V y".split(), got, _stacked_stage(*stage, **extra)):
             assert np.array_equal(a, b), (name, extra.keys())
@@ -240,15 +260,14 @@ def test_stage_picks_pilot_or_data_aided_statistics(drop):
     _, C1 = lmmse_filter(Rs, psi_data_aided_bound(net, asg, config, "sp", sig))
     assert not np.allclose(C0, C1, rtol=1e-3, atol=0)   # the two statistics differ
 
-    h_hat, C, _, _, _ = estimate_and_combine(blocks, net, asg, config, "sp", "mr")
+    h_hat, C, _, _, _ = _stage(blocks, net, asg, config, "sp", "mr")
     q, _ = net.energies("sp")
     z0 = np.stack([pilot_observation(blocks.Y[:, l], asg.seqs[l], q[l], "sp")
                    for l in range(3)], axis=1)
     assert np.array_equal(C, C0)
     assert np.array_equal(h_hat, np.einsum("lkmn,blkn->blkm", W0, z0))
 
-    _, C, _, _, _ = estimate_and_combine(blocks, net, asg, config, "sp", "mr",
-                                         s_blocks=s_hat, sigma=sig)
+    _, C, _, _, _ = _stage(blocks, net, asg, config, "sp", "mr", s_blocks=s_hat, sigma=sig)
     assert np.array_equal(C, C1)
 
 
@@ -257,11 +276,11 @@ def test_rank_deficient_block_keeps_its_pilot_estimate():
     net = make_network(config, np.random.default_rng(5))
     asg, blocks, s_hat, sig = _stage_inputs(net, config)
     stage = (blocks, net, asg, config, "sp", "mr")
-    h_pilot, _, _, _, _ = estimate_and_combine(*stage)     # the stage's own pilot pass
-    clean, _, _, _, clean_fallbacks = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig)
+    h_pilot, _, _, _, _ = _stage(*stage)                   # the stage's own pilot pass
+    clean, _, _, _, clean_fallbacks = _stage(*stage, s_blocks=s_hat, sigma=sig)
     broken = s_hat.copy()
     broken[2, 1] = np.nan                  # no Gram matrix to invert in block 2, cell 1
-    h_hat, _, _, _, fallbacks = estimate_and_combine(*stage, s_blocks=broken, sigma=sig)
+    h_hat, _, _, _, fallbacks = _stage(*stage, s_blocks=broken, sigma=sig)
 
     assert clean_fallbacks == 0
     assert fallbacks == 1
@@ -362,10 +381,13 @@ def test_se_uatf_is_the_hardening_bound_of_each_iterations_stats(helper_trial, c
     monkeypatch.setattr(receiver, "effective_stats", spy)
     args, frame, _ = helper_trial
     trace = run_receiver(*args, code, frame, "sp", i_max=3)
-    assert len(stats) == len(trace.states) == 4
     config = args[3]
+    assert len(stats) == len(trace.states) * config.L == 4
     prelog = config.data_slots("sp") / config.tau_c
-    for (g, n_var), state in zip(stats, trace.states):
+    # One call per cell and pass, each (B, K): a pass's stacked over its cells.
+    passes = [[np.stack(a, axis=1) for a in zip(*stats[i:i + config.L])]
+              for i in range(0, len(stats), config.L)]
+    for (g, n_var), state in zip(passes, trace.states):
         # the gain's spread over the blocks counts as noise
         want = se_uatf_moments(np.mean(g, axis=0), np.mean(n_var, axis=0) + np.var(g, axis=0),
                                prelog)

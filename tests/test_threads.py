@@ -29,12 +29,6 @@ def _trial_rows():
     return [_exact(r) for r in rows]
 
 
-@pytest.fixture
-def split_small(monkeypatch):
-    # Split every kernel, however small: these scenarios' kernels are tiny.
-    monkeypatch.setattr(_threads, "_MIN_WORK", 1)
-
-
 def test_trial_rows_do_not_depend_on_the_thread_count(monkeypatch, split_small):
     monkeypatch.setattr(_threads, "_count", 1)
     serial = _trial_rows()

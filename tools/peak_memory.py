@@ -11,7 +11,8 @@ or with `--mode study` one (grid point, trial) pair of the Gaussian-symbol
 study (`harness._run_variants`: the rp, rp3 and sp variants on one shared
 drop, sigma_est = 0.6, MR), under tracemalloc, with the stage functions
 below wrapped at every ullsim module binding that refers to them, the way
-perfbench's tracer wraps them.
+perfbench's tracer wraps them (and one private one, the coded trial's
+link-by-link channel draw, which perfbench counts in `simulate_blocks`).
 For each stage it prints the number of calls, the traced bytes live when
 the first and the last call started, and the highest traced peak during
 any call (live bytes included), in MB. The LDPC code is built before
@@ -50,12 +51,16 @@ STAGES = (
     ("drop", "ullsim.netgeom", "make_network"),
     ("study variant", "ullsim.harness", "run_gaussian_trial"),
     ("blocks", "ullsim.airlink", "simulate_blocks"),
+    # A coded trial draws its channels link by link, each R^1/2 made and
+    # dropped in turn; the study's variants share the pair's R^1/2 stack.
     ("R^1/2", "ullsim.airlink", "correlation_sqrt"),
+    ("link-by-link draw", "ullsim.airlink", "_draw_link_by_link"),
     ("receive", "ullsim.airlink", "receive"),
     ("receiver", "ullsim.receiver", "run_receiver"),
     # psi is one call per pass, for every cell, on Toeplitz generators (a
-    # pilot-only fallback adds one). LMMSE, the combiner and combining make
-    # one call per serving cell, for their memory: a pass calls each L times.
+    # pilot-only fallback adds one). LMMSE, the combiner, combining and
+    # effective_stats make one call per serving cell, for their memory: a
+    # pass calls each L times, and holds one cell's C at a time.
     ("psi", "ullsim.chest", "psi_pilot"),
     ("psi", "ullsim.chest", "psi_data_aided_bound"),
     ("LMMSE", "ullsim.chest", "lmmse_filter"),
