@@ -105,23 +105,28 @@ def draw_channels(R_sqrt: np.ndarray, rng: np.random.Generator,
     return _threads.einsum("...mn,...n->...m", R_sqrt, w)
 
 
-def _draw_link_by_link(R: np.ndarray, rng: np.random.Generator,
-                       n_blocks: int) -> np.ndarray:
-    """draw_channels(correlation_sqrt(R), rng, n_blocks), no R^(1/2) stack formed.
+def draw_link_by_link(R: np.ndarray, rngs: list[np.random.Generator],
+                      n_blocks: int) -> list[np.ndarray]:
+    """draw_channels(correlation_sqrt(R), rng, n_blocks) for each rng in rngs.
 
-    w is drawn whole, the stream of draw_channels. Then each link's R^(1/2)
-    is made, applied to its w in place and dropped, the links split over the
-    trial's threads: a thread holds a few (M, M) arrays, not the L*L*K*M^2
-    stack. Each link's einsum gives the bits of the stacked one.
+    Each stream draws its w whole, the stream of draw_channels. Then each
+    link's R^(1/2) is made once, applied in place to that link of every
+    stream's w and dropped, the links split over the trial's threads: a
+    thread holds a few (M, M) arrays, not the L*L*K*M^2 stack. Each link's
+    einsum gives the bits of the stacked one. A coded trial passes one
+    stream; a Gaussian-symbol study pair passes one per variant, so its
+    variants share each factor without a stack.
     """
-    H = crandn(rng, (n_blocks,) + R.shape[:-1])
+    Hs = [crandn(rng, (n_blocks,) + R.shape[:-1]) for rng in rngs]
 
     def draw_one(idx):
+        R_sqrt = _psd_sqrt(R[idx])
         link = (slice(None),) + idx
-        H[link] = np.einsum("mn,...n->...m", _psd_sqrt(R[idx]), H[link])
+        for H in Hs:
+            H[link] = np.einsum("mn,...n->...m", R_sqrt, H[link])
 
-    _threads.per_matrix(draw_one, R, H)
-    return H
+    _threads.per_matrix(draw_one, R, *Hs)
+    return Hs
 
 
 @dataclass
@@ -181,12 +186,12 @@ def simulate_blocks(mode: str, assignment: PilotAssignment, data: np.ndarray,
     data: (n_blocks, L, K, n_data). The same data layout is used by the
     Gaussian-symbol studies (CN(0,1) symbols) and the coded pipeline
     (framed QPSK symbols). Without R_sqrt the channels are drawn link by
-    link, each R^(1/2) made and dropped in turn (_draw_link_by_link), with
-    the draws and bits of draw_channels on the whole stack; a caller's
-    R_sqrt, (L, L, K, M, M), stays with the caller.
+    link, each R^(1/2) made and dropped in turn (draw_link_by_link on this
+    one stream), with the draws and bits of draw_channels on the whole
+    stack; a caller's R_sqrt, (L, L, K, M, M), stays with the caller.
     """
     if R_sqrt is None:
-        H = _draw_link_by_link(realization.R, rng, n_blocks=data.shape[0])
+        H, = draw_link_by_link(realization.R, [rng], n_blocks=data.shape[0])
     else:
         H = draw_channels(R_sqrt, rng, n_blocks=data.shape[0])
     X = build_transmit(mode, assignment, data, realization, config)

@@ -64,12 +64,31 @@ def combine_iterative(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
     exactly UE k's own pilot is removed and its data kept:
 
     y_hat_k = v_k^H (Y - sum_j h_hat_j x_hat_j^T) + (v_k^H h_hat_k) own_k
+
+    The residual is formed one block (one index of "...") at a time, the
+    blocks split over the trial's threads: each thread holds one (M,
+    n_data) residual, not the stack, and each block's einsums give the
+    bits of the stacked ones.
     """
-    if x_hat is not None:         # one (..., M, n_data) buffer: the residual overwrites E
-        E = _threads.einsum("...km,...kt->...mt", h_hat, x_hat)
-        Y = np.subtract(Y, E, out=E)
-    y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Y)
-    gain = np.einsum("...km,...km->...k", v.conj(), h_hat)
+    vc = v.conj()
+    gain = np.einsum("...km,...km->...k", vc, h_hat)
+    if x_hat is None:
+        y_hat = _threads.einsum("...km,...mt->...kt", vc, Y)
+    else:
+        ops = (Y, vc, h_hat, x_hat)
+        lead = np.broadcast_shapes(*(a.shape[:-2] for a in ops))
+        Y, vc, h_hat, x_hat = (np.broadcast_to(a, lead + a.shape[-2:]) for a in ops)
+        (K, M), n_data = h_hat.shape[-2:], x_hat.shape[-1]
+        y_hat = np.empty(lead + (K, n_data), dtype=np.result_type(*ops))
+        blocks = list(np.ndindex(lead))
+
+        def combine_blocks(s):
+            for b in blocks[s]:
+                E = np.einsum("km,kt->mt", h_hat[b], x_hat[b])
+                np.subtract(Y[b], E, out=E)
+                np.einsum("km,mt->kt", vc[b], E, out=y_hat[b])
+
+        _threads.split(combine_blocks, len(blocks), work=2 * len(blocks) * K * M * n_data)
     return y_hat + gain[..., None] * own
 
 

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _threads
-from .airlink import correlation_sqrt, gaussian_symbols, simulate_blocks
+from .airlink import (BlockSignals, build_transmit, draw_link_by_link,
+                      gaussian_symbols, receive, simulate_blocks)
 from .chest import EstimationError
 from .codec import PRESET_RATES, encode, frame_codeword, make_code, qpsk_map
 from .codec.framing import make_frame
@@ -188,21 +189,52 @@ def run_coded_trial(campaign: Campaign, grid_index: int, trial_index: int) -> li
     return rows
 
 
-def _shared_drop(campaign: Campaign, grid_index: int,
-                 trial_index: int) -> tuple[NetworkRealization, np.ndarray]:
-    """The drop of a (grid point, trial) pair and its R^(1/2).
+@dataclass
+class _StudyDraws:
+    """A Gaussian-symbol trial's draws from its own stream, in stream order.
+
+    The symbols come first, then the channels H, then (at receive) the
+    noise. H is None once the trial has received.
+    """
+
+    config: ScenarioConfig
+    rng: np.random.Generator
+    sigma_sq: np.ndarray          # (L, K) the exogenous symbol quality
+    s_hat: np.ndarray             # (B, L, K, n_data) the receiver's symbol estimates
+    s: np.ndarray                 # (B, L, K, n_data) the transmitted symbols
+    H: np.ndarray | None = None   # (B, L, L, K, M)
+
+
+def _draw_pair(variants: list[Campaign], grid_index: int,
+               trial_index: int) -> tuple[NetworkRealization, list[_StudyDraws]]:
+    """The drop of a (grid point, trial) pair and every variant's draws on it.
 
     The drop reads neither tau_p nor the mode, so every variant of a
-    Gaussian-symbol study shares it.
+    Gaussian-symbol study shares it. Each variant draws its symbols, then
+    its w, from its own stream; one link-by-link pass then applies each
+    link's R^(1/2) to every variant's w, so the pair makes each factor once
+    and holds no R^(1/2) stack.
     """
-    config = apply_grid_point(campaign.config, campaign.grid_param,
-                              campaign.grid_values[grid_index])
-    realization = make_network(config, _rng(campaign, grid_index, trial_index, 0xD0))
-    return realization, correlation_sqrt(realization.R)
+    draws = []
+    for campaign in variants:
+        value = campaign.grid_values[grid_index]
+        config = apply_grid_point(campaign.config, campaign.grid_param, value)
+        rng = _rng(campaign, grid_index, trial_index)
+        sig = np.full((config.L, config.K),
+                      float(value) if campaign.grid_param == "sigma_est" else 1.0)
+        shape = (GAUSSIAN_BLOCKS, config.L, config.K, config.data_slots(campaign.mode))
+        draws.append(_StudyDraws(config, rng, sig, *gaussian_symbols(rng, sig, shape)))
+    realization = make_network(draws[0].config,
+                               _rng(variants[0], grid_index, trial_index, 0xD0))
+    channels = draw_link_by_link(realization.R, [d.rng for d in draws], GAUSSIAN_BLOCKS)
+    for d, H in zip(draws, channels):
+        d.H = H
+    return realization, draws
 
 
 def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
-                       drop: tuple[NetworkRealization, np.ndarray] | None = None) -> list[dict]:
+                       shared: tuple[NetworkRealization, _StudyDraws] | None = None
+                       ) -> list[dict]:
     """One Gaussian-symbol study trial.
 
     Emits iteration 0 (pilot-only) and iteration 1 (data-aided at the
@@ -210,26 +242,23 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     for this drop, se_uatf a Monte Carlo estimate over GAUSSIAN_BLOCKS fresh
     blocks through the receiver's estimate-and-combine stage. A block whose
     estimated symbol matrix is rank deficient keeps its pilot-only estimate.
-    drop is the pair's `_shared_drop` when a study shares it.
+    shared is a study pair's drop and this variant's draws (_draw_pair);
+    without it the trial draws its own, as a pair of one variant. Either
+    way it receives, drops H and estimates: it holds one Y, and no H
+    beyond its receive.
     """
-    value = campaign.grid_values[grid_index]
-    config = apply_grid_point(campaign.config, campaign.grid_param, value)
-    sigma_est = float(value) if campaign.grid_param == "sigma_est" else 1.0
-    rng = _rng(campaign, grid_index, trial_index)
-    if drop is None:                    # simulate_blocks then draws link by link
-        drop = make_network(config, _rng(campaign, grid_index, trial_index, 0xD0)), None
-    realization, R_sqrt = drop
+    if shared is None:
+        realization, (draws,) = _draw_pair([campaign], grid_index, trial_index)
+    else:
+        realization, draws = shared
+    config, sig, s_hat, s = draws.config, draws.sigma_sq, draws.s_hat, draws.s
     mode = campaign.mode
     assignment = assign_pilots(config, mode)
     L, K = config.L, config.K
-    sig = np.full((L, K), sigma_est)
-
-    # Fresh blocks at the surrogate symbol quality for the Monte Carlo SE,
-    # drawn before the estimator statistics: that order peaks lower in memory.
     n_data = config.data_slots(mode)
-    s_hat, s = gaussian_symbols(rng, sig, (GAUSSIAN_BLOCKS, L, K, n_data))
-    blocks = simulate_blocks(mode, assignment, s, realization, config, rng, R_sqrt)
-    blocks.H = None                     # the study reads only Y
+    X = build_transmit(mode, assignment, s, realization, config)
+    blocks = BlockSignals(H=None, Y=receive(draws.H, X, config.noise_energy, draws.rng))
+    draws.H = X = None                  # the study reads only Y
 
     # Each cell's error covariances (K*M^2 numbers) are reduced to their MSE
     # where they are made, so a pass holds one cell's at a time.
@@ -252,14 +281,14 @@ _TRIAL_ERRORS = (EstimationError, np.linalg.LinAlgError)
 
 
 def _run_pair(args) -> tuple[int, int, list[dict]]:
-    # args: (campaign, grid index, trial index), plus the study's shared drop
-    campaign, grid_index, trial_index, *drop = args
+    # args: (campaign, grid index, trial index), plus a study variant's shared draws
+    campaign, grid_index, trial_index, *shared = args
     _threads.set_workers(campaign.workers)   # the workers share the cores
     try:
         if campaign.pipeline == "coded":
             rows = run_coded_trial(campaign, grid_index, trial_index)
         else:
-            rows = run_gaussian_trial(campaign, grid_index, trial_index, *drop)
+            rows = run_gaussian_trial(campaign, grid_index, trial_index, *shared)
     except _TRIAL_ERRORS as exc:
         log.warning("trial (grid=%d, trial=%d) failed: %s", grid_index, trial_index, exc)
         rows = []
@@ -269,21 +298,23 @@ def _run_pair(args) -> tuple[int, int, list[dict]]:
 def _run_variants(args) -> tuple[int, int, list[list[dict]]]:
     """Every study variant's trial of one (grid point, trial) pair, on one drop.
 
-    The variants share the drop's whole R^(1/2) stack, made once where each
-    variant alone would make every link's factor (simulate_blocks without
-    R_sqrt). It lives only for the pair, not on the realization, which the
-    coded receiver holds through all its iterations. A drop that fails
-    fails the pair's trial in every variant.
+    _draw_pair draws every variant's symbols, the drop and, in one
+    link-by-link pass, every variant's channels; each variant's trial then
+    receives and drops its H. So the pair makes each link's R^(1/2) once, as
+    one variant alone would, and never holds the L*L*K*M^2 stack. A drop
+    or link pass that fails fails the pair's trial in every variant.
     """
     variants, grid_index, trial_index = args
     _threads.set_workers(variants[0].workers)
     try:
-        drop = _shared_drop(variants[0], grid_index, trial_index)
+        realization, draws = _draw_pair(variants, grid_index, trial_index)
     except _TRIAL_ERRORS as exc:
-        log.warning("drop (grid=%d, trial=%d) failed: %s", grid_index, trial_index, exc)
+        log.warning("draws (grid=%d, trial=%d) failed: %s", grid_index, trial_index, exc)
         return grid_index, trial_index, [[] for _ in variants]
-    return grid_index, trial_index, [_run_pair((sub, grid_index, trial_index, drop))[2]
-                                     for sub in variants]
+    # Popped, so that a variant's symbols go when its trial ends.
+    return grid_index, trial_index, [
+        _run_pair((sub, grid_index, trial_index, (realization, draws.pop(0))))[2]
+        for sub in variants]
 
 
 # ---------------------------------------------------------------------------

@@ -223,17 +223,26 @@ def test_simulate_blocks_frees_its_own_r_sqrt_before_receive():
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_link_by_link_draw_equals_the_stacked_draw(monkeypatch, split_small, threads):
-    # simulate_blocks without R_sqrt draws each link's channel from its own
-    # R^(1/2): the bits of the stacked draw, and the generator left where the
-    # stacked draw leaves it, so the noise drawn next is the same too.
+    # draw_link_by_link makes each link's R^(1/2) once and applies it to every
+    # stream's w: each stream gets the bits of its own stacked draw, and its
+    # generator is left where the stacked draw leaves it, so the noise drawn
+    # next is the same too. One stream is simulate_blocks' draw; three are a
+    # study pair's, each stream advanced first by its own symbol draws.
     monkeypatch.setattr(airlink._threads, "_count", threads)
     config = cfg(M=16, K=3, L=3, tau_p=3)
     R = make_network(config, np.random.default_rng(30)).R
-    ref, rng = np.random.default_rng(31), np.random.default_rng(31)
-    want = draw_channels(correlation_sqrt(R), ref, n_blocks=5)
-    got = airlink._draw_link_by_link(R, rng, n_blocks=5)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert rng.bit_generator.state == ref.bit_generator.state
+    for seeds in ((31,), (31, 32, 33)):
+        refs = [np.random.default_rng(seed) for seed in seeds]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        for i, (ref, rng) in enumerate(zip(refs, rngs)):
+            crandn(ref, (2, 5 + i))
+            crandn(rng, (2, 5 + i))
+        got = airlink.draw_link_by_link(R, rngs, n_blocks=5)
+        assert len(got) == len(seeds)
+        for H, ref, rng in zip(got, refs, rngs):
+            want = draw_channels(correlation_sqrt(R), ref, n_blocks=5)
+            assert np.array_equal(H.view(np.uint64), want.view(np.uint64))
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_simulate_blocks_holds_no_r_sqrt_stack():

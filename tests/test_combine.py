@@ -1,12 +1,14 @@
 """Combiner construction, interference cancellation, effective statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import manual_network
 
 from ullsim import ScenarioConfig
 from ullsim.airlink import build_transmit, crandn, simulate_blocks
-from ullsim import _threads
+from ullsim import _threads, receiver
 from ullsim.airlink import gaussian_symbols
 from ullsim.chest import lmmse_filter, pilot_observation, psi_pilot
 from ullsim.combine import build_combiner, combine_iterative, effective_stats
@@ -236,6 +238,70 @@ def test_iterative_single_ue_equals_initial():
     # the own reconstruction is subtracted then added back: identical output
     assert np.allclose(out, combine_iterative(Yd, v, h_hat, None,
                                               np.zeros((1, config.tau_d))), atol=1e-12)
+
+
+def _stacked_combine_iterative(Y, v, h_hat, x_hat, own):
+    """combine_iterative with the residual of every block formed at once, (..., M, n_data).
+
+    The kernel the per-block residual replaced, kept as its oracle.
+    """
+    if x_hat is not None:
+        E = _threads.einsum("...km,...kt->...mt", h_hat, x_hat)
+        Y = np.subtract(Y, E, out=E)
+    y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Y)
+    gain = np.einsum("...km,...km->...k", v.conj(), h_hat)
+    return y_hat + gain[..., None] * own
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("combiner_kind", ["mr", "smmse"])
+@pytest.mark.parametrize("mode", ["rp", "sp"])
+def test_per_block_residual_keeps_the_stacked_bits(monkeypatch, split_small, mode,
+                                                   combiner_kind, threads):
+    # Every combine_iterative call of both receiver passes, on the stage's own
+    # operands (strided views of Y, h_hat and X), has the stacked kernel's bits.
+    monkeypatch.setattr(_threads, "_count", threads)
+    config = cfg(M=32, K=4, L=3, tau_c=40, tau_p=4, noise_energy=0.01, rho_design=0.1)
+    net = make_network(config, np.random.default_rng(16))
+    asg = assign_pilots(config, mode)
+    rng = np.random.default_rng(17)
+    sig = np.full((config.L, config.K), 0.6)
+    s_hat, s = gaussian_symbols(rng, sig, (5, config.L, config.K, config.data_slots(mode)))
+    blocks = simulate_blocks(mode, asg, s, net, config, rng)
+    checked = []
+
+    def spy(*args):
+        got = combine_iterative(*args)
+        want = _stacked_combine_iterative(*args)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        checked.append(args[3] is not None)
+        return got
+
+    monkeypatch.setattr(receiver, "combine_iterative", spy)
+    for extra in ({}, {"s_blocks": s_hat, "sigma": sig}):
+        estimate_and_combine(blocks, net, asg, config, mode, combiner_kind,
+                             lambda l, v, h_l, C_l: None, **extra)
+    assert checked == [False] * config.L + [True] * config.L
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_combine_iterative_holds_no_residual_stack(monkeypatch, threads):
+    # At the paper point a cell's (B, M, n_data) residual is 3.3 MB over
+    # B = 11 blocks; a thread forms one block's, 0.3 MB, at a time.
+    monkeypatch.setattr(_threads, "_count", threads)
+    B, K, M, n_data = 11, 10, 100, 190
+    rng = np.random.default_rng(18)
+    Y, v, h_hat = crandn(rng, (B, M, n_data)), crandn(rng, (B, K, M)), crandn(rng, (B, K, M))
+    x_hat, own = crandn(rng, (B, K, n_data)), crandn(rng, (B, K, n_data))
+    residual_bytes = B * M * n_data * 16
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        combine_iterative(Y, v, h_hat, x_hat, own)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak < residual_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import ullsim
 import ullsim.codec
-from ullsim import ScenarioConfig, cli, harness
+from ullsim import ScenarioConfig, airlink, cli, harness
 from ullsim.chest import EstimationError
 from ullsim.config import ConfigError, load_config
 from ullsim.harness import (CSV_COLUMNS, Campaign, apply_grid_point,
@@ -320,6 +321,49 @@ def test_failed_drop_fails_the_trial_in_every_study_variant(monkeypatch, caplog)
         assert f"{label}: 1 of 4 trials failed" in caplog.messages
     assert {r["mode"] for r in rows} == {"rp", "rp3", "sp"}
     assert {(r["grid_value"], r["n_trials"]) for r in rows} == {(0.2, 1), (0.8, 2)}
+
+
+def test_failed_link_pass_fails_the_trial_in_every_study_variant(monkeypatch, caplog):
+    psd_sqrt = airlink._psd_sqrt
+    calls = []
+
+    def flaky(R):
+        calls.append(None)
+        if len(calls) == 1:                        # a link of (grid 0, trial 0)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return psd_sqrt(R)
+
+    monkeypatch.setattr(airlink, "_psd_sqrt", flaky)
+    campaign = gaussian_campaign(grid_values=(0.2, 0.8), trials=2, workers=1)
+    with caplog.at_level(logging.WARNING, logger="ullsim.harness"):
+        rows = gaussian_symbol_study(campaign)
+    assert "draws (grid=0, trial=0) failed: Eigenvalues did not converge" in caplog.messages
+    for label in ("rp", "rp3", "sp"):
+        assert f"{label}: 1 of 4 trials failed" in caplog.messages
+    assert {r["mode"] for r in rows} == {"rp", "rp3", "sp"}
+    assert {(r["grid_value"], r["n_trials"]) for r in rows} == {(0.2, 1), (0.8, 2)}
+
+
+def test_study_pair_holds_no_r_sqrt_stack():
+    # At L = 7, K = 1, M = 128 the pair's (L, L, K, M, M) R^(1/2) stack is
+    # 12.8 MB. One link-by-link pass draws the three variants' channels (2 MB
+    # each), and a variant holds one Y (1.7 MB) and one cell's LMMSE filter
+    # (0.3 MB each for W and C) at a time: the pair peaks near 9.4 MB. Held
+    # through the pair, the stack alone reaches the bound.
+    config = ScenarioConfig(M=128, K=1, L=7, tau_c=6, tau_p=1)
+    study = gaussian_campaign(config=config, grid_values=(0.6,), trials=1)
+    variants = [sub for _, sub in harness._study_variants(study)]
+    assert [sub.mode for sub in variants] == ["rp", "rp", "sp"]
+    stack_bytes = config.L * config.L * config.K * config.M ** 2 * 16
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        _, _, rows = harness._run_variants((variants, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert all(rows)                               # no variant failed
+    assert peak < stack_bytes
 
 
 def test_study_skips_rp3_when_its_data_is_too_short():

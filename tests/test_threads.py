@@ -9,7 +9,8 @@ import pytest
 from ullsim import ScenarioConfig, _threads
 from ullsim.airlink import crandn
 from ullsim.chest import lmmse_filter
-from ullsim.harness import Campaign, _run_pair, run_coded_trial, run_gaussian_trial
+from ullsim.harness import (Campaign, _run_pair, _run_variants, _study_variants,
+                            run_coded_trial, run_gaussian_trial)
 
 
 def _exact(rows):
@@ -18,7 +19,9 @@ def _exact(rows):
              for k, v in row.items()} for row in rows]
 
 
-def _trial_rows():
+def _trial_rows(monkeypatch):
+    # A study pair sets the thread count from its workers: keep the test's.
+    monkeypatch.setattr(_threads, "set_workers", lambda workers: None)
     config = ScenarioConfig(M=8, K=2, L=3)
     rows = [run_coded_trial(Campaign(config=config, mode=mode, combiner=combiner,
                                      trials=1, seed=1, i_max=2), 0, 0)
@@ -26,14 +29,18 @@ def _trial_rows():
     study = Campaign(config=config, pipeline="gaussian", grid_param="sigma_est",
                      grid_values=(0.6,), trials=1, seed=1)
     rows += [run_gaussian_trial(study, 0, 0)]
+    # The pair's one link-by-link pass draws every variant's channels.
+    pair = _run_variants(([sub for _, sub in _study_variants(study)], 0, 0))[2]
+    assert len(pair) == 3 and all(pair)
+    rows += pair
     return [_exact(r) for r in rows]
 
 
 def test_trial_rows_do_not_depend_on_the_thread_count(monkeypatch, split_small):
     monkeypatch.setattr(_threads, "_count", 1)
-    serial = _trial_rows()
+    serial = _trial_rows(monkeypatch)
     monkeypatch.setattr(_threads, "_count", 3)
-    assert _trial_rows() == serial
+    assert _trial_rows(monkeypatch) == serial
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -107,7 +114,7 @@ def test_no_helper_thread_outlives_a_trial(monkeypatch, split_small):
     monkeypatch.setattr(_threads, "_count", 3)
     chunks_per_split = _count_chunks(monkeypatch)
     before = threading.active_count()
-    _trial_rows()
+    _trial_rows(monkeypatch)
     assert max(chunks_per_split) > 1                   # helper threads did run
     assert threading.active_count() == before
 

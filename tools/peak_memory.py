@@ -9,10 +9,11 @@ defaults: M=100, K=10, L=4, tau_c=200, or M from `--M`; rate 1/2, MR,
 i_max=8, psi bound),
 or with `--mode study` one (grid point, trial) pair of the Gaussian-symbol
 study (`harness._run_variants`: the rp, rp3 and sp variants on one shared
-drop, sigma_est = 0.6, MR), under tracemalloc, with the stage functions
-below wrapped at every ullsim module binding that refers to them, the way
-perfbench's tracer wraps them (and one private one, the coded trial's
-link-by-link channel draw, which perfbench counts in `simulate_blocks`).
+drop and one shared link-by-link channel pass, sigma_est = 0.6, MR), under
+tracemalloc, with the stage functions below wrapped at every ullsim module
+binding that refers to them, the way perfbench's tracer wraps them (and
+two private ones, the study's `_run_variants` and `_draw_pair`, which
+perfbench does not trace).
 For each stage it prints the number of calls, the traced bytes live when
 the first and the last call started, and the highest traced peak during
 any call (live bytes included), in MB. The LDPC code is built before
@@ -48,19 +49,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 STAGES = (
     ("trial", "ullsim.harness", "run_coded_trial"),
     ("study pair", "ullsim.harness", "_run_variants"),
+    # The study pair draws every variant's symbols, the drop and, in one
+    # shared link pass, every variant's channels before any variant runs.
+    ("pair draws", "ullsim.harness", "_draw_pair"),
+    ("symbols", "ullsim.airlink", "gaussian_symbols"),
     ("drop", "ullsim.netgeom", "make_network"),
-    ("study variant", "ullsim.harness", "run_gaussian_trial"),
     ("blocks", "ullsim.airlink", "simulate_blocks"),
-    # A coded trial draws its channels link by link, each R^1/2 made and
-    # dropped in turn; the study's variants share the pair's R^1/2 stack.
-    ("R^1/2", "ullsim.airlink", "correlation_sqrt"),
-    ("link-by-link draw", "ullsim.airlink", "_draw_link_by_link"),
+    # Channels are drawn link by link, each R^1/2 made once and dropped in
+    # turn: a coded trial's pass (in simulate_blocks) draws one stream, the
+    # study pair's one per variant. Neither run makes the whole R^1/2 stack.
+    ("link pass", "ullsim.airlink", "draw_link_by_link"),
+    ("study variant", "ullsim.harness", "run_gaussian_trial"),
     ("receive", "ullsim.airlink", "receive"),
     ("receiver", "ullsim.receiver", "run_receiver"),
     # psi is one call per pass, for every cell, on Toeplitz generators (a
     # pilot-only fallback adds one). LMMSE, the combiner, combining and
     # effective_stats make one call per serving cell, for their memory: a
-    # pass calls each L times, and holds one cell's C at a time.
+    # pass calls each L times, and holds one cell's C at a time. Combining
+    # forms one block's (M, n_data) residual at a time on each thread.
     ("psi", "ullsim.chest", "psi_pilot"),
     ("psi", "ullsim.chest", "psi_data_aided_bound"),
     ("LMMSE", "ullsim.chest", "lmmse_filter"),
