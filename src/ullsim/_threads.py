@@ -6,18 +6,28 @@ slice of one output with the call the whole stack makes, so no result
 depends on the thread count. With one thread, or too little work for two,
 nothing splits.
 
-Helper threads write only into arrays the calling thread allocated, and
+A stage whose items are independent, such as the receiver's serving cells,
+runs them through `each`: one fork per call, contiguous items per thread,
+and each item's kernels split over max(1, threads // items) threads of
+their own (a thread-local budget), so a trial never runs more threads than
+it has. With one thread per trial the items run on the calling thread.
+
+Kernel helpers write only into arrays the calling thread allocated, and
 keep their own temporaries small. glibc gives each thread its own malloc
 arena, which holds on to the memory freed in it: with the decoder's chunks
 copying their buffers into arrays of their own, a paper-scale coded round
 peaked at 120.7 MB RSS against 115.5 MB with the caller's buffers, and at
-116.5 to 118.4 MB with MALLOC_ARENA_MAX=1 (2-core VM).
+116.5 to 118.4 MB with MALLOC_ARENA_MAX=1 (2-core VM). An `each` item is
+the exception: it allocates its own results (a cell's filter, covariances
+and combining vectors) in its thread's arena, so a fork over n items holds
+up to min(threads, n) items' working sets at once.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -37,6 +47,12 @@ def threads_for(workers: int, cores: int | None = None) -> int:
 
 
 _count = threads_for(1)       # the harness sets it per pair from Campaign.workers
+_local = threading.local()    # .count: the budget of a thread running an `each` item
+
+
+def _budget() -> int:
+    """Threads the calling thread's kernels may use: its item's share, else _count."""
+    return getattr(_local, "count", _count)
 
 
 def set_workers(workers: int) -> None:
@@ -52,7 +68,21 @@ def chunks(n: int, t: int) -> list[slice]:
 
 def parts(n: int, work: int) -> list[slice]:
     """The chunks of range(n) that split(fn, n, work) runs fn over, one per thread."""
-    return chunks(n, min(_count, work // _MIN_WORK))
+    return chunks(n, min(_budget(), work // _MIN_WORK))
+
+
+def _fork(fn, slices: list[slice]) -> list:
+    """[fn(s) for s in slices], the first on the calling thread, each other on a helper.
+
+    The helpers are joined before this returns, and the first failing
+    slice's exception is raised.
+    """
+    first, *rest = slices
+    if not rest:
+        return [fn(first)]
+    with ThreadPoolExecutor(len(rest)) as pool:
+        helpers = [pool.submit(fn, s) for s in rest]
+        return [fn(first)] + [h.result() for h in helpers]
 
 
 def split(fn, n: int, work: int) -> None:
@@ -61,15 +91,32 @@ def split(fn, n: int, work: int) -> None:
     work is the whole stack's multiply-adds. The helper threads are joined
     before this returns, and the first failing chunk's exception is raised.
     """
-    first, *rest = parts(n, work)
-    if not rest:
-        fn(first)
-        return
-    with ThreadPoolExecutor(len(rest)) as pool:
-        helpers = [pool.submit(fn, s) for s in rest]
-        fn(first)
-        for h in helpers:
-            h.result()
+    _fork(fn, parts(n, work))
+
+
+def each(fn, n: int) -> list:
+    """[fn(i) for i in range(n)], the items split over the calling thread's budget.
+
+    One fork: contiguous items per thread, the first on the calling thread.
+    While an item runs, its thread's kernels get max(1, budget // n)
+    threads. The helpers are joined before this returns, and the first
+    failing item's exception is raised.
+    """
+    budget = _budget()
+    inner = max(1, budget // n)
+
+    def run(s):
+        outer = getattr(_local, "count", None)
+        _local.count = inner
+        try:
+            return [fn(i) for i in range(n)[s]]
+        finally:
+            if outer is None:
+                del _local.count
+            else:
+                _local.count = outer
+
+    return [out for part in _fork(run, chunks(n, budget)) for out in part]
 
 
 def einsum(subscripts: str, *operands) -> np.ndarray:

@@ -92,17 +92,30 @@ def combine_iterative(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
     return y_hat + gain[..., None] * own
 
 
+def intercell_interference(realization: NetworkRealization, mode: str) -> np.ndarray:
+    """(L, 2M-1) Toeplitz generators of the intercell interference at every BS.
+
+    Every UE of another cell interferes at its full energy: a BS knows no
+    other cell's symbols, so it subtracts none of them. The sum depends on
+    the drop and the mode only.
+    """
+    q, p = realization.energies(mode)
+    return realization.intercell(p if mode == "rp" else p + q)
+
+
 def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
                     realization: NetworkRealization, mode: str,
-                    config: ScenarioConfig, sigma_est: np.ndarray | None, cell: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    config: ScenarioConfig, sigma_est: np.ndarray | None, cell: int,
+                    inter: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Effective gain and noise variance per UE of one cell, for the demapper.
 
     v, h_hat: (..., K, M) at serving BS `cell`, e.g. (B, K, M) over the
     blocks; C: (K, M, M) the cell's error covariances; sigma_est: (L, K)
     soft-symbol qualities of the reconstructed co-UE signals that combining
     subtracted, or None before any decode, when no symbols are known and
-    nothing was subtracted. Returns (g, n_var), each (..., K).
+    nothing was subtracted; inter: the cell's row of intercell_interference,
+    which a caller of every cell forms once, or None to form it here.
+    Returns (g, n_var), each (..., K).
 
     The variance conditions on the estimates: channel errors enter through
     C, co-UE symbol errors through 1 - sigma_est^2, intercell interference
@@ -113,8 +126,9 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
     """
     q, p = realization.energies(mode)
     full = p if mode == "rp" else p + q             # a UE's full energy, (L, K)
-    # Intercell interference (never subtracted: symbols unknown at this BS).
-    inter = np.ascontiguousarray(toeplitz(realization.intercell(full)[cell]))
+    if inter is None:
+        inter = intercell_interference(realization, mode)[cell]
+    inter = np.ascontiguousarray(toeplitz(inter))
     est_part = (full if sigma_est is None
                 else p * (1.0 - np.asarray(sigma_est, dtype=float)))[cell]
     p, full = p[cell], full[cell]

@@ -177,9 +177,13 @@ def run_coded_trial(campaign: Campaign, grid_index: int, trial_index: int) -> li
     data = np.moveaxis(frame_codeword(symbols, frame), 2, 0)   # (B, L, K, slots)
     blocks = simulate_blocks(campaign.mode, assignment, data, realization, config, rng)
     del info, symbols, data                   # the receiver reads none of them
+    # Of H, the receiver scores only the serving channels: the (B, L, L, K, M)
+    # stack goes before its first pass.
+    h_true = blocks.H[:, np.arange(L), np.arange(L)]
+    blocks.H = None
     trace = run_receiver(blocks, realization, assignment, config, code, frame,
                          campaign.mode, combiner_kind=campaign.combiner,
-                         i_max=campaign.i_max)
+                         i_max=campaign.i_max, h_true=h_true)
 
     rows = []
     for it in range(campaign.i_max + 1):     # a receiver that stopped repeats its last state
@@ -244,8 +248,9 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     estimated symbol matrix is rank deficient keeps its pilot-only estimate.
     shared is a study pair's drop and this variant's draws (_draw_pair);
     without it the trial draws its own, as a pair of one variant. Either
-    way it receives, drops H and estimates: it holds one Y, and no H
-    beyond its receive.
+    way it receives, drops H and estimates: it holds one Y, no H beyond
+    its receive, and one pass's combined outputs, reduced to rows before
+    the next pass.
     """
     if shared is None:
         realization, (draws,) = _draw_pair([campaign], grid_index, trial_index)
@@ -261,19 +266,19 @@ def run_gaussian_trial(campaign: Campaign, grid_index: int, trial_index: int,
     draws.H = X = None                  # the study reads only Y
 
     # Each cell's error covariances (K*M^2 numbers) are reduced to their MSE
-    # where they are made, so a pass holds one cell's at a time.
+    # where they are made, so each of a pass's threads holds one cell's at a time.
     stage = (blocks, realization, assignment, config, mode, campaign.combiner,
              lambda l, v, h_l, C_l: mse_channel_analytic(C_l))
-    _, y0, mse0, _ = estimate_and_combine(*stage)
-    _, y1, mse1, _ = estimate_and_combine(*stage, s_blocks=s_hat, sigma=sig)
     prelog = n_data / config.tau_c
-    # se_uatf_samples stays per UE: batched means keep the bits only over
-    # contiguous per-UE copies of y and s, about 20 MB at the paper point.
     rows = []
-    for it, mse, y in ((0, mse0, y0), (1, mse1, y1)):
+    for it, extra in enumerate(({}, {"s_blocks": s_hat, "sigma": sig})):
+        _, y, mse, _ = estimate_and_combine(*stage, **extra)
+        # se_uatf_samples stays per UE: batched means keep the bits only over
+        # contiguous per-UE copies of y and s, about 20 MB at the paper point.
         se = np.array([[se_uatf_samples(y[:, l, k], s[:, l, k], prelog, min_samples=1)
                         for k in range(K)] for l in range(L)])
         rows += _ue_rows(it, mse_ch=np.stack(mse), se_uatf=se)
+        del y                           # a pass's y goes before the next pass
     return rows
 
 

@@ -27,7 +27,8 @@ from .chest import (EstimationError, data_aided_observation, lmmse_filter,
 from .codec import (CodewordFrame, decode, frame_codeword, hard_decisions,
                     qpsk_demap_llr, qpsk_map, soft_symbols)
 from .codec.ldpc import CodeSpec
-from .combine import build_combiner, combine_iterative, effective_stats
+from .combine import (build_combiner, combine_iterative, effective_stats,
+                      intercell_interference)
 from .config import ConfigError, ScenarioConfig
 from .metrics import (effective_snr_db, mse_channel_empirical, se_mutual_info,
                       se_uatf_moments)
@@ -102,12 +103,16 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     and that block keeps the stage's pilot-only estimate, whose filter is
     computed only for a cell where some block needs it.
 
-    Each serving cell l runs through estimate, combine and reduce before
-    the next: reduce(l, v, h_hat_l, C_l) gets the cell's combining vectors
-    and estimates, (B, K, M), and error covariances C_l, (K, M, M), and its
-    result is all the stage keeps of them. So one cell's filter, C and v
-    exist at a time (K*M^2 numbers each); the observations and psi of every
-    cell are formed at once, psi as Toeplitz generators (L*K*(2M-1) numbers).
+    Each serving cell l runs through estimate, combine and reduce as one
+    item of _threads.each: no BS reads another's cell, so the cells split
+    over the trial's threads, contiguous cells per thread, and a cell's
+    kernels split over the threads left to it. reduce(l, v, h_hat_l, C_l)
+    gets the cell's combining vectors and estimates, (B, K, M), and error
+    covariances C_l, (K, M, M), and its result is all the stage keeps of
+    them. So each thread holds one cell's filter, C and v at a time (K*M^2
+    numbers each), min(threads, L) cells' in all, and reduce must be safe
+    to call from any thread; the observations and psi of every cell are
+    formed at once, psi as Toeplitz generators (L*K*(2M-1) numbers).
 
     Returns (h_hat, y, reduced, fallbacks): h_hat (B, L, K, M), y (B, L, K,
     slots), the list of the L cells' reduce results, and the number of
@@ -138,13 +143,14 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
            else psi_data_aided_bound(realization, assignment, config, mode, sigma))
     fallback_psi = psi_pilot(realization, assignment, config, mode) if failed.any() else None
 
-    # Combining one cell at a time: stacked, with the same bits, its (B, L, M,
+    # Combining per cell: stacked, with the same bits, its (B, L, M,
     # tau_c) residual raised the traced peak of a coded rp trial from 45.4 to
     # 63.0 MB, of a coded sp one from 43.1 to 59.8 MB and of a study pair from
     # 88.5 to 126.9 MB (paper point, seed 1): over the benchmark's 10 % bound.
     h_hat = np.empty_like(z)
-    y, reduced = [], []
-    for l in range(config.L):
+
+    def cell(l):
+        """Cell l through estimate, combine and reduce: its y and reduce result."""
         h_hat[:, l], C_l = estimate(l, z[:, l], psi[l])
         if failed[:, l].any():                             # the pilot-only fallback
             z_l = pilot_observation(Y[:, l], assignment.seqs[l], q[l], mode,
@@ -156,20 +162,25 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
             x_hat, own = None, -X[l, :, data]
         else:                     # own, sqrt(p) s_hat, lives for the call only
             x_hat, own = X[:, l, :, data], np.sqrt(p[l])[:, None] * s_blocks[:, l]
-        y.append(combine_iterative(Y[:, l, :, data], v, h_hat[:, l], x_hat, own))
+        y_l = combine_iterative(Y[:, l, :, data], v, h_hat[:, l], x_hat, own)
         del x_hat, own
-        reduced.append(reduce(l, v, h_hat[:, l], C_l))
-        del v, C_l                # before the next cell's are made
-    return h_hat, np.stack(y, axis=1), reduced, int(failed.sum())
+        return y_l, reduce(l, v, h_hat[:, l], C_l)
+
+    y, reduced = zip(*_threads.each(cell, config.L))
+    return h_hat, np.stack(y, axis=1), list(reduced), int(failed.sum())
 
 
 def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
                  assignment: PilotAssignment, config: ScenarioConfig,
                  code: CodeSpec, frame: CodewordFrame, mode: str,
-                 combiner_kind: str = "mr", i_max: int = 8) -> IterationTrace:
+                 combiner_kind: str = "mr", i_max: int = 8,
+                 h_true: np.ndarray | None = None) -> IterationTrace:
     """Run the full iterative receiver on one batch of coherence blocks.
 
     blocks must span exactly one codeword per UE (frame.n_blocks blocks).
+    The receiver reads blocks.Y, and scores its estimates against the
+    serving channels h_true, (B, L, K, M), by default those of blocks.H: a
+    caller that passes them may release blocks.H first.
     Each pass decodes the UEs still to do. The first knows no symbols
     (sigma is None, as s_blocks is) and estimates on the pilot-only
     statistics, every later one on the data-aided bound at the previous
@@ -182,7 +193,9 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
     if B != frame.n_blocks:
         raise ValueError(f"got {B} blocks for a {frame.n_blocks}-block frame")
 
-    h_true = blocks.H[:, np.arange(L), np.arange(L)]       # (B, L, K, M)
+    if h_true is None:
+        h_true = blocks.H[:, np.arange(L), np.arange(L)]   # (B, L, K, M)
+    inter = intercell_interference(realization, mode)      # every pass's, (L, 2M-1)
     prelog = config.data_slots(mode) / config.tau_c
     states: list[IterationState] = []
     ok = np.zeros((L, K), dtype=bool)
@@ -193,7 +206,7 @@ def run_receiver(blocks: BlockSignals, realization: NetworkRealization,
         h_hat, y_hat, stats, fallbacks = estimate_and_combine(
             blocks, realization, assignment, config, mode, combiner_kind,
             lambda l, v, h_l, C_l: effective_stats(v, h_l, C_l, realization, mode,
-                                                   config, sigma, l),
+                                                   config, sigma, l, inter[l]),
             s_blocks=s_blocks, sigma=sigma)
         g, n_var = (np.stack(cells, axis=1) for cells in zip(*stats))    # (B, L, K)
         if not (np.all(np.isfinite(n_var) & (n_var > 0)) and np.all(np.isfinite(g) & (g != 0))):

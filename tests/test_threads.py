@@ -1,16 +1,24 @@
 """A trial's stacked kernels split over threads: same bits for any count."""
 
+import functools
+import logging
 import math
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ullsim import ScenarioConfig, _threads
-from ullsim.airlink import crandn
-from ullsim.chest import lmmse_filter
+from ullsim import ScenarioConfig, _threads, harness, receiver
+from ullsim.airlink import crandn, gaussian_symbols, simulate_blocks
+from ullsim.chest import EstimationError, lmmse_filter
+from ullsim.combine import build_combiner
 from ullsim.harness import (Campaign, _run_pair, _run_variants, _study_variants,
                             run_coded_trial, run_gaussian_trial)
+from ullsim.netgeom import make_network
+from ullsim.pilots import assign_pilots
+from ullsim.receiver import estimate_and_combine
 
 
 def _exact(rows):
@@ -36,11 +44,56 @@ def _trial_rows(monkeypatch):
     return [_exact(r) for r in rows]
 
 
-def test_trial_rows_do_not_depend_on_the_thread_count(monkeypatch, split_small):
+@pytest.mark.parametrize("threads", [1, 2, 3, 7])
+def test_trial_rows_do_not_depend_on_the_thread_count(monkeypatch, split_small, threads):
+    # Over L = 3 cells: two threads split them unevenly, three give each its
+    # own, seven leave each cell's kernels two.
     monkeypatch.setattr(_threads, "_count", 1)
     serial = _trial_rows(monkeypatch)
-    monkeypatch.setattr(_threads, "_count", 3)
-    assert _trial_rows(monkeypatch) == serial
+    monkeypatch.setattr(_threads, "_count", threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)                         # the threads interleave often
+    try:
+        assert _trial_rows(monkeypatch) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("count, n, inner", [
+    (1, 3, 1), (2, 3, 1), (3, 3, 1), (7, 3, 2), (8, 4, 2), (2, 1, 2)])
+def test_each_runs_the_items_in_order_with_a_share_of_the_threads(monkeypatch, count, n,
+                                                                  inner):
+    monkeypatch.setattr(_threads, "_count", count)
+    parts = _threads.chunks(n, count)
+    # Each thread's first item waits for every other thread's: they run at once.
+    meet = threading.Barrier(len(parts), timeout=10)
+    firsts = {s.start for s in parts}
+
+    def item(i):
+        if i in firsts:
+            meet.wait()
+        return i, _threads._budget(), threading.get_ident()
+
+    got = _threads.each(item, n)
+    assert [i for i, _, _ in got] == list(range(n))
+    assert {budget for _, budget, _ in got} == {inner}
+    threads = [[ident for _, _, ident in got[s]] for s in parts]
+    assert threads[0][0] == threading.get_ident()           # the first on the caller
+    assert len({t[0] for t in threads}) == len(parts)
+    assert all(len(set(t)) == 1 for t in threads)           # a thread's items in turn
+    assert _threads._budget() == count                      # the caller's is restored
+
+
+def test_each_raises_the_first_failing_items_error(monkeypatch):
+    monkeypatch.setattr(_threads, "_count", 3)          # items 1 and 2 on helpers
+
+    def fail_from_1(i):
+        if i >= 1:
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError, match="^1$"):
+        _threads.each(fail_from_1, 3)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -80,6 +133,62 @@ def test_a_pair_sets_the_thread_count_from_its_workers(monkeypatch, workers):
                         trials=1, workers=workers)
     _run_pair((campaign, 0, 0))
     assert _threads._count == _threads.threads_for(workers)
+
+
+def test_a_cells_estimation_error_on_a_helper_thread_fails_the_trial(monkeypatch, caplog):
+    monkeypatch.setattr(_threads, "set_workers", lambda workers: None)
+    monkeypatch.setattr(_threads, "_count", 3)          # one cell per thread
+    nets = []
+    make_network = harness.make_network
+    monkeypatch.setattr(harness, "make_network",
+                        lambda *args: nets.append(make_network(*args)) or nets[-1])
+    on_main = []
+
+    def singular_in_cell_2(h_hat, C, rho, noise_energy, kind):
+        if np.array_equal(rho, nets[-1].rho[2]):      # a zero S-MMSE matrix
+            on_main.append(threading.current_thread() is threading.main_thread())
+            h_hat, C, noise_energy = np.zeros_like(h_hat), np.zeros_like(C), 0.0
+        return build_combiner(h_hat, C, rho, noise_energy, kind)
+
+    monkeypatch.setattr(receiver, "build_combiner", singular_in_cell_2)
+    campaign = Campaign(config=ScenarioConfig(M=8, K=2, L=3), combiner="smmse",
+                        trials=1, seed=1, i_max=2)
+    with pytest.raises(EstimationError, match="S-MMSE combining matrix is singular"):
+        run_coded_trial(campaign, 0, 0)
+    assert on_main == [False]                           # cell 2's, in the first pass
+    assert not any(np.array_equal(nets[0].rho[2], nets[0].rho[l]) for l in (0, 1))
+    with caplog.at_level(logging.WARNING, logger="ullsim.harness"):
+        assert _run_pair((campaign, 0, 0)) == (0, 0, [])
+    assert "trial (grid=0, trial=0) failed: S-MMSE combining matrix is singular" in caplog.text
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4, 8])
+def test_the_stage_holds_a_filter_per_thread_at_most(monkeypatch, threads):
+    # A cell's W and C are 2.1 MB here (K = 16, M = 64); each of the
+    # min(threads, L) threads holds one cell's at a time. Measured peaks were
+    # 1.3, 2.3, 4.4 and 4.5 filters, the stage's own arrays about 0.3.
+    monkeypatch.setattr(_threads, "_count", threads)
+    config = ScenarioConfig(M=64, K=16, L=4, tau_c=40, tau_p=16, noise_energy=0.01,
+                            rho_design=0.1)
+    net = make_network(config, np.random.default_rng(14))
+    asg = assign_pilots(config, "rp")
+    rng = np.random.default_rng(15)
+    sig = np.full((config.L, config.K), 0.6)
+    s_hat, s = gaussian_symbols(rng, sig, (2, config.L, config.K, config.tau_d))
+    blocks = simulate_blocks("rp", asg, s, net, config, rng)
+    filter_bytes = 2 * config.K * config.M ** 2 * 16
+    for extra in ({}, {"s_blocks": s_hat, "sigma": sig}):
+        stage = functools.partial(estimate_and_combine, blocks, net, asg, config, "rp", "mr",
+                                  lambda l, v, h_l, C_l: None, **extra)
+        stage()                                         # numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            stage()
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak < (min(threads, config.L) + 1) * filter_bytes, (extra.keys(), peak)
 
 
 def test_split_runs_each_chunk_and_raises_a_helper_threads_error(monkeypatch):

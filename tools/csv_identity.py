@@ -10,7 +10,9 @@ failed call, 2 when BASE_REV cannot be exported.
 
 The list covers the three perfbench workloads on the paper scenario at
 seeds 1 and 2, a paper-scale coded sp S-MMSE trial on one worker (the
-only call whose S-MMSE solves split over threads), and the M=8, K=2, L=3
+only call whose S-MMSE solves are large enough to split over threads:
+its serving cells run over the trial's threads, and each cell's solves
+split further from 2L = 8 threads per trial), and the M=8, K=2, L=3
 scenario through both modes and combiners, the gaussian pipeline in both
 modes, rate 3/4, i_max = 0 in both modes, a 2-worker sweep, integer
 (tau_c, M, L and rp tau_p) sweeps, an sp pilot-share (delta) sweep, a
@@ -55,8 +57,9 @@ def _calls() -> list[tuple[str, str, tuple]]:
                       ("sweep", "--param", "snr_db", "--values", "0,10", "--mode", "sp",
                        "--combiner", "smmse", "--rate", "3/4", "--trials", "4",
                        "--workers", "2", "--imax", "8", "--psi", "bound", "--seed", seed)))
-    # One worker gives the trial every core; sweep-parallel's workers get one
-    # thread each, and the tiny scenario's solves are too small to split.
+    # One worker gives the trial every core, over which its cells run;
+    # sweep-parallel's workers get one thread each, and the tiny scenario's
+    # solves are too small to split.
     calls.append(("coded-paper-sp-smmse-seed1", "paper",
                   ("run", "--mode", "sp", "--combiner", "smmse", "--trials", "1", "--rate",
                    "1/2", "--workers", "1", "--imax", "8", "--psi", "bound", "--seed", "1")))
