@@ -98,11 +98,11 @@ def draw_channels(R_sqrt: np.ndarray, rng: np.random.Generator,
     """Channel realizations h = R^(1/2) w, w ~ CN(0, I), one per block.
 
     R_sqrt: (L, L, K, M, M) factors from correlation_sqrt.
-    Returns (n_blocks, L, L, K, M).
+    Returns (n_blocks, L, L, K, M), in one einsum: the stacked reference
+    of a trial's draw_link_by_link.
     """
     w = crandn(rng, (n_blocks,) + R_sqrt.shape[:-1])
-    # Blocks are split over the trial's threads, R^(1/2) shared.
-    return _threads.einsum("...mn,...n->...m", R_sqrt, w)
+    return np.einsum("...mn,...n->...m", R_sqrt, w)
 
 
 def draw_link_by_link(R: np.ndarray, rngs: list[np.random.Generator],
@@ -167,12 +167,19 @@ def receive(H: np.ndarray, X: np.ndarray, noise_energy: float,
             rng: np.random.Generator) -> np.ndarray:
     """Received blocks Y_l = sum_{cells, UEs} h x^T + N at every BS.
 
-    H: (..., L, L, K, M), X: (..., L, K, tau_c) -> Y: (..., L, M, tau_c).
-    Stacked blocks are split over the trial's threads. The noise is
+    H: ([B,] L, L, K, M), X: ([B,] L, K, tau_c) -> Y: ([B,] L, M, tau_c).
+    H's block axis B, if it has one, is split over the trial's threads,
+    each chunk the stacked einsum on its blocks of H and X. The noise is
     N = sqrt(noise_energy) * crandn(rng, Y.shape), the same draws and bits,
     added into Y one slab at a time: receive holds Y and one slab.
     """
-    Y = _threads.einsum("...abkm,...bkt->...amt", H, X)
+    subscripts = "...abkm,...bkt->...amt"
+    if H.ndim == 4:
+        Y = np.einsum(subscripts, H, X)
+    else:
+        Y = np.empty((len(H), H.shape[1], H.shape[-1], X.shape[-1]), dtype=np.result_type(H, X))
+        _threads.split(lambda s: np.einsum(subscripts, H[s], X[s], out=Y[s]), len(H),
+                       work=H.size * X.shape[-1])
     _add_crandn(rng, Y, np.sqrt(noise_energy))
     return Y
 

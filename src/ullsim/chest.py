@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _threads
 from .airlink import (build_transmit, correlation_sqrt, draw_channels,
                       gaussian_symbols, receive)
 from .config import ScenarioConfig
@@ -74,9 +73,9 @@ def data_aided_observation(Y: np.ndarray, Xhat: np.ndarray) -> tuple[np.ndarray,
     matrix is singular (a rank-deficient Xhat).
     """
     XhH = np.swapaxes(Xhat.conj(), -1, -2)
-    A, ok = _threads.solve(XhH @ Xhat, XhH)           # G^{-1} Xhat^H, G = Xhat^H Xhat
+    A, ok = solve(XhH @ Xhat, XhH)                    # G^{-1} Xhat^H, G = Xhat^H Xhat
     # conj(u_k) reads A's transpose: U = Xhat G^{-1} = A^H, so conj(U) = A^T.
-    return _threads.einsum("...mt,...tk->...km", Y, np.swapaxes(A, -1, -2)), ok
+    return np.einsum("...mt,...tk->...km", Y, np.swapaxes(A, -1, -2)), ok
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +210,32 @@ def psi_data_aided_empirical(draws: np.ndarray) -> np.ndarray:
 # LMMSE
 
 
+def solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.solve(A, B) on stacks of one shape, marking the singular members.
+
+    One LAPACK call per matrix, the call the stacked solve makes for it.
+    Returns (X, ok): ok, over the stack, is False where A's matrix is
+    singular or its solution is not finite, and X is zero there.
+    """
+    X = np.empty(B.shape, dtype=np.result_type(A, B, float))
+    for idx in np.ndindex(A.shape[:-2]):
+        try:
+            X[idx] = np.linalg.solve(A[idx], B[idx])
+        except np.linalg.LinAlgError:
+            X[idx] = np.nan
+    ok = np.all(np.isfinite(X), axis=(-2, -1))
+    X[~ok] = 0
+    return X, ok
+
+
 def _solve_psd(Psi: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve Psi X = B for stacks of Hermitian Psi; one failure regularizes them all."""
-    X, ok = _threads.solve(Psi, B)
+    X, ok = solve(Psi, B)
     if ok.all():
         return X
     M = Psi.shape[-1]
     tr = np.einsum("...ii->...", Psi).real
-    X, ok = _threads.solve(Psi + (1e-12 * tr / M)[..., None, None] * np.eye(M), B)
+    X, ok = solve(Psi + (1e-12 * tr / M)[..., None, None] * np.eye(M), B)
     if not ok.all():
         raise EstimationError("observation covariance is singular")
     return X
@@ -235,15 +252,12 @@ def lmmse_filter(R: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # the same bits in place, one matrix at a time, with (M, M) temporaries.
     W = np.swapaxes(np.conjugate(X, out=X), -1, -2)
     C = np.empty(W.shape, dtype=np.result_type(W, R))
-
-    def covariance_one(idx):
+    for idx in np.ndindex(C.shape[:-2]):
         # A drop's R is a strided view; BLAS gets a dense copy of the matrix.
         c = np.matmul(W[idx], np.ascontiguousarray(R[idx]), out=C[idx])
         np.subtract(R[idx], c, out=c)
         c += np.conjugate(c).T
         c *= 0.5
-
-    _threads.per_matrix(covariance_one, C)
     return W, C
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _threads
-from .chest import EstimationError
+from .chest import EstimationError, solve
 from .config import ScenarioConfig
 from .netgeom import NetworkRealization, toeplitz
 
@@ -44,7 +43,7 @@ def build_combiner(h_hat: np.ndarray, C: np.ndarray, rho: np.ndarray,
     A = np.einsum("...km,...kn->...mn", rho[:, None] * h_hat, h_hat.conj())
     A = A + np.einsum("k,kmn->mn", rho, C) + noise_energy * np.eye(M)
     # Solve A V^H = h_hat^H for all K right-hand sides at once.
-    V, ok = _threads.solve(A, np.swapaxes(h_hat.conj(), -1, -2))
+    V, ok = solve(A, np.swapaxes(h_hat.conj(), -1, -2))
     if not ok.all():
         raise EstimationError("S-MMSE combining matrix is singular")
     return np.multiply(np.swapaxes(V.conj(), -1, -2), rho[..., :, None], order="C")
@@ -65,30 +64,24 @@ def combine_iterative(Y: np.ndarray, v: np.ndarray, h_hat: np.ndarray,
 
     y_hat_k = v_k^H (Y - sum_j h_hat_j x_hat_j^T) + (v_k^H h_hat_k) own_k
 
-    The residual is formed one block (one index of "...") at a time, the
-    blocks split over the trial's threads: each thread holds one (M,
-    n_data) residual, not the stack, and each block's einsums give the
-    bits of the stacked ones.
+    The residual is formed one block (one index of "...") at a time, so
+    the call holds one (M, n_data) residual, not the stack, and each
+    block's einsums give the bits of the stacked ones.
     """
     vc = v.conj()
     gain = np.einsum("...km,...km->...k", vc, h_hat)
     if x_hat is None:
-        y_hat = _threads.einsum("...km,...mt->...kt", vc, Y)
+        y_hat = np.einsum("...km,...mt->...kt", vc, Y)
     else:
         ops = (Y, vc, h_hat, x_hat)
         lead = np.broadcast_shapes(*(a.shape[:-2] for a in ops))
         Y, vc, h_hat, x_hat = (np.broadcast_to(a, lead + a.shape[-2:]) for a in ops)
-        (K, M), n_data = h_hat.shape[-2:], x_hat.shape[-1]
+        K, n_data = h_hat.shape[-2], x_hat.shape[-1]
         y_hat = np.empty(lead + (K, n_data), dtype=np.result_type(*ops))
-        blocks = list(np.ndindex(lead))
-
-        def combine_blocks(s):
-            for b in blocks[s]:
-                E = np.einsum("km,kt->mt", h_hat[b], x_hat[b])
-                np.subtract(Y[b], E, out=E)
-                np.einsum("km,mt->kt", vc[b], E, out=y_hat[b])
-
-        _threads.split(combine_blocks, len(blocks), work=2 * len(blocks) * K * M * n_data)
+        for b in np.ndindex(lead):
+            E = np.einsum("km,kt->mt", h_hat[b], x_hat[b])
+            np.subtract(Y[b], E, out=E)
+            np.einsum("km,mt->kt", vc[b], E, out=y_hat[b])
     return y_hat + gain[..., None] * own
 
 
@@ -106,7 +99,7 @@ def intercell_interference(realization: NetworkRealization, mode: str) -> np.nda
 def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
                     realization: NetworkRealization, mode: str,
                     config: ScenarioConfig, sigma_est: np.ndarray | None, cell: int,
-                    inter: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    inter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Effective gain and noise variance per UE of one cell, for the demapper.
 
     v, h_hat: (..., K, M) at serving BS `cell`, e.g. (B, K, M) over the
@@ -114,7 +107,7 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
     soft-symbol qualities of the reconstructed co-UE signals that combining
     subtracted, or None before any decode, when no symbols are known and
     nothing was subtracted; inter: the cell's row of intercell_interference,
-    which a caller of every cell forms once, or None to form it here.
+    which a caller of every cell forms once.
     Returns (g, n_var), each (..., K).
 
     The variance conditions on the estimates: channel errors enter through
@@ -126,8 +119,6 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
     """
     q, p = realization.energies(mode)
     full = p if mode == "rp" else p + q             # a UE's full energy, (L, K)
-    if inter is None:
-        inter = intercell_interference(realization, mode)[cell]
     inter = np.ascontiguousarray(toeplitz(inter))
     est_part = (full if sigma_est is None
                 else p * (1.0 - np.asarray(sigma_est, dtype=float)))[cell]
@@ -136,7 +127,7 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
     g = np.sqrt(p) * np.einsum("...km,...km->...k", v.conj(), h_hat)
 
     # v_k^H C_j v_k and |v_k^H h_hat_j|^2 for every in-cell pair (k, j).
-    vCv = _threads.einsum("...km,...jmn,...kn->...kj", v.conj(), C, v).real
+    vCv = np.einsum("...km,...jmn,...kn->...kj", v.conj(), C, v).real
     vh2 = np.abs(np.einsum("...km,...jm->...kj", v.conj(), h_hat)) ** 2
 
     # Own-UE residual: channel-estimation error on data (and own pilot for sp).
@@ -148,7 +139,7 @@ def effective_stats(v: np.ndarray, h_hat: np.ndarray, C: np.ndarray,
     cross = vh2 * est_part[..., None, :] + vCv * full[..., None, :]
     n_var = n_var + np.einsum("...kj,kj->...k", cross, off.astype(float))
 
-    n_var = n_var + _threads.einsum("...km,...mn,...kn->...k", v.conj(), inter, v).real
+    n_var = n_var + np.einsum("...km,...mn,...kn->...k", v.conj(), inter, v).real
 
     n_var = n_var + config.noise_energy * np.einsum("...km,...km->...k", v.conj(), v).real
     return g, n_var

@@ -186,7 +186,8 @@ def local_scattering_correlation(beta, nominal_angle, config: ScenarioConfig) ->
     with antenna spacing d in wavelengths, nominal angle t, and angular
     standard deviation s in radians. The result is Hermitian Toeplitz and
     positive semidefinite in exact arithmetic; rounding can leave eigenvalues
-    of order -1e-12 * beta, which `airlink.correlation_sqrt` clips.
+    of order -1e-12 * beta, which the square root of each link's R
+    (`airlink._psd_sqrt`, in a trial's link-by-link draw) clips to zero.
 
     Returns (..., M, M), the read-only `toeplitz` view of the (..., 2M-1)
     generators.

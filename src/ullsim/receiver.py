@@ -100,19 +100,20 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     own data. Either way, one combining formula leaves each UE's y with its
     own pilot removed.
     The projection marks each block whose symbol matrix is rank deficient,
-    and that block keeps the stage's pilot-only estimate, whose filter is
-    computed only for a cell where some block needs it.
+    and that block keeps the stage's pilot-only estimate.
 
-    Each serving cell l runs through estimate, combine and reduce as one
-    item of _threads.each: no BS reads another's cell, so the cells split
-    over the trial's threads, contiguous cells per thread, and a cell's
-    kernels split over the threads left to it. reduce(l, v, h_hat_l, C_l)
-    gets the cell's combining vectors and estimates, (B, K, M), and error
-    covariances C_l, (K, M, M), and its result is all the stage keeps of
-    them. So each thread holds one cell's filter, C and v at a time (K*M^2
-    numbers each), min(threads, L) cells' in all, and reduce must be safe
-    to call from any thread; the observations and psi of every cell are
-    formed at once, psi as Toeplitz generators (L*K*(2M-1) numbers).
+    Each serving cell l is one item of _threads.each: no BS reads another's
+    cell, so the cells split over the trial's threads, contiguous cells per
+    thread, and the code inside a cell calls numpy directly. A cell forms
+    its observations from its own blocks Y[:, l] (the pilot de-spread, or
+    the projection onto X[:, l]) and, if some block of it is rank
+    deficient, its own pilot-only fallback. reduce(l, v, h_hat_l, C_l) gets
+    the cell's combining vectors and estimates, (B, K, M), and error
+    covariances, (K, M, M); its result is all the stage keeps of them, and
+    it must be safe to call from any thread. So a thread holds one cell's
+    filter and C (K*M^2 numbers each) at a time, min(threads, L) cells' in
+    all; psi of every cell is formed at once, as Toeplitz generators
+    (L*K*(2M-1) numbers).
 
     Returns (h_hat, y, reduced, fallbacks): h_hat (B, L, K, M), y (B, L, K,
     slots), the list of the L cells' reduce results, and the number of
@@ -122,40 +123,44 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
     q, p = realization.energies(mode)
     n_data = config.data_slots(mode)
     data = slice(config.tau_c - n_data, None)
-
-    def estimate(l, z, psi_l):
-        """Cell l's estimates from observations z (B, K, M) of covariance psi_l, and their C."""
-        W, C_l = lmmse_filter(realization.R[l, l], psi_l)
-        return _threads.einsum("kmn,...kn->...km", W, z), C_l
-
     if s_blocks is None:
-        z = pilot_observation(Y, assignment.seqs, q, mode, tau_p=config.tau_p)
-        ok = np.ones(Y.shape[:2], dtype=bool)
+        psi = psi_pilot(realization, assignment, config, mode)
         # The pilots alone, (L, K, tau_c): each UE's own row is what it loses.
         X = build_transmit(mode, assignment, np.zeros((config.L, config.K, n_data)),
                            realization, config)
     else:
+        psi = psi_data_aided_bound(realization, assignment, config, mode, sigma)
         # One estimated transmit matrix serves the projection and the cancellation.
         X = build_transmit(mode, assignment, s_blocks, realization, config)
-        z, ok = data_aided_observation(Y, np.swapaxes(X, -1, -2))
-    failed = ~ok                                           # (B, L)
-    psi = (psi_pilot(realization, assignment, config, mode) if s_blocks is None
-           else psi_data_aided_bound(realization, assignment, config, mode, sigma))
-    fallback_psi = psi_pilot(realization, assignment, config, mode) if failed.any() else None
+
+    def despread(l):
+        """Cell l's de-spread pilots, (B, K, M)."""
+        return pilot_observation(Y[:, l], assignment.seqs[l], q[l], mode, tau_p=config.tau_p)
+
+    def estimate(l, z, psi_l):
+        """Cell l's estimates from observations z (B, K, M) of covariance psi_l, and their C."""
+        W, C_l = lmmse_filter(realization.R[l, l], psi_l)
+        return np.einsum("kmn,...kn->...km", W, z), C_l
 
     # Combining per cell: stacked, with the same bits, its (B, L, M,
     # tau_c) residual raised the traced peak of a coded rp trial from 45.4 to
     # 63.0 MB, of a coded sp one from 43.1 to 59.8 MB and of a study pair from
     # 88.5 to 126.9 MB (paper point, seed 1): over the benchmark's 10 % bound.
-    h_hat = np.empty_like(z)
+    h_hat = np.empty(Y.shape[:2] + (config.K, config.M), dtype=complex)
 
     def cell(l):
-        """Cell l through estimate, combine and reduce: its y and reduce result."""
-        h_hat[:, l], C_l = estimate(l, z[:, l], psi[l])
-        if failed[:, l].any():                             # the pilot-only fallback
-            z_l = pilot_observation(Y[:, l], assignment.seqs[l], q[l], mode,
-                                    tau_p=config.tau_p)
-            h_hat[failed[:, l], l] = estimate(l, z_l, fallback_psi[l])[0][failed[:, l]]
+        """Cell l through observe, estimate, combine and reduce: its y, reduce result
+        and number of blocks that kept their pilot-only estimate."""
+        if s_blocks is None:
+            z, ok = despread(l), np.ones(len(Y), dtype=bool)
+        else:
+            z, ok = data_aided_observation(Y[:, l], np.swapaxes(X[:, l], -1, -2))
+        h_hat[:, l], C_l = estimate(l, z, psi[l])
+        del z
+        failed = ~ok
+        if failed.any():                                   # the pilot-only fallback
+            fallback_psi = psi_pilot(realization, assignment, config, mode)[l]
+            h_hat[failed, l] = estimate(l, despread(l), fallback_psi)[0][failed]
         v = build_combiner(h_hat[:, l], C_l, realization.rho[l], config.noise_energy,
                            combiner_kind)
         if s_blocks is None:      # y + g (-pilot) has the bits of y - g pilot
@@ -164,10 +169,10 @@ def estimate_and_combine(blocks: BlockSignals, realization: NetworkRealization,
             x_hat, own = X[:, l, :, data], np.sqrt(p[l])[:, None] * s_blocks[:, l]
         y_l = combine_iterative(Y[:, l, :, data], v, h_hat[:, l], x_hat, own)
         del x_hat, own
-        return y_l, reduce(l, v, h_hat[:, l], C_l)
+        return y_l, reduce(l, v, h_hat[:, l], C_l), int(failed.sum())
 
-    y, reduced = zip(*_threads.each(cell, config.L))
-    return h_hat, np.stack(y, axis=1), list(reduced), int(failed.sum())
+    y, reduced, fallbacks = zip(*_threads.each(cell, config.L))
+    return h_hat, np.stack(y, axis=1), list(reduced), sum(fallbacks)
 
 
 def run_receiver(blocks: BlockSignals, realization: NetworkRealization,

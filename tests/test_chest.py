@@ -11,7 +11,7 @@ from ullsim.airlink import crandn, simulate_blocks
 from ullsim.chest import (EstimationError, data_aided_feasibility,
                           data_aided_observation, lmmse_filter, pilot_observation,
                           psi_data_aided_bound, psi_data_aided_empirical,
-                          psi_pilot, simulate_data_aided_observations)
+                          psi_pilot, simulate_data_aided_observations, solve)
 from ullsim.netgeom import make_network, toeplitz
 from ullsim.pilots import assign_pilots, make_pilot_book
 
@@ -184,9 +184,9 @@ def test_lmmse_estimate_reduces_error_monte_carlo():
     pytest.param(complex, 3, id="complex-3-threads"),
     pytest.param(float, 3, id="float-3-threads")])
 def test_lmmse_filter_equals_the_out_of_place_expression(monkeypatch, dtype, threads):
-    # W, R - W R and its symmetrization run in place, one matrix at a time and
-    # split over threads; the bits must be those of the out-of-place stacked
-    # expressions. A real C is its own conj(): the case where C += C^H reads
+    # W, R - W R and its symmetrization run in place, one matrix at a time,
+    # on the calling thread whatever the trial's count; the bits must be
+    # those of the out-of-place stacked expressions. A real C is its own conj(): the case where C += C^H reads
     # what it writes.
     monkeypatch.setattr(_threads, "_MIN_WORK", 1)
     monkeypatch.setattr(_threads, "_count", threads)
@@ -216,6 +216,20 @@ def test_lmmse_filter_on_a_strided_view_of_r():
     W_want, C_want = lmmse_filter(copy, psi)
     assert np.array_equal(W, W_want)
     assert np.array_equal(C, C_want)
+
+
+@pytest.mark.parametrize("bad", [0, 5])              # the first or the last matrix
+def test_solve_marks_only_its_singular_member(bad):
+    rng = np.random.default_rng(41)
+    A, B = crandn(rng, (6, 4, 4)), crandn(rng, (6, 4, 3))
+    A[bad] = np.diag([1.0, 1.0, 1.0, 0.0])             # exact zero pivot
+    A, B = A.reshape(2, 3, 4, 4), B.reshape(2, 3, 4, 3)
+    X, ok = solve(A, B)
+    want = np.ones(6, dtype=bool)
+    want[bad] = False
+    assert np.array_equal(ok, want.reshape(2, 3))
+    assert np.array_equal(X[~ok], np.zeros((1, 4, 3)))
+    assert np.array_equal(X[ok], np.linalg.solve(A[ok], B[ok]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from ullsim.airlink import build_transmit, crandn, simulate_blocks
 from ullsim import _threads, receiver
 from ullsim.airlink import gaussian_symbols
 from ullsim.chest import lmmse_filter, pilot_observation, psi_pilot
-from ullsim.combine import build_combiner, combine_iterative, effective_stats
+from ullsim.combine import (build_combiner, combine_iterative, effective_stats,
+                            intercell_interference)
 from ullsim.netgeom import make_network, toeplitz
 from ullsim.pilots import assign_pilots
 from ullsim.receiver import estimate_and_combine
@@ -246,9 +247,9 @@ def _stacked_combine_iterative(Y, v, h_hat, x_hat, own):
     The kernel the per-block residual replaced, kept as its oracle.
     """
     if x_hat is not None:
-        E = _threads.einsum("...km,...kt->...mt", h_hat, x_hat)
+        E = np.einsum("...km,...kt->...mt", h_hat, x_hat)
         Y = np.subtract(Y, E, out=E)
-    y_hat = _threads.einsum("...km,...mt->...kt", v.conj(), Y)
+    y_hat = np.einsum("...km,...mt->...kt", v.conj(), Y)
     gain = np.einsum("...km,...km->...k", v.conj(), h_hat)
     return y_hat + gain[..., None] * own
 
@@ -287,7 +288,8 @@ def test_per_block_residual_keeps_the_stacked_bits(monkeypatch, split_small, mod
 @pytest.mark.parametrize("threads", [1, 2])
 def test_combine_iterative_holds_no_residual_stack(monkeypatch, threads):
     # At the paper point a cell's (B, M, n_data) residual is 3.3 MB over
-    # B = 11 blocks; a thread forms one block's, 0.3 MB, at a time.
+    # B = 11 blocks; the call forms one block's, 0.3 MB, at a time, and
+    # starts no thread, whatever the trial's count.
     monkeypatch.setattr(_threads, "_count", threads)
     B, K, M, n_data = 11, 10, 100, 190
     rng = np.random.default_rng(18)
@@ -316,7 +318,8 @@ def test_effective_stats_clean_receiver():
     rng = np.random.default_rng(9)
     h = crandn(rng, (1, 3))
     v = h / np.linalg.norm(h)
-    g, n_var = effective_stats(v, h, np.zeros((1, 3, 3)), net, "rp", config, None, 0)
+    g, n_var = effective_stats(v, h, np.zeros((1, 3, 3)), net, "rp", config, None, 0,
+                               intercell_interference(net, "rp")[0])
     q, p = net.energies("rp")
     assert np.isclose(g[0], np.sqrt(p[0, 0]) * np.linalg.norm(h))
     assert np.isclose(n_var[0], config.noise_energy)
@@ -327,7 +330,8 @@ def test_effective_stats_mr_gain():
     net = manual_network(config, np.ones((1, 1, 1)), r=np.zeros((1, 1, 1, 7)))
     rng = np.random.default_rng(10)
     h = crandn(rng, (1, 4))
-    g, _ = effective_stats(h, h, np.zeros((1, 4, 4)), net, "rp", config, None, 0)
+    g, _ = effective_stats(h, h, np.zeros((1, 4, 4)), net, "rp", config, None, 0,
+                          intercell_interference(net, "rp")[0])
     _, p = net.energies("rp")
     assert np.isclose(g[0], np.sqrt(p[0, 0]) * np.linalg.norm(h[0]) ** 2)
 
@@ -338,9 +342,10 @@ def test_effective_stats_cancellation_reduces_variance():
     rng = np.random.default_rng(11)
     h = crandn(rng, (2, 4))
     C = np.zeros((2, 4, 4))
-    before = effective_stats(h, h, C, net, "rp", config, None, 0)[1]
-    after = effective_stats(h, h, C, net, "rp", config, np.full((1, 2), 0.9), 0)[1]
-    perfect = effective_stats(h, h, C, net, "rp", config, np.ones((1, 2)), 0)[1]
+    inter = intercell_interference(net, "rp")[0]
+    before = effective_stats(h, h, C, net, "rp", config, None, 0, inter)[1]
+    after = effective_stats(h, h, C, net, "rp", config, np.full((1, 2), 0.9), 0, inter)[1]
+    perfect = effective_stats(h, h, C, net, "rp", config, np.ones((1, 2)), 0, inter)[1]
     assert np.all(after < before)
     assert np.all(perfect <= after)
     # perfect cancellation with perfect CSI leaves thermal noise only
@@ -369,7 +374,8 @@ def test_effective_stats_match_simulation():
     v = h_hat                                                   # mr
     y_hat = combine_iterative(blocks.Y[:, l, :, config.tau_p:], v[:, l], h_hat[:, l],
                               None, np.zeros((config.K, config.tau_d)))
-    g, n_var = effective_stats(v[:, l], h_hat[:, l], C[l], net, mode, config, None, l)
+    g, n_var = effective_stats(v[:, l], h_hat[:, l], C[l], net, mode, config, None, l,
+                               intercell_interference(net, mode)[l])
     resid = y_hat - g[..., None] * s[:, l]
     emp = np.mean(np.abs(resid) ** 2, axis=(0, 2))
     ana = np.mean(n_var, axis=0)
@@ -404,7 +410,8 @@ def test_stacked_effective_stats_equal_their_defining_sums(mode, known):
     sig = rng.uniform(size=(L, K))
     g, n_var = (np.stack(a, axis=1) for a in zip(*(
         effective_stats(v[:, l], h_hat[:, l], C[l], net, mode, config,
-                        sig if known else None, l) for l in range(L))))
+                        sig if known else None, l, intercell_interference(net, mode)[l])
+        for l in range(L))))
 
     q, p = net.energies(mode)
     full = p if mode == "rp" else p + q
@@ -436,7 +443,7 @@ def _stacked_effective_stats(v, h_hat, C, realization, mode, config, sigma_est):
     q, p = realization.energies(mode)
     full = p if mode == "rp" else p + q
     g = np.sqrt(p) * np.einsum("...km,...km->...k", v.conj(), h_hat)
-    vCv = _threads.einsum("...km,...jmn,...kn->...kj", v.conj(), C, v).real
+    vCv = np.einsum("...km,...jmn,...kn->...kj", v.conj(), C, v).real
     vh2 = np.abs(np.einsum("...km,...jm->...kj", v.conj(), h_hat)) ** 2
     n_var = np.einsum("...kk,...k->...k", vCv, full)
     est_part = full if sigma_est is None else p * (1.0 - np.asarray(sigma_est, dtype=float))
@@ -444,7 +451,7 @@ def _stacked_effective_stats(v, h_hat, C, realization, mode, config, sigma_est):
     cross = vh2 * est_part[..., None, :] + vCv * full[..., None, :]
     n_var = n_var + np.einsum("...kj,kj->...k", cross, off.astype(float))
     inter = np.ascontiguousarray(toeplitz(realization.intercell(full)))
-    n_var = n_var + _threads.einsum("...km,...mn,...kn->...k", v.conj(), inter, v).real
+    n_var = n_var + np.einsum("...km,...mn,...kn->...k", v.conj(), inter, v).real
     n_var = n_var + config.noise_energy * np.einsum("...km,...km->...k", v.conj(), v).real
     return g, n_var
 
@@ -465,9 +472,11 @@ def test_per_cell_effective_stats_keep_the_stacked_bits(monkeypatch, split_small
     sig = np.full((config.L, config.K), 0.6)
     s_hat, s = gaussian_symbols(rng, sig, (4, config.L, config.K, config.data_slots(mode)))
     blocks = simulate_blocks(mode, asg, s, net, config, rng)
+    inter = intercell_interference(net, mode)
     for sigma, extra in ((None, {}), (sig, {"s_blocks": s_hat, "sigma": sig})):
         def reduce(l, v, h_l, C_l):
-            return effective_stats(v, h_l, C_l, net, mode, config, sigma, l), v, C_l
+            return (effective_stats(v, h_l, C_l, net, mode, config, sigma, l, inter[l]),
+                    v, C_l)
 
         h_hat, _, cells, _ = estimate_and_combine(blocks, net, asg, config, mode,
                                                   combiner_kind, reduce, **extra)

@@ -1,4 +1,4 @@
-"""A trial's stacked kernels split over threads: same bits for any count."""
+"""A trial's work split over threads: same bits for any count, one fork per pass."""
 
 import functools
 import logging
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ullsim import ScenarioConfig, _threads, harness, receiver
-from ullsim.airlink import crandn, gaussian_symbols, simulate_blocks
+from ullsim.airlink import crandn, gaussian_symbols, receive, simulate_blocks
 from ullsim.chest import EstimationError, lmmse_filter
 from ullsim.combine import build_combiner
 from ullsim.harness import (Campaign, _run_pair, _run_variants, _study_variants,
@@ -47,7 +47,7 @@ def _trial_rows(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2, 3, 7])
 def test_trial_rows_do_not_depend_on_the_thread_count(monkeypatch, split_small, threads):
     # Over L = 3 cells: two threads split them unevenly, three give each its
-    # own, seven leave each cell's kernels two.
+    # own, and seven are more than there are cells.
     monkeypatch.setattr(_threads, "_count", 1)
     serial = _trial_rows(monkeypatch)
     monkeypatch.setattr(_threads, "_count", threads)
@@ -59,10 +59,8 @@ def test_trial_rows_do_not_depend_on_the_thread_count(monkeypatch, split_small, 
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("count, n, inner", [
-    (1, 3, 1), (2, 3, 1), (3, 3, 1), (7, 3, 2), (8, 4, 2), (2, 1, 2)])
-def test_each_runs_the_items_in_order_with_a_share_of_the_threads(monkeypatch, count, n,
-                                                                  inner):
+@pytest.mark.parametrize("count, n", [(1, 3), (2, 3), (3, 3), (7, 3), (8, 4), (2, 1)])
+def test_each_runs_the_items_in_order_over_the_threads(monkeypatch, count, n):
     monkeypatch.setattr(_threads, "_count", count)
     parts = _threads.chunks(n, count)
     # Each thread's first item waits for every other thread's: they run at once.
@@ -72,16 +70,14 @@ def test_each_runs_the_items_in_order_with_a_share_of_the_threads(monkeypatch, c
     def item(i):
         if i in firsts:
             meet.wait()
-        return i, _threads._budget(), threading.get_ident()
+        return i, threading.get_ident()
 
     got = _threads.each(item, n)
-    assert [i for i, _, _ in got] == list(range(n))
-    assert {budget for _, budget, _ in got} == {inner}
-    threads = [[ident for _, _, ident in got[s]] for s in parts]
+    assert [i for i, _ in got] == list(range(n))
+    threads = [[ident for _, ident in got[s]] for s in parts]
     assert threads[0][0] == threading.get_ident()           # the first on the caller
     assert len({t[0] for t in threads}) == len(parts)
     assert all(len(set(t)) == 1 for t in threads)           # a thread's items in turn
-    assert _threads._budget() == count                      # the caller's is restored
 
 
 def test_each_raises_the_first_failing_items_error(monkeypatch):
@@ -228,36 +224,58 @@ def test_no_helper_thread_outlives_a_trial(monkeypatch, split_small):
     assert threading.active_count() == before
 
 
-# (subscripts, operand shapes, chunks run over 3 threads), one per call-site
-# form; the shapes are tiny. A stack of one, or none, makes the plain call.
-_EINSUM_FORMS = {
-    "both-stacked": ("...abkm,...bkt->...amt", [(5, 3, 3, 2, 4), (5, 3, 2, 6)], [3]),
-    "shorter-ellipsis": ("...mn,...n->...m", [(3, 3, 2, 4, 4), (5, 3, 3, 2, 4)], [3]),
-    "no-ellipsis": ("...km,jmn,...kn->...kj", [(5, 3, 2, 4), (2, 4, 4), (5, 3, 2, 4)], [3]),
-    "broadcast-1": ("...km,...mt->...kt", [(1, 3, 2, 4), (5, 3, 4, 6)], [3]),
-    "leading-1": ("...km,...mt->...kt", [(1, 3, 2, 4), (1, 3, 4, 6)], []),
-    "unstacked": ("...km,...mt->...kt", [(2, 4), (4, 6)], []),
-    "W-z": ("lkmn,...lkn->...lkm", [(3, 2, 4, 4), (5, 3, 2, 4)], [3]),
-    "vCv": ("...km,...jmn,...kn->...kj", [(5, 3, 2, 4), (3, 2, 4, 4), (5, 3, 2, 4)], [3]),
-    "v-inter-v": ("...km,...mn,...kn->...k", [(5, 3, 2, 4), (3, 4, 4), (5, 3, 2, 4)], [3]),
-}
+def test_no_fork_starts_inside_a_cell(monkeypatch, split_small):
+    # A receiver pass forks once, over its serving cells: with 8 threads for
+    # L = 3 cells and every kernel split however small, the code inside a
+    # cell still starts no fork of its own.
+    monkeypatch.setattr(_threads, "_count", 8)
+    in_cell = threading.local()
+    forks = []                                          # (inside a cell?, slices)
+    fork, each = _threads._fork, _threads.each
+
+    def spy_fork(fn, slices):
+        forks.append((getattr(in_cell, "on", False), len(slices)))
+        return fork(fn, slices)
+
+    def spy_each(fn, n):
+        def item(i):
+            in_cell.on = True
+            try:
+                return fn(i)
+            finally:
+                in_cell.on = False
+
+        return each(item, n)
+
+    monkeypatch.setattr(_threads, "_fork", spy_fork)
+    monkeypatch.setattr(_threads, "each", spy_each)
+    _trial_rows(monkeypatch)
+    assert [n for inside, n in forks if inside] == []
+    assert max(n for _, n in forks) > 1                 # forks outside the cells did split
 
 
-@pytest.mark.parametrize("form", _EINSUM_FORMS)
-def test_split_einsum_equals_numpy_for_each_call_site_form(monkeypatch, split_small, form):
-    subscripts, shapes, chunks = _EINSUM_FORMS[form]
-    rng = np.random.default_rng(50)
-    ops = [crandn(rng, shape) for shape in shapes]
-    monkeypatch.setattr(_threads, "_count", 3)
+@pytest.mark.parametrize("threads", [1, 3])
+def test_receive_splits_only_its_block_axis(monkeypatch, split_small, threads):
+    # Stacked H and X split over their blocks, and each chunk makes the
+    # stacked einsum: the bits are one np.einsum's plus the same noise. An
+    # unstacked H (one block, L = 3) makes the plain call: a split on len(Y)
+    # would cut H's BS axis against X's cell axis.
+    monkeypatch.setattr(_threads, "_count", threads)
     chunks_per_split = _count_chunks(monkeypatch)
-    got = _threads.einsum(subscripts, *ops)
-    assert chunks_per_split == chunks
-    assert np.array_equal(got, np.einsum(subscripts, *ops))
-    if form == "W-z":                                  # the same product, explicit labels
-        assert np.array_equal(got, np.einsum("lkmn,blkn->blkm", *ops))
+    rng = np.random.default_rng(50)
+    B, L, K, M, tau = 5, 3, 2, 4, 6
+    cases = [((B, L, L, K, M), (B, L, K, tau), [threads]), ((L, L, K, M), (L, K, tau), [])]
+    for h_shape, x_shape, chunks in cases:
+        H, X = crandn(rng, h_shape), crandn(rng, x_shape)
+        chunks_per_split.clear()
+        got = receive(H, X, 0.3, np.random.default_rng(51))
+        assert chunks_per_split == chunks
+        want = np.einsum("...abkm,...bkt->...amt", H, X)
+        want = want + np.sqrt(0.3) * crandn(np.random.default_rng(51), want.shape)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), h_shape
 
 
-@pytest.mark.parametrize("bad", [0, 5])              # in the first or the last chunk
+@pytest.mark.parametrize("bad", [0, 5])              # the first or the last matrix
 def test_a_singular_psi_in_one_chunk_regularizes_the_whole_stack(monkeypatch, split_small,
                                                                 bad):
     rng = np.random.default_rng(40)
@@ -276,21 +294,3 @@ def test_a_singular_psi_in_one_chunk_regularizes_the_whole_stack(monkeypatch, sp
     reg = Psi + (1e-12 * tr / 4)[..., None, None] * np.eye(4)
     W_reg = np.swapaxes(np.linalg.solve(reg, R).conj(), -1, -2)
     assert np.array_equal(W2, W_reg)
-
-
-@pytest.mark.parametrize("count", [1, 3])
-@pytest.mark.parametrize("bad", [0, 5])              # in the first or the last chunk
-def test_solve_marks_only_its_singular_member(monkeypatch, split_small, count, bad):
-    rng = np.random.default_rng(41)
-    A, B = crandn(rng, (6, 4, 4)), crandn(rng, (6, 4, 3))
-    A[bad] = np.diag([1.0, 1.0, 1.0, 0.0])             # exact zero pivot
-    A, B = A.reshape(2, 3, 4, 4), B.reshape(2, 3, 4, 3)
-    monkeypatch.setattr(_threads, "_count", count)
-    chunks_per_split = _count_chunks(monkeypatch)
-    X, ok = _threads.solve(A, B)
-    assert chunks_per_split == [count]
-    want = np.ones(6, dtype=bool)
-    want[bad] = False
-    assert np.array_equal(ok, want.reshape(2, 3))
-    assert np.array_equal(X[~ok], np.zeros((1, 4, 3)))
-    assert np.array_equal(X[ok], np.linalg.solve(A[ok], B[ok]))

@@ -22,11 +22,10 @@ it prints the process's peak resident set (`ru_maxrss`), which also
 counts the interpreter, the imported modules and what tracemalloc does not
 see; its gap to the trial's traced peak is that untraced part. Beside it
 goes the number of threads the trial split its stacked kernels over (all
-usable cores, as for any library caller), how many of them ran the
-serving cells, and the share each cell's kernels split over: each
-thread gets its own malloc arena, which `ru_maxrss` sees and tracemalloc
-does not, and holds one cell's filter, covariances and combining vectors
-at a time.
+usable cores, as for any library caller) and how many of them ran the
+serving cells: each thread gets its own malloc arena, which `ru_maxrss`
+sees and tracemalloc does not, and holds one cell's filter, covariances
+and combining vectors at a time.
 
 numpy reports its array buffers to tracemalloc, so the figures are the
 program's Python and numpy allocations; BLAS/LAPACK workspaces and the
@@ -66,11 +65,11 @@ STAGES = (
     ("receive", "ullsim.airlink", "receive"),
     ("receiver", "ullsim.receiver", "run_receiver"),
     # psi is one call per pass, for every cell, on Toeplitz generators (a
-    # pilot-only fallback adds one). LMMSE, the combiner, combining and
+    # cell's pilot-only fallback adds one). LMMSE, the combiner, combining and
     # effective_stats make one call per serving cell, for their memory: a
     # pass calls each L times, the cells spread over the trial's threads,
     # and each thread holds one cell's C at a time. Combining forms one
-    # block's (M, n_data) residual at a time on each thread.
+    # block's (M, n_data) residual at a time.
     ("psi", "ullsim.chest", "psi_pilot"),
     ("psi", "ullsim.chest", "psi_data_aided_bound"),
     ("LMMSE", "ullsim.chest", "lmmse_filter"),
@@ -178,8 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     L = campaign.config.L
     print(f"process peak RSS (ru_maxrss): {maxrss_kb * 1e3 / MB:.1f} MB, "
           f"kernels split over {_threads._count} thread(s), serving cells over "
-          f"{min(_threads._count, L)} and each cell's kernels over "
-          f"{max(1, _threads._count // L)}")
+          f"{min(_threads._count, L)}")
     return 0
 
 
