@@ -11,7 +11,7 @@ from ullsim.airlink import crandn, simulate_blocks
 from ullsim.chest import (EstimationError, data_aided_feasibility,
                           data_aided_observation, lmmse_filter, pilot_observation,
                           psi_data_aided_bound, psi_data_aided_empirical,
-                          psi_pilot, simulate_data_aided_observations, solve)
+                          psi_pilot, simulate_data_aided_observations)
 from ullsim.netgeom import make_network, toeplitz
 from ullsim.pilots import assign_pilots, make_pilot_book
 
@@ -216,20 +216,6 @@ def test_lmmse_filter_on_a_strided_view_of_r():
     W_want, C_want = lmmse_filter(copy, psi)
     assert np.array_equal(W, W_want)
     assert np.array_equal(C, C_want)
-
-
-@pytest.mark.parametrize("bad", [0, 5])              # the first or the last matrix
-def test_solve_marks_only_its_singular_member(bad):
-    rng = np.random.default_rng(41)
-    A, B = crandn(rng, (6, 4, 4)), crandn(rng, (6, 4, 3))
-    A[bad] = np.diag([1.0, 1.0, 1.0, 0.0])             # exact zero pivot
-    A, B = A.reshape(2, 3, 4, 4), B.reshape(2, 3, 4, 3)
-    X, ok = solve(A, B)
-    want = np.ones(6, dtype=bool)
-    want[bad] = False
-    assert np.array_equal(ok, want.reshape(2, 3))
-    assert np.array_equal(X[~ok], np.zeros((1, 4, 3)))
-    assert np.array_equal(X[ok], np.linalg.solve(A[ok], B[ok]))
 
 
 # ---------------------------------------------------------------------------

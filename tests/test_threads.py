@@ -12,7 +12,7 @@ import pytest
 
 from ullsim import ScenarioConfig, _threads, harness, receiver
 from ullsim.airlink import crandn, gaussian_symbols, receive, simulate_blocks
-from ullsim.chest import EstimationError, lmmse_filter
+from ullsim.chest import EstimationError, lmmse_filter, solve
 from ullsim.combine import build_combiner
 from ullsim.harness import (Campaign, _run_pair, _run_variants, _study_variants,
                             run_coded_trial, run_gaussian_trial)
@@ -294,3 +294,23 @@ def test_a_singular_psi_in_one_chunk_regularizes_the_whole_stack(monkeypatch, sp
     reg = Psi + (1e-12 * tr / 4)[..., None, None] * np.eye(4)
     W_reg = np.swapaxes(np.linalg.solve(reg, R).conj(), -1, -2)
     assert np.array_equal(W2, W_reg)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("bad", [0, 5])              # the first or the last matrix
+def test_solve_marks_only_its_singular_member(monkeypatch, split_small, count, bad):
+    # The stacked solve runs in place whatever the thread count: it starts
+    # no split, and only the singular member is marked and zeroed.
+    rng = np.random.default_rng(41)
+    A, B = crandn(rng, (6, 4, 4)), crandn(rng, (6, 4, 3))
+    A[bad] = np.diag([1.0, 1.0, 1.0, 0.0])             # exact zero pivot
+    A, B = A.reshape(2, 3, 4, 4), B.reshape(2, 3, 4, 3)
+    monkeypatch.setattr(_threads, "_count", count)
+    chunks_per_split = _count_chunks(monkeypatch)
+    X, ok = solve(A, B)
+    assert chunks_per_split == []
+    want = np.ones(6, dtype=bool)
+    want[bad] = False
+    assert np.array_equal(ok, want.reshape(2, 3))
+    assert np.array_equal(X[~ok], np.zeros((1, 4, 3)))
+    assert np.array_equal(X[ok], np.linalg.solve(A[ok], B[ok]))
